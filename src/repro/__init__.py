@@ -98,7 +98,8 @@ faster than the per-epoch sum at the default benchmark preset)::
     engine = Engine.restore("epochstore")           # manifest-only restart
     weekly = engine.estimator(window=last(7))       # segment pushdown
 
-The CLI accepts ``--store-dir`` wherever it accepts ``--checkpoint``.
+The ``engine`` subcommands accept ``--store-dir`` wherever they accept
+``--checkpoint``; ``serve`` persists through ``--store-dir`` alone.
 
 The network-facing service
 --------------------------
@@ -109,7 +110,7 @@ merge exactly, the sharding is unobservable in the estimates.  Serve and
 drive it straight from the CLI (stdlib only, no extra dependencies)::
 
     python -m repro.cli serve --method hh --domain-size 1024 \\
-        --epsilon 1.1 --workers 4 --port 8377 --checkpoint service.ckpt
+        --epsilon 1.1 --workers 4 --port 8377 --store-dir epochstore
     python -m repro.cli loadgen --url http://127.0.0.1:8377 --users 50000
 
 or in-process for tests and notebooks::
@@ -124,12 +125,13 @@ or in-process for tests and notebooks::
 
 ``POST /ingest`` accepts the framed report-batch container
 (:func:`repro.core.serialization.pack_report_batch` -- the same bytes
-``encode --output -`` pipes to stdout), ``POST /close`` seals the epoch
-by merging every shard into the engine, ``GET /query`` answers windowed
-range/quantile/frequency queries (``postprocess=`` re-finalizes), and
-checkpoints flush on a configurable epoch cadence plus graceful
-shutdown.  ``benchmarks/bench_service.py`` records sustained ingest
-throughput, p99 latency and crash-recovery time in ``BENCH_service.json``.
+``encode --output -`` pipes to stdout), ``POST /close`` closes the
+epoch by merging every shard into the engine -- with ``store_dir`` it
+also seals the epoch into the store a restart resumes from -- and
+``GET /query`` answers windowed range/quantile/frequency queries
+(``postprocess=`` re-finalizes).  ``benchmarks/bench_service.py``
+records sustained ingest throughput, p99 latency and crash-recovery
+time in ``BENCH_service.json``.
 
 Post-processing pipelines
 -------------------------

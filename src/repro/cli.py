@@ -40,7 +40,7 @@ The service pair runs the same machinery over the network
 (:mod:`repro.service`):
 
 * ``repro-cli serve``   -- HTTP ingest gateway + shard worker processes,
-  epoch close on ``POST /close``, durable ``--checkpoint`` restore;
+  epoch close on ``POST /close``, durable ``--store-dir`` restore;
 * ``repro-cli loadgen`` -- drive a running gateway with synthetic
   traffic and report sustained reports/second and latency percentiles.
 
@@ -571,7 +571,9 @@ def _export_classic_state(path: str, state) -> None:
         handle.write(state.to_bytes())
 
 
-def _window_output(engine: Engine, window, estimator, args: argparse.Namespace) -> dict:
+def _window_output(
+    engine: Engine, estimator, n_users: int, args: argparse.Namespace
+) -> dict:
     """The common JSON skeleton of the windowed query commands."""
     protocol = engine.protocol
     if hasattr(protocol, "domain_size"):
@@ -582,7 +584,7 @@ def _window_output(engine: Engine, window, estimator, args: argparse.Namespace) 
         "method": protocol.name,
         "epsilon": protocol.epsilon,
         "domain_size": domain_size,
-        "n_users": int(engine.n_reports(window)),
+        "n_users": int(n_users),
     }
     output.update(_answer_queries(estimator, args))
     return output
@@ -602,10 +604,10 @@ def command_merge(args: argparse.Namespace) -> int:
         print(f"wrote merged state ({merged.n_reports} reports) to {args.output_state}")
 
     try:
-        estimator = engine.estimator()
+        _, estimator, n_users = engine.query()
     except ProtocolUsageError as exc:
         raise SystemExit(str(exc))
-    output = _window_output(engine, None, estimator, args)
+    output = _window_output(engine, estimator, n_users, args)
     output["n_shards"] = len(args.states)
     _write_query_output(output, args)
     return 0
@@ -774,11 +776,10 @@ def command_engine_query(args: argparse.Namespace) -> int:
         except (ValueError, ProtocolUsageError) as exc:
             raise SystemExit(str(exc))
     try:
-        selected = resolve_window(window, engine.epochs)
-        estimator = engine.estimator(window)
+        selected, estimator, n_users = engine.query(window)
     except (ProtocolUsageError, SerializationError) as exc:
         raise SystemExit(str(exc))
-    output = _window_output(engine, window, estimator, args)
+    output = _window_output(engine, estimator, n_users, args)
     output["window"] = getattr(args, "window", "all")
     output["epochs"] = selected
     if postprocess is not None:
@@ -828,13 +829,13 @@ def command_compare(args: argparse.Namespace) -> int:
 def command_serve(args: argparse.Namespace) -> int:
     """Run the network-facing aggregation service (gateway + workers).
 
-    With ``--checkpoint`` pointing at an existing file the service
-    resumes from it (ignoring the protocol flags -- the checkpoint *is*
-    the configuration); otherwise a fresh engine is built from
-    ``--method``/``--domain-size``/``--epsilon`` and the checkpoint file,
-    if requested, is created on the first epoch close.  SIGINT/SIGTERM
-    trigger a graceful shutdown: the in-progress epoch is closed, a final
-    checkpoint written, and the workers quit cleanly.
+    With ``--store-dir`` naming an existing epoch store the service
+    resumes from it (ignoring the protocol flags -- the store's manifest
+    *is* the configuration); otherwise a fresh engine is built from
+    ``--method``/``--domain-size``/``--epsilon``, and the store, if
+    requested, is created on the first epoch close.  SIGINT/SIGTERM
+    trigger a graceful shutdown: the in-progress epoch is closed and
+    sealed, and the workers quit cleanly.
     """
     import asyncio
     import signal
@@ -847,35 +848,24 @@ def command_serve(args: argparse.Namespace) -> int:
         "num_workers": args.workers,
         "host": args.host,
         "port": args.port,
-        "checkpoint_every": args.checkpoint_every,
         "wal_dir": args.wal_dir,
         "wal_sync": args.wal_sync,
         "request_timeout": args.request_timeout,
         "max_inflight": args.max_inflight,
     }
-    store_dir = getattr(args, "store_dir", None)
+    store_dir = args.store_dir
     try:
         if store_dir and os.path.exists(os.path.join(store_dir, "MANIFEST.json")):
-            service = AggregationService.from_store(
-                store_dir, checkpoint_path=args.checkpoint, **options
-            )
+            service = AggregationService.from_store(store_dir, **options)
             origin = f"restored from store {store_dir}"
-        elif args.checkpoint and os.path.exists(args.checkpoint):
-            service = AggregationService.from_checkpoint(
-                args.checkpoint, store_dir=store_dir, **options
-            )
-            origin = f"restored from {args.checkpoint}"
         else:
             if args.domain_size is None:
                 raise SystemExit(
-                    "--domain-size is required unless --checkpoint or "
-                    "--store-dir names an existing checkpoint to restore"
+                    "--domain-size is required unless --store-dir names an "
+                    "existing epoch store to restore"
                 )
             service = AggregationService(
-                _build_protocol(args),
-                checkpoint_path=args.checkpoint,
-                store_dir=store_dir,
-                **options,
+                _build_protocol(args), store_dir=store_dir, **options
             )
             origin = "fresh engine"
     except SerializationError as exc:
@@ -896,7 +886,7 @@ def command_serve(args: argparse.Namespace) -> int:
         for signum in (signal.SIGINT, signal.SIGTERM):
             loop.add_signal_handler(signum, stop.set)
         await stop.wait()
-        print("shutting down: closing epoch, flushing checkpoint", flush=True)
+        print("shutting down: closing and sealing the open epoch", flush=True)
         await service.stop(flush=True)
         print(f"stopped; engine holds epochs {list(service.engine.epochs)}", flush=True)
 
@@ -1165,24 +1155,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=2, help="number of shard worker processes"
     )
     serve.add_argument(
-        "--checkpoint",
-        default=None,
-        help="checkpoint file: restored if it exists, written on epoch close",
-    )
-    serve.add_argument(
         "--store-dir",
         default=None,
         help=(
-            "epoch store directory: sealed epochs spill to per-epoch mmap "
-            "segments and checkpoints become incremental (restored if the "
-            "directory already holds a manifest)"
+            "epoch store directory: every closed epoch is sealed into its own "
+            "segment (restored if the directory already holds a manifest)"
         ),
-    )
-    serve.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=1,
-        help="write the checkpoint every K-th epoch close",
     )
     serve.add_argument(
         "--wal-dir",
@@ -1214,7 +1192,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--domain-size",
         type=int,
         default=None,
-        help="domain size (required unless restoring a checkpoint)",
+        help="domain size (required unless restoring an epoch store)",
     )
     serve.add_argument(
         "--domain-size-y",

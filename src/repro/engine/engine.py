@@ -16,6 +16,8 @@ client/server objects into managed, durable, epoch-partitioned state:
   copy; live epochs are never mutated) and the merged state feeds the
   existing estimator/batch-query kernels unchanged, so a single-epoch
   ``window="all"`` engine is bit-identical to the plain session path.
+  ``engine.query(window=...)`` also returns the resolved epoch keys and
+  their report count, all from one resolution under the engine lock.
 * **Durability.**  ``engine.checkpoint(path)`` persists every epoch shard
   in one versioned v2 envelope (:data:`repro.core.serialization.MAGIC_V2`)
   carrying the protocol spec, engine metadata and the epoch keys;
@@ -528,20 +530,23 @@ class Engine:
         engine's epoch map.
         """
         with self._lock:
-            selected = self._resolve(window)
-            live, sealed = split_window(selected, self._servers)
-            merged: Optional[CompositeAccumulator] = None
-            if sealed:
-                merged = self._store.pushdown_state(sealed)
-                if merged is None:
-                    for epoch in sealed:
-                        state = self._store.load_state(epoch)
-                        merged = state if merged is None else merged.merge(state)
-            for epoch in live:
-                if merged is None:
-                    merged = self._servers[epoch].snapshot()
-                else:
-                    merged.merge(self._servers[epoch].state)
+            return self._merge_window(self._resolve(window))
+
+    def _merge_window(self, selected: List[int]) -> CompositeAccumulator:
+        """Merge resolved epoch keys into one state; the caller holds the lock."""
+        live, sealed = split_window(selected, self._servers)
+        merged: Optional[CompositeAccumulator] = None
+        if sealed:
+            merged = self._store.pushdown_state(sealed)
+            if merged is None:
+                for epoch in sealed:
+                    state = self._store.load_state(epoch)
+                    merged = state if merged is None else merged.merge(state)
+        for epoch in live:
+            if merged is None:
+                merged = self._servers[epoch].snapshot()
+            else:
+                merged.merge(self._servers[epoch].state)
         merged.meta = {"epochs": list(selected)}
         return merged
 
@@ -554,15 +559,29 @@ class Engine:
         finalizes it directly, which is bit-identical to the plain
         client/server session path.
         """
+        return self.query(window)[1]
+
+    def query(self, window: WindowLike = ALL) -> Tuple[List[int], object, int]:
+        """Answer one window: ``(epoch keys, estimator, report count)``.
+
+        The window is resolved once and merged under the engine lock, and
+        the report count is the merged state's own, so the three always
+        describe the same epochs even while another thread absorbs a new
+        one.  Resolving ``last:K`` or ``all`` separately for each would
+        let such an epoch land in between and mislabel the answer.
+        Finalization runs after the lock is released, except for a
+        single live epoch, which is finalized in place.
+        """
         with self._lock:
             selected = self._resolve(window)
             if len(selected) == 1 and selected[0] in self._servers:
-                return self._servers[selected[0]].finalize()
-            state = self.window_state(selected)
+                server = self._servers[selected[0]]
+                return selected, server.finalize(), server.n_reports
+            state = self._merge_window(selected)
         finalize = getattr(self._protocol, "estimator_from_state", None)
         if finalize is not None:
-            return finalize(state)
-        return self._protocol.server(state=state).finalize()
+            return selected, finalize(state), state.n_reports
+        return selected, self._protocol.server(state=state).finalize(), state.n_reports
 
     def with_postprocess(self, postprocess) -> "Engine":
         """A view of this engine under a different post-processing pipeline.

@@ -15,8 +15,8 @@ Quickstart (see also ``repro-cli serve`` / ``repro-cli loadgen``)::
     service = AggregationService(
         {"name": "hh", "domain_size": 1024, "epsilon": 1.0},
         num_workers=4,
-        checkpoint_path="state.bin",
-        wal_dir="wal/",          # durable ingest log: exactly-once recovery
+        store_dir="epochstore/",  # every closed epoch sealed to disk
+        wal_dir="wal/",           # durable ingest log: exactly-once recovery
     )
     with ServiceThread(service) as handle:
         ...  # POST framed batches to handle.url + "/ingest"
@@ -24,11 +24,11 @@ Quickstart (see also ``repro-cli serve`` / ``repro-cli loadgen``)::
 Fault tolerance: with ``wal_dir`` set, every accepted batch is logged
 durably *before* the ``/ingest`` acknowledgement, dead shard workers
 are respawned and replayed automatically, and a killed gateway replays
-its un-checkpointed epochs on restart.  Clients that retry should send
-an ``Idempotency-Key`` header (any stable string per logical batch) so
-a retried delivery of an already-accepted batch is deduplicated rather
-than double-counted -- :func:`request_json` and the load generator do
-this for you.
+the epochs its store does not hold on restart.  Clients that retry
+should send an ``Idempotency-Key`` header (any stable string per logical
+batch) so a retried delivery of an already-accepted batch is
+deduplicated rather than double-counted -- :func:`request_json` and the
+load generator do this for you.
 """
 
 from repro.service.faults import ServiceProcess, chaos_stream, kill_worker

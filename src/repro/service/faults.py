@@ -12,7 +12,7 @@ and the CI chaos-smoke job drive the same code:
   a torn write at the moment of a crash;
 * :class:`ServiceProcess` -- run a gateway in a real child process so a
   test can SIGKILL the *gateway itself* between an ``/ingest`` ack and
-  the epoch close, then restart from its WAL and checkpoint.
+  the epoch close, then restart from its WAL and epoch store.
 
 Every fault is recoverable by design, so each primitive pairs with an
 exactness assertion: after injection + recovery, query answers must be
@@ -110,7 +110,7 @@ def chaos_stream(
     return schedule
 
 
-def _service_process_main(spec, options, checkpoint, conn) -> None:
+def _service_process_main(spec, options, conn) -> None:
     """Child entry point: boot a gateway, report its port, serve forever."""
     import asyncio
 
@@ -118,12 +118,7 @@ def _service_process_main(spec, options, checkpoint, conn) -> None:
 
     async def main() -> None:
         try:
-            if checkpoint and os.path.exists(checkpoint):
-                service = AggregationService.from_checkpoint(checkpoint, **options)
-            else:
-                service = AggregationService(
-                    spec, checkpoint_path=checkpoint, **options
-                )
+            service = AggregationService(spec, **options)
             await service.start()
         except Exception as exc:  # noqa: BLE001 - reported to the parent
             conn.send(("error", f"{type(exc).__name__}: {exc}"))
@@ -142,7 +137,7 @@ class ServiceProcess:
     service (gateway + its shard workers) in a spawned child so a test
     can yank the process between an ``/ingest`` acknowledgement and the
     epoch close, then start a fresh service over the same ``wal_dir``
-    and checkpoint and assert nothing acknowledged was lost.  Shard
+    and ``store_dir`` and assert nothing acknowledged was lost.  Shard
     workers of a killed gateway exit on their own: their pipe to the
     gateway reads EOF.
 
@@ -155,15 +150,13 @@ class ServiceProcess:
 
     def __init__(
         self,
-        spec: Optional[dict] = None,
+        spec: dict,
         *,
-        checkpoint_path: Optional[str] = None,
         boot_timeout: float = 60.0,
         **options,
     ) -> None:
         self.spec = spec
         self.options = dict(options)
-        self.checkpoint_path = checkpoint_path
         self.boot_timeout = float(boot_timeout)
         self.port: Optional[int] = None
         self._process: Optional[multiprocessing.process.BaseProcess] = None
@@ -185,7 +178,7 @@ class ServiceProcess:
         parent_conn, child_conn = context.Pipe(duplex=False)
         self._process = context.Process(
             target=_service_process_main,
-            args=(self.spec, self.options, self.checkpoint_path, child_conn),
+            args=(self.spec, self.options, child_conn),
             name="repro-service-process",
         )
         self._process.start()

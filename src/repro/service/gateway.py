@@ -6,23 +6,24 @@ entity made concrete: a single asyncio HTTP gateway that accepts framed
 report batches, fans them out to per-shard worker processes
 (:mod:`repro.service.workers`), merges the shard accumulators into the
 epoch-aware :class:`~repro.engine.Engine` on epoch close, and answers
-windowed queries -- with durability via the engine's v2 checkpoint
-envelope.
+windowed queries -- with durability via the engine's out-of-core epoch
+store.
 
 Endpoints (all JSON except the ingest body):
 
 =======================  =====================================================
 ``GET  /healthz``        liveness: 200 while the gateway and every worker run
 ``GET  /spec``           the protocol registry spec clients must encode for
-``GET  /stats``          epochs, report counts, per-worker stats, checkpoints
+``GET  /stats``          epochs, report counts, per-worker stats, store state
 ``POST /ingest``         body = one framed report batch
                          (:func:`repro.core.serialization.pack_report_batch`);
                          the gateway validates the header and forwards the
                          frames to one shard worker without decoding arrays
 ``POST /close``          close the current epoch: drain every worker, merge
                          the shard states into the engine (exact, order
-                         independent), checkpoint every K-th close
-``POST /checkpoint``     force a checkpoint now
+                         independent) and seal the epoch into the store
+``POST /checkpoint``     sweep the store now: rewrite dirty epochs, rebuild
+                         missing aggregate segments (409 without a store)
 ``GET  /query``          windowed estimates; parameters ``window``
                          (``all`` | ``last:K`` | ``0,2,5``), ``ranges``,
                          ``quantiles``, ``rectangles``, ``frequencies=1``,
@@ -35,23 +36,16 @@ integer sufficient statistics and epoch close merges them exactly
 (associative + commutative), so the number of workers, the round-robin
 interleaving and the merge order are all unobservable in query answers.
 
-Durability: if ``checkpoint_path`` is set, every ``checkpoint_every``-th
-epoch close rewrites the checkpoint (atomic rename, v2 envelope), and a
-graceful :meth:`AggregationService.stop` flushes the in-progress epoch
-and checkpoints before the workers exit.  Restarting on the same path
-resumes with every checkpointed epoch intact.
-
-Out-of-core mode (``store_dir``): the engine is backed by an
-:class:`~repro.engine.store.EpochStore` instead of (or in addition to)
-one monolithic checkpoint file.  Every epoch close *seals* the finished
-epoch -- its accumulator is written once to its own CRC-framed segment
-file and evicted from RAM -- so the gateway's memory stays O(current
-epoch) no matter how many epochs it has served, and the
-``checkpoint_every``-cadence checkpoint is incremental (dirty segments
-plus a manifest rewrite, never the whole history).  Windowed ``/query``
-answers over sealed epochs run via the store's pushdown path and remain
-bit-identical to the all-in-RAM engine.  Restarting with the same
-``store_dir`` resumes from the manifest, mapping segments lazily.
+Durability (``store_dir``): the engine is backed by an
+:class:`~repro.engine.store.EpochStore`, the service's only persistence.
+Every epoch close *seals* the finished epoch -- one CRC-framed segment
+write, the aggregate blocks it completes, a manifest commit -- and evicts
+it from RAM, so the gateway's memory stays O(current epoch) no matter how
+many epochs it has served.  Windowed ``/query`` answers over sealed
+epochs run via the store's pushdown path and remain bit-identical to the
+all-in-RAM engine.  Restarting with the same ``store_dir`` resumes from
+the manifest, mapping segments lazily.  Without a store the engine lives
+in RAM only, and a WAL is the only durable copy of its closed epochs.
 
 Fault tolerance (``wal_dir`` + supervision):
 
@@ -63,10 +57,11 @@ Fault tolerance (``wal_dir`` + supervision):
   exponential backoff and re-ingests their WAL'd batches into the
   replacement -- a worker crash costs availability of one shard for a
   moment, never a single report;
-* on restart, sealed-but-uncheckpointed epochs are rebuilt from their
-  WAL segments and the open epoch's batches are replayed into fresh
-  workers, so a SIGKILL between ``/ingest`` ack and ``/close`` loses
-  nothing: recovered query answers are bit-identical to a no-fault run;
+* on restart, closed epochs the store does not hold are rebuilt from
+  their WAL segments (and sealed, when store-backed) and the open
+  epoch's batches are replayed into fresh workers, so a SIGKILL between
+  ``/ingest`` ack and ``/close`` loses nothing: recovered query answers
+  are bit-identical to a no-fault run;
 * bounded per-worker in-flight queues surface ``429 Retry-After`` when
   the pool is saturated, and slow/stuck clients are disconnected by a
   request read timeout.
@@ -93,7 +88,7 @@ from repro.core.serialization import (
     report_batch_header,
 )
 from repro.core.session import AccumulatorState
-from repro.engine import Engine, parse_window, resolve_window
+from repro.engine import Engine, parse_window
 from repro.service.http import (
     DEFAULT_MAX_BODY,
     MAX_HEADER_BYTES,
@@ -133,7 +128,7 @@ class AggregationService:
     """One protocol configuration served over HTTP with sharded ingest.
 
     ``engine`` is an :class:`~repro.engine.Engine` (possibly restored
-    from a checkpoint), a protocol object, or a spec dict.  The service
+    from an epoch store), a protocol object, or a spec dict.  The service
     owns the engine's epoch lifecycle: reports accumulate in the worker
     shards of the *current* epoch, ``POST /close`` folds them into the
     engine, and queries see every closed epoch.
@@ -146,8 +141,6 @@ class AggregationService:
         num_workers: int = 2,
         host: str = "127.0.0.1",
         port: int = 0,
-        checkpoint_path: Optional[str] = None,
-        checkpoint_every: int = 1,
         store_dir: Optional[str] = None,
         max_body: int = DEFAULT_MAX_BODY,
         start_method: str = "spawn",
@@ -163,15 +156,11 @@ class AggregationService:
             engine = Engine.open(engine)
         if store_dir is not None and engine.store is None:
             engine.attach_store(store_dir)
-        if int(checkpoint_every) < 1:
-            raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
         self._engine = engine
         self._store_backed = engine.store is not None
         self._spec = engine.spec()
         self._host = host
         self._requested_port = int(port)
-        self._checkpoint_path = checkpoint_path
-        self._checkpoint_every = int(checkpoint_every)
         self._max_body = int(max_body)
         self._pool = WorkerPool(
             self._spec,
@@ -221,28 +210,20 @@ class AggregationService:
         self._timed_out_connections = 0
         self._wal_recovery_ms = 0.0
         self._checkpoints_written = 0
-        self._closes_since_checkpoint = 0
         self._stopping = False
 
     # ------------------------------------------------------------------ #
     # construction / lifecycle
     # ------------------------------------------------------------------ #
     @classmethod
-    def from_checkpoint(cls, path: str, **options) -> "AggregationService":
-        """A service resuming from an engine checkpoint file.
-
-        Every checkpointed epoch is restored; ingestion continues on the
-        next fresh epoch key, so a crash-restart never rewrites history.
-        """
-        return cls(Engine.restore(path), checkpoint_path=path, **options)
-
-    @classmethod
     def from_store(cls, store_dir: str, **options) -> "AggregationService":
         """A service resuming from an out-of-core epoch store directory.
 
         The manifest is read eagerly but every sealed epoch stays on
         disk, mapped lazily on first query -- restart cost and RSS are
-        independent of how many epochs the store holds.
+        independent of how many epochs the store holds.  Ingestion
+        continues on the next fresh epoch key, so a crash-restart never
+        rewrites history.
         """
         return cls(Engine.open(None, store_dir=store_dir), **options)
 
@@ -316,10 +297,10 @@ class AggregationService:
 
         ``flush=True`` is the graceful path: stop accepting connections,
         close the in-progress epoch (so no accepted report is lost),
-        write a final checkpoint, and let the workers exit cleanly.
-        ``flush=False`` simulates a crash: the current epoch's
-        un-checkpointed shards are dropped on the floor (recoverable
-        from the WAL, when one is configured).
+        sweep the store, and let the workers exit cleanly.
+        ``flush=False`` simulates a crash: the current epoch's unclosed
+        shards are dropped on the floor (recoverable from the WAL, when
+        one is configured).
         """
         self._stopping = True
         if self._supervisor is not None:
@@ -335,8 +316,8 @@ class AggregationService:
             self._server = None
         if flush:
             await self._close_epoch()
-            if self._checkpoint_path is not None or self._store_backed:
-                await self._write_checkpoint()
+            if self._store_backed:
+                await self._sweep_store()
             await self._pool.shutdown(graceful=True)
         else:
             await self._pool.shutdown(graceful=False)
@@ -361,40 +342,45 @@ class AggregationService:
     async def _recover_from_wal(self) -> None:
         """Replay surviving WAL segments after a restart.
 
-        Sealed segments whose epoch a checkpoint already covers are
-        discarded; sealed segments the crash orphaned (closed into the
-        engine but never checkpointed) are rebuilt by single-process
-        re-ingestion -- bit-identical to the sharded original.  The open
-        segment, if any, is the epoch that was in flight when the
-        process died: its batches are replayed into the fresh workers
-        and the segment keeps accepting appends.
+        A segment whose epoch the engine already holds is covered: it is
+        discarded, never replayed.  That includes an open segment, which
+        a crash between the store seal and the WAL discard of ``/close``
+        leaves behind; replaying it would count its epoch twice.  Any
+        other closed segment holds an epoch the crash orphaned: it is
+        rebuilt by single-process re-ingestion -- bit-identical to the
+        sharded original -- and persisted like a fresh close.  The
+        newest uncovered open segment is the epoch that was in flight
+        when the process died: its batches are replayed into the fresh
+        workers and the segment keeps accepting appends.
         """
         scan = self._wal.scan()
         loop = asyncio.get_running_loop()
         known = set(self._engine.epochs)
         open_segments = sorted(scan.open, key=lambda segment: segment.epoch)
-        # Any open segment that is not the newest belongs to an epoch a
-        # later epoch superseded mid-crash; rebuild it like a sealed one.
-        to_rebuild = scan.sealed + open_segments[:-1]
-        for segment in sorted(to_rebuild, key=lambda segment: segment.epoch):
-            if segment.epoch in known:
-                self._wal.discard(segment.epoch)
-                continue
-            if not segment.records:
+        live = None
+        if open_segments and open_segments[-1].epoch not in known:
+            live = open_segments.pop()
+        # Every other open segment is handled like a closed one: a later
+        # epoch superseded it mid-crash, or the engine holds its epoch.
+        for segment in sorted(
+            scan.sealed + open_segments, key=lambda segment: segment.epoch
+        ):
+            if segment.epoch in known or not segment.records:
                 self._wal.discard(segment.epoch)
                 continue
             server = await loop.run_in_executor(
                 None, self._rebuild_segment_state, segment
             )
-            if server.n_reports > 0:
-                server.state.meta.clear()
-                self._engine.absorb_shard(server.state, epoch=segment.epoch)
-                known.add(segment.epoch)
-            self._wal.seal(segment.epoch)
+            if server.n_reports <= 0:
+                self._wal.discard(segment.epoch)
+                continue
+            server.state.meta.clear()
+            self._engine.absorb_shard(server.state, epoch=segment.epoch)
+            known.add(segment.epoch)
+            await self._persist_closed(segment.epoch)
         if known:
             self._current_epoch = max(known) + 1
-        if open_segments:
-            live = open_segments[-1]
+        if live is not None:
             self._current_epoch = live.epoch
             seen = set()
             buckets: Dict[int, List[bytes]] = {}
@@ -487,18 +473,33 @@ class AggregationService:
     # ------------------------------------------------------------------ #
     # epoch lifecycle
     # ------------------------------------------------------------------ #
-    async def _write_checkpoint(self) -> None:
-        loop = asyncio.get_running_loop()
-        if self._checkpoint_path is not None:
-            await loop.run_in_executor(
-                None, self._engine.checkpoint, self._checkpoint_path
-            )
+    async def _persist_closed(self, epoch: int) -> None:
+        """Make a closed epoch durable in the one place that keeps it.
+
+        With a store, sealing writes the segment, builds the aggregate
+        blocks the epoch completes and commits the manifest; after that
+        the epoch's WAL segment is redundant and goes.  Without one, the
+        sealed WAL segment is the epoch's only durable copy and stays.
+        """
         if self._store_backed:
-            # Incremental: only dirty live epochs hit the disk; clean
-            # sealed segments are untouched and the manifest lands last.
-            await loop.run_in_executor(None, self._engine.checkpoint)
+            # The segment and manifest writes fsync: keep them off the loop.
+            loop = asyncio.get_running_loop()
+            await loop.run_in_executor(None, self._engine.seal_epoch, epoch)
+            if self._wal is not None:
+                self._wal.discard(epoch)
+        elif self._wal is not None:
+            self._wal.seal(epoch)
+
+    async def _sweep_store(self) -> None:
+        """Rewrite dirty epochs and rebuild missing aggregate segments.
+
+        Sealing keeps the store complete on its own; the sweep repairs
+        what a CRC failure discarded (an aggregate segment found corrupt
+        at query time is dropped and rebuilt here).
+        """
+        loop = asyncio.get_running_loop()
+        await loop.run_in_executor(None, self._engine.checkpoint)
         self._checkpoints_written += 1
-        self._closes_since_checkpoint = 0
 
     async def _drain_workers(self, epoch: int) -> Dict[int, bytes]:
         """Drain every shard for ``epoch``, repairing crashes as needed.
@@ -563,14 +564,7 @@ class AggregationService:
                 if total == 0:
                     return {"closed": False, "reports": 0, "epoch": None}
                 self._current_epoch = epoch + 1
-                if self._store_backed:
-                    # Seal the finished epoch: one segment write + manifest
-                    # fsync makes it durable, and eviction keeps the
-                    # gateway's RSS independent of the epoch count.
-                    loop = asyncio.get_running_loop()
-                    await loop.run_in_executor(
-                        None, self._engine.seal_epoch, epoch
-                    )
+                await self._persist_closed(epoch)
                 self._pool.note_epoch_closed()
                 # Keys from two epochs ago can no longer race a retry.
                 self._seen_keys = {
@@ -578,25 +572,10 @@ class AggregationService:
                     for key, seen_epoch in self._seen_keys.items()
                     if seen_epoch >= epoch
                 }
-                if self._wal is not None:
-                    self._wal.seal(epoch)
-                self._closes_since_checkpoint += 1
-                checkpointed = False
-                if (
-                    self._checkpoint_path is not None or self._store_backed
-                ) and self._closes_since_checkpoint >= self._checkpoint_every:
-                    await self._write_checkpoint()
-                    checkpointed = True
-                elif self._store_backed:
-                    # The seal above already made this epoch durable.
-                    checkpointed = True
-                if checkpointed and self._wal is not None:
-                    self._wal.discard_checkpointed(self._engine.epochs)
                 return {
                     "closed": True,
                     "epoch": epoch,
                     "reports": total,
-                    "checkpointed": checkpointed,
                     "epochs": list(self._engine.epochs),
                 }
             finally:
@@ -743,11 +722,7 @@ class AggregationService:
                 if self._wal is not None
                 else None
             ),
-            "checkpoint": {
-                "path": self._checkpoint_path,
-                "every": self._checkpoint_every,
-                "written": self._checkpoints_written,
-            },
+            "checkpoint": {"written": self._checkpoints_written},
             "store": (
                 {
                     "dir": engine.store.directory,
@@ -946,17 +921,13 @@ class AggregationService:
         return json_response(200, result, keep_alive=request.keep_alive)
 
     async def _handle_checkpoint(self, request: HttpRequest) -> bytes:
-        if self._checkpoint_path is None and not self._store_backed:
-            raise HttpError(
-                409, "service was started without a checkpoint path or store"
-            )
-        await self._write_checkpoint()
-        store = self._engine.store
+        if not self._store_backed:
+            raise HttpError(409, "service was started without an epoch store")
+        await self._sweep_store()
         return json_response(
             200,
             {
-                "checkpoint": self._checkpoint_path,
-                "store_dir": store.directory if store is not None else None,
+                "store_dir": self._engine.store.directory,
                 "epochs": list(self._engine.epochs),
                 "written": self._checkpoints_written,
             },
@@ -981,15 +952,10 @@ class AggregationService:
         except (ValueError, ProtocolUsageError) as exc:
             raise HttpError(400, str(exc)) from exc
 
-        def _finalize_window():
-            selected = resolve_window(window, engine.epochs)
-            estimator = engine.estimator(window)
-            return selected, estimator, int(engine.n_reports(window))
-
         loop = asyncio.get_running_loop()
         try:
             selected, estimator, n_users = await loop.run_in_executor(
-                None, _finalize_window
+                None, engine.query, window
             )
         except InvalidWindowError as exc:
             raise HttpError(409, str(exc)) from exc
@@ -1000,7 +966,7 @@ class AggregationService:
             "epsilon": self._spec.get("epsilon"),
             "window": params.get("window", "all"),
             "epochs": selected,
-            "n_users": n_users,
+            "n_users": int(n_users),
         }
         if postprocess:
             payload["postprocess"] = postprocess

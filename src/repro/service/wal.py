@@ -12,11 +12,11 @@ append-only log:
 * the gateway appends each accepted batch (with its idempotency key and
   shard assignment) to the *open* segment of the current epoch **before**
   acknowledging the client;
-* ``POST /close`` seals the segment (renamed ``*.closed``) once the
-  epoch's shard states are merged into the engine, and a successful
-  checkpoint discards every sealed segment the checkpoint now covers --
-  the log holds exactly the batches whose reports are not yet durable
-  elsewhere;
+* ``POST /close`` merges the epoch's shard states into the engine and
+  then either discards the segment, once the epoch store holds the
+  sealed epoch, or -- with no store -- seals it (renamed ``*.closed``)
+  as the epoch's only durable copy, so the log holds exactly the
+  batches whose reports are not durable elsewhere;
 * on restart, :meth:`IngestWAL.scan` recovers the intact prefix of every
   surviving segment (CRC-protected records, torn tails dropped -- a torn
   record was never acknowledged) so the gateway can replay sealed
@@ -47,7 +47,7 @@ from repro.core.serialization import (
 #: Suffix of a segment still accepting appends (its epoch is in flight).
 OPEN_SUFFIX = ".open"
 
-#: Suffix of a sealed segment (epoch closed, checkpoint still pending).
+#: Suffix of a sealed segment (epoch closed, no epoch store holds it).
 CLOSED_SUFFIX = ".closed"
 
 _SEGMENT_RE = re.compile(r"^epoch-(\d+)\.(open|closed)$")
@@ -139,7 +139,7 @@ class IngestWAL:
     def seal(self, epoch: int) -> None:
         """Seal an epoch's segment after its shards merged into the engine.
 
-        A sealed segment is kept until a checkpoint covers its epoch --
+        A sealed segment stays until an epoch store holds its epoch --
         close-then-crash must still be able to rebuild the epoch.
         Sealing an epoch that never logged a record is a no-op.
         """
@@ -164,17 +164,6 @@ class IngestWAL:
             path = self.segment_path(epoch, sealed=sealed)
             if os.path.exists(path):
                 os.remove(path)
-
-    def discard_checkpointed(self, epochs) -> List[int]:
-        """Drop every *sealed* segment whose epoch a checkpoint now covers."""
-        covered = {int(epoch) for epoch in epochs}
-        dropped = []
-        for scan in self._segments():
-            epoch, sealed = scan
-            if sealed and epoch in covered:
-                os.remove(self.segment_path(epoch, sealed=True))
-                dropped.append(epoch)
-        return dropped
 
     def close(self) -> None:
         """Close every open file handle (the segments stay on disk)."""

@@ -6,10 +6,10 @@ Three guarantees anchor the service layer:
   of workers, any round-robin interleaving -- answers queries exactly as
   a single process ingesting the same framed batches would.  Merge is
   exact, so scale-out is never an accuracy trade.
-* **Durability**: epoch closes checkpoint through the v2 engine
-  envelope; a hard kill loses only the un-checkpointed epoch in flight,
-  and a restart from the checkpoint resumes with every closed epoch
-  intact and ingestion continuing on a fresh key.
+* **Durability**: every epoch close seals the epoch into the epoch
+  store; a hard kill loses only the unclosed epoch in flight (nothing,
+  with a WAL), and a restart from the store resumes with every closed
+  epoch intact and ingestion continuing on a fresh key.
 * **Wire hygiene**: the framed batch codec round-trips reports exactly
   and fails loudly (with offsets) on malformed input, and the gateway
   maps every failure mode onto a meaningful HTTP status instead of
@@ -34,6 +34,7 @@ from repro.core.serialization import (
 from repro.core.session import Report, load_server
 from repro.service import (
     AggregationService,
+    IngestWAL,
     ServiceThread,
     WorkerPool,
     generate_batches,
@@ -280,6 +281,8 @@ class TestGatewayEndToEnd:
             request_json(url + "/query?window=nonsense")
         with pytest.raises(RuntimeError, match="409"):
             request_json(url + "/query?window=17")  # unknown epoch
+        with pytest.raises(RuntimeError, match="409"):
+            request_json(url + "/checkpoint", method="POST")  # no store
         # a batch for a different configuration is refused up front
         other, reports = encode_reports(SPEC, 10, seed=9, chunks=1)
         mismatched = pack_report_batch(other.spec(), reports)
@@ -304,15 +307,13 @@ class TestGatewayEndToEnd:
             connection.close()
 
 
-class TestCheckpointRecovery:
+class TestStoreRecovery:
     def test_kill_and_restore_loses_no_closed_epoch(self, tmp_path):
-        path = str(tmp_path / "service.ckpt")
+        store_dir = str(tmp_path / "store")
         protocol, reports = encode_reports(SPEC, 300, seed=10, chunks=6)
         blobs = [pack_report_batch(protocol.spec(), [report]) for report in reports]
 
-        service = AggregationService(
-            SPEC, num_workers=2, checkpoint_path=path, checkpoint_every=1
-        )
+        service = AggregationService(SPEC, num_workers=2, store_dir=store_dir)
         handle = ServiceThread(service).start()
         url = handle.url
         for blob in blobs[:3]:
@@ -326,7 +327,7 @@ class TestCheckpointRecovery:
         request_json(url + "/ingest", method="POST", body=blobs[5])
         handle.stop(flush=False)
 
-        restored = AggregationService.from_checkpoint(path, num_workers=2)
+        restored = AggregationService.from_store(store_dir, num_workers=2)
         assert restored.engine.epochs == (0, 1)
         assert restored.current_epoch == 2
         with ServiceThread(restored) as handle2:
@@ -342,9 +343,9 @@ class TestCheckpointRecovery:
             assert windows["epochs"] == [2]
 
     def test_graceful_stop_flushes_the_open_epoch(self, tmp_path):
-        path = str(tmp_path / "flush.ckpt")
+        store_dir = str(tmp_path / "store")
         protocol, reports = encode_reports(SPEC, 100, seed=11, chunks=2)
-        service = AggregationService(SPEC, num_workers=2, checkpoint_path=path)
+        service = AggregationService(SPEC, num_workers=2, store_dir=store_dir)
         with ServiceThread(service) as handle:
             for report in reports:
                 request_json(
@@ -355,9 +356,114 @@ class TestCheckpointRecovery:
             # no explicit /close: the context exit flushes
         from repro.engine import Engine
 
-        engine = Engine.restore(path)
+        engine = Engine.restore(store_dir)
         assert engine.epochs == (0,)
         assert engine.n_reports() == 100
+
+    def test_closed_and_recovered_epochs_are_sealed(self, tmp_path):
+        blobs, _ = make_blobs(SPEC, 180, seed=12, chunks=6)
+        service = AggregationService(
+            SPEC, num_workers=2, store_dir=str(tmp_path / "closed")
+        )
+        with ServiceThread(service) as handle:
+            post_batches(handle.url, blobs[:2], "closed")
+            request_json(handle.url + "/close", method="POST")
+            post_batches(handle.url, blobs[2:4], "closed", start=2)
+            request_json(handle.url + "/close", method="POST")
+            assert service.engine.sealed_epochs == (0, 1)
+            assert service.engine.live_epochs == ()
+            swept = request_json(handle.url + "/checkpoint", method="POST")
+            assert swept["epochs"] == [0, 1]
+
+        # Without a store, closed epochs live in RAM and in sealed WAL
+        # segments only; a store-backed restart over that WAL must seal
+        # each rebuilt epoch, leaving nothing live and nothing in the log.
+        store_dir, wal_dir = str(tmp_path / "store"), str(tmp_path / "wal")
+        in_ram = AggregationService(SPEC, num_workers=2, wal_dir=wal_dir)
+        with ServiceThread(in_ram) as handle:
+            for epoch, pair in enumerate((blobs[:3], blobs[3:])):
+                post_batches(handle.url, pair, f"ram{epoch}")
+                request_json(handle.url + "/close", method="POST")
+        assert len(in_ram.wal.scan().sealed) == 2
+
+        restored = AggregationService(
+            SPEC, num_workers=2, store_dir=store_dir, wal_dir=wal_dir
+        )
+        with ServiceThread(restored) as handle:
+            assert restored.engine.sealed_epochs == (0, 1)
+            assert restored.engine.live_epochs == ()
+            assert restored.current_epoch == 2
+            scan = restored.wal.scan()
+            assert scan.sealed == [] and scan.open == []
+            for epoch, pair in enumerate((blobs[:3], blobs[3:])):
+                answer = request_json(
+                    handle.url + f"/query?frequencies=1&window={epoch}"
+                )
+                reference = ingest_batches_single_process(SPEC, pair).finalize()
+                assert answer["frequencies"] == [
+                    float(v) for v in reference.estimated_frequencies()
+                ]
+
+    def test_open_segment_of_a_sealed_epoch_is_not_replayed(self, tmp_path):
+        # A crash after /close sealed epoch 0 into the store but before it
+        # dropped the epoch's WAL segment leaves that segment open on disk.
+        blobs, reference = make_blobs(TREE_SPEC, 300, seed=13, chunks=6)
+        store_dir, wal_dir = str(tmp_path / "store"), str(tmp_path / "wal")
+        service = AggregationService(
+            TREE_SPEC, num_workers=2, store_dir=store_dir, wal_dir=wal_dir
+        )
+        with ServiceThread(service) as handle:
+            post_batches(handle.url, blobs, "cw")
+            request_json(handle.url + "/close", method="POST")
+        leftover = IngestWAL(wal_dir)
+        for index, blob in enumerate(blobs):
+            leftover.append(
+                0, blob, key=f"cw:{index}", worker=index % 2,
+                n_users=report_batch_header(blob)["n_users"],
+            )
+        leftover.close()
+
+        restored = AggregationService.from_store(
+            store_dir, num_workers=2, wal_dir=wal_dir
+        )
+        with ServiceThread(restored) as handle:
+            request_json(handle.url + "/close", method="POST")
+            assert restored.engine.n_reports() == 300
+            answer = request_json(handle.url + "/query?frequencies=1&window=all")
+            assert answer["n_users"] == 300
+            assert answer["frequencies"] == reference
+            assert restored.current_epoch == 1
+            assert restored.wal.scan().open == []
+
+    def test_query_labels_match_the_epochs_it_answers(self, tmp_path):
+        # An epoch absorbed while a /query finalizes must not leak into
+        # the answer's report count or epoch labels.
+        blobs, reference = make_blobs(TREE_SPEC, 200, seed=14, chunks=4)
+        late = ingest_batches_single_process(
+            TREE_SPEC, make_blobs(TREE_SPEC, 300, seed=15, chunks=2)[0]
+        ).state
+        service = AggregationService(
+            TREE_SPEC, num_workers=2, store_dir=str(tmp_path / "store")
+        )
+        protocol = service.engine.protocol
+        finalize = protocol.estimator_from_state
+
+        def finalize_after_a_close(state):
+            if not service.engine.live_epochs:
+                service.engine.absorb_shard(late, epoch=1)
+            return finalize(state)
+
+        with ServiceThread(service) as handle:
+            post_batches(handle.url, blobs, "race")
+            request_json(handle.url + "/close", method="POST")
+            protocol.estimator_from_state = finalize_after_a_close
+            answer = request_json(
+                handle.url + "/query?frequencies=1&window=last:1"
+            )
+            assert service.engine.epochs == (0, 1)
+        assert answer["epochs"] == [0]
+        assert answer["n_users"] == 200
+        assert answer["frequencies"] == reference
 
 
 class TestLoadgen:
@@ -404,6 +510,15 @@ def make_blobs(spec, n_users, seed, chunks):
     blobs = [pack_report_batch(protocol.spec(), [report]) for report in reports]
     reference = ingest_batches_single_process(protocol.spec(), blobs).finalize()
     return blobs, [float(v) for v in reference.estimated_frequencies()]
+
+
+def post_batches(url, blobs, prefix, start=0):
+    """POST each batch under the idempotency key ``{prefix}:{index}``."""
+    for index, blob in enumerate(blobs, start=start):
+        request_json(
+            url + "/ingest", method="POST", body=blob,
+            headers={"Idempotency-Key": f"{prefix}:{index}"},
+        )
 
 
 def assert_matches_reference(url, reference_frequencies):
@@ -478,10 +593,9 @@ class TestFaultTolerance:
     def test_gateway_sigkill_mid_epoch_replays_from_wal(self, tmp_path):
         blobs, reference = make_blobs(SPEC, 250, seed=22, chunks=5)
         wal_dir = str(tmp_path / "wal")
-        ckpt = str(tmp_path / "service.ckpt")
+        store_dir = str(tmp_path / "store")
         with ServiceProcess(
-            SPEC, checkpoint_path=ckpt, wal_dir=wal_dir,
-            num_workers=2, checkpoint_every=1,
+            SPEC, store_dir=store_dir, wal_dir=wal_dir, num_workers=2
         ) as victim:
             url = victim.url
             for index, blob in enumerate(blobs[:3]):
@@ -491,7 +605,7 @@ class TestFaultTolerance:
                 )
             request_json(url + "/close", method="POST")
             # epoch 1 in flight: these two are acknowledged, then the
-            # gateway dies before any close or checkpoint sees them
+            # gateway dies before any close seals them
             for index, blob in enumerate(blobs[3:], start=3):
                 request_json(
                     url + "/ingest", method="POST", body=blob,
@@ -499,8 +613,8 @@ class TestFaultTolerance:
                 )
             victim.kill()
 
-        restored = AggregationService.from_checkpoint(
-            ckpt, num_workers=2, wal_dir=wal_dir
+        restored = AggregationService.from_store(
+            store_dir, num_workers=2, wal_dir=wal_dir
         )
         with ServiceThread(restored) as handle:
             url = handle.url

@@ -5,7 +5,7 @@ every record appended before an acknowledgement must survive any
 process death (flush-to-OS durability), a torn tail must be dropped
 silently (a torn record was never acknowledged), and the segment
 lifecycle -- open while the epoch is in flight, sealed at close,
-discarded once a checkpoint covers the epoch -- must hold exactly the
+discarded once an epoch store holds the epoch -- must hold exactly the
 batches whose reports are not yet durable elsewhere.
 """
 
@@ -83,7 +83,7 @@ class TestIngestWalLifecycle:
         assert [meta["worker"] for meta, _ in segment.records] == [0, 1]
         wal.close()
 
-    def test_seal_and_checkpoint_discard(self, tmp_path):
+    def test_seal_and_discard(self, tmp_path):
         wal = IngestWAL(str(tmp_path))
         wal.append(0, b"b0", key="k0", worker=0)
         wal.seal(0)
@@ -95,8 +95,8 @@ class TestIngestWalLifecycle:
         assert [s.epoch for s in scan.sealed] == [0, 1]
         assert [s.epoch for s in scan.open] == [2]
 
-        # a checkpoint covering epoch 0 drops only that sealed segment
-        assert wal.discard_checkpointed([0]) == [0]
+        # an epoch store taking epoch 0 drops only that sealed segment
+        wal.discard(0)
         scan = wal.scan()
         assert [s.epoch for s in scan.sealed] == [1]
         assert [s.epoch for s in scan.open] == [2]
