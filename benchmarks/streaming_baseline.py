@@ -94,11 +94,6 @@ def distill(raw: dict) -> dict:
 
     return {
         "schema": 2,
-        "note": (
-            "ingest/encode measured with the cross-epoch OLH hash cache "
-            "disabled (bench_streaming pins it off so repeated rounds "
-            "exercise the decode kernels, not the cache)"
-        ),
         "version": __version__,
         "python": platform.python_version(),
         "kernel_backend": backends.pop() if backends else "numpy",

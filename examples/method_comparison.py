@@ -17,7 +17,7 @@ import numpy as np
 from repro import FlatRangeQuery, HaarHRR, HierarchicalHistogram
 from repro.analysis.metrics import mean_squared_error
 from repro.data import cauchy_population
-from repro.queries.workload import all_queries_of_length, true_answers
+from repro.queries.workload import length_workload, true_answers
 
 DOMAIN_SIZE = 512
 N_USERS = 150_000
@@ -48,7 +48,7 @@ def main() -> None:
     frequencies = population.frequencies()
 
     workloads = {
-        length: all_queries_of_length(DOMAIN_SIZE, length) for length in RANGE_LENGTHS
+        length: length_workload(DOMAIN_SIZE, length) for length in RANGE_LENGTHS
     }
     truths = {
         length: true_answers(queries, frequencies) for length, queries in workloads.items()

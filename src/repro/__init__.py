@@ -51,8 +51,7 @@ Server state is serializable (``server.to_bytes()`` /
 across processes or machines and resumed across restarts.  For one-shot
 scripts, ``protocol.run(items)`` wraps one client plus one server, and
 ``protocol.simulate_aggregate(counts)`` produces a statistically
-equivalent estimator directly from the true histogram
-(``run_simulated`` remains as a deprecated alias).
+equivalent estimator directly from the true histogram.
 
 The aggregation-service façade
 ------------------------------

@@ -50,9 +50,6 @@ from repro.core.session import (
     CompositeAccumulator,
     DecompositionClient,
     DecompositionServer,
-    FlatReport,
-    HaarReport,
-    HierarchicalReport,
     LevelReport,
     ProtocolClient,
     ProtocolServer,
@@ -72,8 +69,8 @@ from repro.core.decomposition import (
     Grid2DDecomposition,
     HaarDecomposition,
     IdentityDecomposition,
-    multinomial_level_split,
 )
+from repro.core.kernels import multinomial_level_split
 from repro.core.postprocess import (
     PostContext,
     PostPipeline,
@@ -108,9 +105,6 @@ __all__ = [
     "ProtocolServer",
     "Report",
     "LevelReport",
-    "FlatReport",
-    "HierarchicalReport",
-    "HaarReport",
     "DecompositionClient",
     "DecompositionServer",
     "Decomposition",

@@ -27,8 +27,7 @@ four copy-pasted implementations:
   return the generic :class:`~repro.core.session.DecompositionClient` /
   :class:`~repro.core.session.DecompositionServer`, and
   :meth:`DecomposedRangeQueryProtocol.simulate_aggregate` is the one
-  aggregate simulation driver shared by every family (``run_simulated``
-  remains as a deprecated alias).
+  aggregate-level simulation every family shares.
 
 Adding a new protocol is therefore a ~50-line :class:`Decomposition`
 subclass: streaming clients and servers, mergeable shards, wire
@@ -57,11 +56,6 @@ from repro.core.postprocess import (
 from repro.core.protocol import RangeQueryEstimator, RangeQueryProtocol
 from repro.core.rng import RngLike, ensure_rng
 from repro.core.types import Domain
-
-
-# ``multinomial_level_split`` is imported above for use and for back-compat
-# re-export: the split is an RNG-bound shared kernel and now lives in
-# repro.core.kernels (every backend uses the same numpy draws).
 
 
 class Decomposition(abc.ABC):

@@ -30,10 +30,9 @@ a uniform, composable layer for *every* decomposition family:
   - :class:`MonotoneCdf` -- monotonize-and-clip the implied CDF (the
     clean-up previously inlined in :mod:`repro.queries.prefix`);
   - :class:`TreeWeightedAveraging` / :class:`TreeMeanConsistency` -- the
-    two stages of Hay-style constrained inference (Section 4.5), whose
-    math now lives here (:func:`tree_weighted_averaging`,
-    :func:`tree_mean_consistency`; :mod:`repro.hierarchy.consistency`
-    re-exports them for compatibility);
+    two stages of Hay-style constrained inference (Section 4.5), over the
+    array kernels :func:`tree_weighted_averaging` and
+    :func:`tree_mean_consistency`;
   - :class:`TreeLeastSquares` -- the explicit small-domain least-squares
     solution of Lemma 4.6 behind the same interface;
   - :class:`HaarCoefficientThreshold` -- zero Haar detail coefficients
@@ -102,9 +101,11 @@ def _validate_tree_levels(level_values: Sequence[np.ndarray], branching: int) ->
 def tree_weighted_averaging(level_values: Sequence[np.ndarray], branching: int) -> List[np.ndarray]:
     """Stage 1 of constrained inference: bottom-up weighted averaging.
 
-    ``level_values[0]`` is the root, ``level_values[-1]`` the leaves.
-    Returns a new list; the input is not modified.  (Relocated verbatim
-    from ``repro.hierarchy.consistency.weighted_averaging``.)
+    Each internal node at paper-height ``i`` (leaves have ``i = 1``)
+    becomes ``(B^i - B^(i-1)) / (B^i - 1) * f(v) + (B^(i-1) - 1) /
+    (B^i - 1) * sum_children f_bar(u)``.  ``level_values[0]`` is the
+    root, ``level_values[-1]`` the leaves.  Returns a new list; the input
+    is not modified.
     """
     levels = _validate_tree_levels(level_values, branching)
     height = len(levels) - 1
@@ -134,10 +135,10 @@ def tree_mean_consistency(
 ) -> List[np.ndarray]:
     """Stage 2 of constrained inference: top-down residual redistribution.
 
-    If ``root_value`` is given the root is pinned to that value first (the
-    hierarchical-histogram protocol passes ``1.0`` because fractions over
-    the whole population must sum to one).  (Relocated verbatim from
-    ``repro.hierarchy.consistency.mean_consistency``.)
+    Each parent's residual against the sum of its children is split
+    equally among them.  If ``root_value`` is given the root is pinned to
+    that value first (the hierarchical-histogram protocol passes ``1.0``
+    because fractions over the whole population must sum to one).
     """
     levels = _validate_tree_levels(level_values, branching)
     if root_value is not None:
@@ -156,9 +157,34 @@ def tree_enforce_consistency(
     branching: int,
     root_value: Optional[float] = 1.0,
 ) -> List[np.ndarray]:
-    """Full two-stage constrained inference (Stage 1 then Stage 2)."""
+    """Full two-stage constrained inference (Stage 1 then Stage 2).
+
+    The result is the best linear unbiased estimator subject to the tree
+    constraints (Lemma 4.6).
+    """
     averaged = tree_weighted_averaging(level_values, branching)
     return tree_mean_consistency(averaged, branching, root_value=root_value)
+
+
+def consistency_violation(level_values: Sequence[np.ndarray], branching: int) -> float:
+    """Maximum absolute violation of the parent = sum(children) constraint.
+
+    A sanity check after post-processing: it should be at floating-point
+    noise level.
+    """
+    levels = _validate_tree_levels(level_values, branching)
+    worst = 0.0
+    for depth in range(len(levels) - 1):
+        child_sums = levels[depth + 1].reshape(-1, branching).sum(axis=1)
+        worst = max(worst, float(np.max(np.abs(levels[depth] - child_sums))))
+    return worst
+
+
+def variance_reduction_factor(branching: int) -> float:
+    """Lemma 4.6 lower bound on the variance reduction: ``B / (B + 1)``."""
+    if branching < 2:
+        raise ValueError(f"branching factor must be >= 2, got {branching}")
+    return branching / (branching + 1.0)
 
 
 def monotone_cdf_array(cdf: np.ndarray, clip: bool = True) -> np.ndarray:

@@ -34,7 +34,6 @@ and :mod:`repro.wavelet`; the role interfaces live in
 from __future__ import annotations
 
 import abc
-import warnings
 from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -392,23 +391,6 @@ class RangeQueryProtocol(abc.ABC):
         counts = np.asarray(true_counts, dtype=np.int64)
         items = np.repeat(np.arange(len(counts)), counts)
         return self.run(items, rng=ensure_rng(rng))
-
-    def run_simulated(
-        self, true_counts: np.ndarray, rng: RngLike = None
-    ) -> RangeQueryEstimator:
-        """Deprecated alias of :meth:`simulate_aggregate`.
-
-        Superseded by the :mod:`repro.engine` façade
-        (:meth:`repro.engine.Engine.simulate`); behavior is unchanged.
-        """
-        warnings.warn(
-            "RangeQueryProtocol.run_simulated is deprecated; use "
-            "protocol.simulate_aggregate(...) or the repro.engine façade "
-            "(Engine.open(protocol).simulate(...)) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.simulate_aggregate(true_counts, rng=rng)
 
     @abc.abstractmethod
     def theoretical_range_variance(self, range_length: int, n_users: int) -> float:

@@ -31,7 +31,6 @@ working unchanged on top of this streaming model.
 from __future__ import annotations
 
 import abc
-import warnings
 from typing import (
     Any,
     Callable,
@@ -105,14 +104,14 @@ class AccumulatorState(abc.ABC):
         """Decode any registered accumulator state from its packed bytes."""
         header, arrays = unpack_blob(data)
         kind = header.get("state_kind")
-        decoder = _STATE_DECODERS.get(kind)
+        decoder = _STATE_DECODERS.get(kind) if isinstance(kind, str) else None
         if decoder is None:
             raise SerializationError(f"unknown accumulator state kind {kind!r}")
         try:
             return decoder(header, arrays)
         except SerializationError:
             raise
-        except (KeyError, ValueError, TypeError, IndexError) as exc:
+        except (KeyError, ValueError, TypeError, IndexError, AttributeError) as exc:
             # A structurally valid blob with an inconsistent header (e.g. a
             # mutated field) must fail as a decode error, not leak the
             # decoder's internal KeyError/ValueError.
@@ -348,7 +347,7 @@ class Report(abc.ABC):
         """Decode any registered report type from its packed bytes."""
         header, arrays = unpack_blob(data)
         kind = header.get("report_kind")
-        decoder = _REPORT_DECODERS.get(kind)
+        decoder = _REPORT_DECODERS.get(kind) if isinstance(kind, str) else None
         if decoder is None:
             # Every decomposition family serializes through the unified
             # LevelReport layout, so reports of families added after this
@@ -369,7 +368,7 @@ class Report(abc.ABC):
             return decoder(header, arrays)
         except SerializationError:
             raise
-        except (KeyError, ValueError, TypeError, IndexError) as exc:
+        except (KeyError, ValueError, TypeError, IndexError, AttributeError) as exc:
             # Same contract as AccumulatorState.from_bytes: inconsistent
             # headers surface as decode errors, not internal exceptions.
             raise SerializationError(f"corrupt {kind!r} report: {exc!r}") from exc
@@ -417,16 +416,6 @@ class LevelReport(Report):
             f"levels={sorted(self.level_payloads)}, n_users={self.n_users})"
         )
 
-    @property
-    def payload(self) -> Any:
-        """The single-level oracle payload (flat back-compat accessor)."""
-        return self.level_payloads.get(0)
-
-    @property
-    def height_payloads(self) -> Dict[int, Any]:
-        """Per-detail-height payloads (Haar back-compat alias)."""
-        return self.level_payloads
-
     def to_bytes(self) -> bytes:
         arrays: Dict[str, np.ndarray] = {
             "level_user_counts": np.asarray(self.level_user_counts, dtype=np.int64)
@@ -464,61 +453,6 @@ class LevelReport(Report):
         if counts is None:
             counts = np.asarray([n_users], np.int64)
         return cls(family, payloads, counts, n_users)
-
-
-def _warn_deprecated_report(name: str) -> None:
-    warnings.warn(
-        f"{name} is deprecated; every family now uses the unified "
-        "LevelReport codec -- construct LevelReport(family=...) directly",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-class FlatReport(LevelReport):
-    """Deprecated back-compat constructor for flat (whole-domain) reports.
-
-    Use :class:`LevelReport` with ``family="flat"`` instead.
-    """
-
-    def __init__(self, payload: Any = None, n_users: int = 0) -> None:
-        _warn_deprecated_report("FlatReport")
-        payloads = {0: payload} if n_users > 0 else {}
-        super().__init__(
-            "flat", payloads, np.asarray([int(n_users)], np.int64), n_users
-        )
-
-
-class HierarchicalReport(LevelReport):
-    """Deprecated back-compat constructor for hierarchical reports.
-
-    Use :class:`LevelReport` with ``family="hierarchical"`` instead.
-    """
-
-    def __init__(
-        self,
-        level_payloads: Optional[Dict[int, Any]] = None,
-        level_user_counts: Optional[np.ndarray] = None,
-        n_users: int = 0,
-    ) -> None:
-        _warn_deprecated_report("HierarchicalReport")
-        super().__init__("hierarchical", level_payloads, level_user_counts, n_users)
-
-
-class HaarReport(LevelReport):
-    """Deprecated back-compat constructor for HaarHRR wavelet reports.
-
-    Use :class:`LevelReport` with ``family="haar"`` instead.
-    """
-
-    def __init__(
-        self,
-        height_payloads: Optional[Dict[int, Any]] = None,
-        level_user_counts: Optional[np.ndarray] = None,
-        n_users: int = 0,
-    ) -> None:
-        _warn_deprecated_report("HaarReport")
-        super().__init__("haar", height_payloads, level_user_counts, n_users)
 
 
 for _family in ("flat", "hierarchical", "haar", "grid2d"):
@@ -668,23 +602,35 @@ class ProtocolServer(abc.ABC):
         """A fresh zero-report accumulator for this protocol configuration."""
 
     @abc.abstractmethod
+    def _check_report(self, report: Report) -> None:
+        """Raise :class:`ProtocolUsageError` unless ``report`` fits this server."""
+
+    @abc.abstractmethod
     def _ingest_one(self, report: Report) -> None:
-        """Fold a single report batch into the state."""
+        """Fold a single report batch, already checked, into the state."""
 
     def ingest(self, reports: Union[Report, Iterable[Report]]) -> "ProtocolServer":
-        """Fold one report or an iterable of reports into the accumulator."""
+        """Fold one report or an iterable of reports into the accumulator.
+
+        Every report is checked before any is folded in, so a batch that
+        does not fit this server (another family, an unknown level) raises
+        :class:`ProtocolUsageError` and leaves the state untouched.
+        """
         # Fast path: a single report skips the iteration machinery -- this
         # is the per-report hot path of streaming ingestion.
         if isinstance(reports, Report):
+            self._check_report(reports)
             self._ingest_one(reports)
             return self
-        ingest_one = self._ingest_one
+        reports = list(reports)
         for report in reports:
             if not isinstance(report, Report):
                 raise ProtocolUsageError(
                     f"ingest expects Report instances, got {type(report).__name__}"
                 )
-            ingest_one(report)
+            self._check_report(report)
+        for report in reports:
+            self._ingest_one(report)
         return self
 
     def merge(
@@ -845,7 +791,7 @@ class DecompositionServer(ProtocolServer):
             [self._oracles[level].make_accumulator() for level in decomposition.levels],
         )
 
-    def _ingest_one(self, report: Report) -> None:
+    def _check_report(self, report: Report) -> None:
         decomposition = self._decomposition
         if (
             not isinstance(report, LevelReport)
@@ -857,16 +803,28 @@ class DecompositionServer(ProtocolServer):
             )
         if report.n_users <= 0:
             return
+        n_counts = len(report.level_user_counts)
+        for level in report.level_payloads:
+            if level not in self._child_index:
+                raise ProtocolUsageError(
+                    f"report contains unknown level {level!r} for a "
+                    f"{decomposition.label} decomposition"
+                )
+            if decomposition.counts_slot(level) >= n_counts:
+                raise ProtocolUsageError(
+                    f"report has {n_counts} level user counts, too few for "
+                    f"level {level!r} of a {decomposition.label} decomposition"
+                )
+
+    def _ingest_one(self, report: Report) -> None:
+        if report.n_users <= 0:
+            return
+        decomposition = self._decomposition
         oracles = self._oracles
         children = self._state.children
         child_index = self._child_index
         level_user_counts = report.level_user_counts
         for level, payload in iter_level_payloads(report.level_payloads):
-            if level not in child_index:
-                raise ProtocolUsageError(
-                    f"report contains unknown level {level!r} for a "
-                    f"{decomposition.label} decomposition"
-                )
             oracles[level].accumulate(
                 children[child_index[level]],
                 payload,

@@ -72,8 +72,8 @@ def make_method(
         return HaarHRR(domain_size, epsilon)
     registry_key = PROTOCOL_ALIASES.get(key, key)
     cls = PROTOCOL_REGISTRY.get(registry_key)
-    # Only 1-D range protocols fit the evaluation loop (run_simulated over
-    # a scalar histogram); the 2-D grid handle is deliberately excluded.
+    # Only 1-D range protocols fit the evaluation loop (simulate_aggregate
+    # over a scalar histogram); the 2-D grid handle is deliberately excluded.
     if cls is not None and issubclass(cls, RangeQueryProtocol):
         kwargs = (
             {"branching": branching}

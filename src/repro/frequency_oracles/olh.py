@@ -23,7 +23,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.kernels.hash_cache import default_hash_cache
 from repro.core.kernels.reference import HASH_PRIME
 from repro.core.rng import RngLike, ensure_rng
 from repro.frequency_oracles.base import (
@@ -181,29 +180,18 @@ class OptimalLocalHashing(FrequencyOracle):
             raise ValueError(
                 f"reports use g={reports.num_buckets}, oracle expects g={self._g}"
             )
-        # Cast the report arrays to int64 once; the O(N * D) decode runs in
-        # the resolved kernel backend (chunked numpy with a reused work
-        # buffer, or a fused compiled loop).  The decoded support counts
-        # are the (integer) sufficient statistic, so only O(D) state
-        # survives the batch.  The decode is a pure function of the report
-        # arrays plus (D, g), so a re-delivered batch -- WAL replay, chaos
-        # re-ingest, repeated benchmark rounds -- reuses the cached support
-        # vector bit-identically instead of paying O(N * D) again.
-        multipliers = np.ascontiguousarray(reports.multipliers, dtype=np.int64)
-        offsets = np.ascontiguousarray(reports.offsets, dtype=np.int64)
-        buckets = np.ascontiguousarray(reports.buckets, dtype=np.int64)
-        cache = default_hash_cache()
-        key = None
-        support = None
-        if cache.enabled:
-            key = cache.key(self.domain_size, self._g, multipliers, offsets, buckets)
-            support = cache.get(key)
-        if support is None:
-            support = self._kernels.olh_support(
-                multipliers, offsets, buckets, self.domain_size, self._g, self._chunk
-            )
-            if key is not None:
-                support = cache.put(key, support)
+        # The O(N * D) decode runs in the resolved kernel backend (chunked
+        # numpy with a reused work buffer, or a fused compiled loop).  The
+        # decoded support counts are the (integer) sufficient statistic, so
+        # only O(D) state survives the batch.
+        support = self._kernels.olh_support(
+            np.ascontiguousarray(reports.multipliers, dtype=np.int64),
+            np.ascontiguousarray(reports.offsets, dtype=np.int64),
+            np.ascontiguousarray(reports.buckets, dtype=np.int64),
+            self.domain_size,
+            self._g,
+            self._chunk,
+        )
         accumulator.vectors["support"] += support
         accumulator.add_reports(self._batch_size(reports, n_users))
         return accumulator

@@ -7,19 +7,13 @@ domain tree and the constrained-inference post-processing -- are exposed for
 reuse and testing.
 """
 
+from repro.core.postprocess import consistency_violation, variance_reduction_factor
 from repro.hierarchy.badic import (
     BAdicInterval,
     badic_decomposition,
     decomposition_size_bound,
     is_badic,
     worst_case_nodes_per_level,
-)
-from repro.hierarchy.consistency import (
-    consistency_violation,
-    enforce_consistency,
-    mean_consistency,
-    variance_reduction_factor,
-    weighted_averaging,
 )
 from repro.hierarchy.hh import (
     LEVEL_STRATEGIES,
@@ -43,10 +37,7 @@ __all__ = [
     "is_badic",
     "worst_case_nodes_per_level",
     "consistency_violation",
-    "enforce_consistency",
-    "mean_consistency",
     "variance_reduction_factor",
-    "weighted_averaging",
     "LEVEL_STRATEGIES",
     "HierarchicalClient",
     "HierarchicalEstimator",

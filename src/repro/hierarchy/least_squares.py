@@ -7,8 +7,9 @@ node observations; then the optimal consistent estimate of the leaf
 frequencies is ``(H^T H)^{-1} H^T x`` and any range query's variance can be
 read off ``V_F * R^T (H^T H)^{-1} R``.
 
-The two-stage algorithm in :mod:`repro.hierarchy.consistency` computes the
-same solution in linear time; this module provides the explicit version for
+The two-stage algorithm of
+:func:`repro.core.postprocess.tree_enforce_consistency` computes the same
+solution in linear time; this module provides the explicit version for
 
 * small domains, where materialising ``H`` is cheap and the closed form is
   convenient;

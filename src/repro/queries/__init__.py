@@ -17,16 +17,11 @@ from repro.queries.quantile import (
 )
 from repro.queries.workload import (
     RangeWorkload,
-    all_queries_of_length,
-    all_range_queries,
     all_range_workload,
     geometric_lengths,
-    group_by_length,
     length_workload,
-    prefix_queries,
     prefix_workload,
     random_range_workload,
-    sampled_range_queries,
     sampled_range_workload,
     true_answers,
 )
@@ -49,11 +44,6 @@ __all__ = [
     "quantile_by_binary_search",
     "quantile_rank",
     "true_quantile",
-    "all_queries_of_length",
-    "all_range_queries",
     "geometric_lengths",
-    "group_by_length",
-    "prefix_queries",
-    "sampled_range_queries",
     "true_answers",
 ]

@@ -2,10 +2,10 @@
 
 Two workload generators are needed:
 
-* :func:`all_range_queries` enumerates every one of the ``D choose 2``-ish
+* :func:`all_range_workload` enumerates every one of the ``D choose 2``-ish
   closed ranges (feasible for small and medium domains, which is how the
   paper evaluates ``D = 2^8`` and ``2^16``);
-* :func:`sampled_range_queries` reproduces the paper's scalable sampling
+* :func:`sampled_range_workload` reproduces the paper's scalable sampling
   strategy for large domains: pick evenly spaced starting points and
   evaluate every range that begins at each of them.
 
@@ -14,9 +14,8 @@ Workloads are *array-native*: the canonical representation is
 validated once at construction.  Estimators answer a whole workload with
 pure NumPy kernels (see :meth:`repro.core.protocol.RangeQueryEstimator.
 range_queries_batch`), so figure reproductions never materialise millions
-of per-query Python objects.  The original list-of-:class:`RangeSpec`
-generators are kept as thin wrappers for callers that want individual
-query objects.
+of per-query Python objects.  Callers that want individual query objects
+iterate a workload or call :meth:`RangeWorkload.as_specs`.
 """
 
 from __future__ import annotations
@@ -199,28 +198,6 @@ def random_range_workload(
     return RangeWorkload(lefts, rights, domain_size)
 
 
-# --------------------------------------------------------------------- #
-# RangeSpec-list wrappers (original API, kept for per-query callers)
-# --------------------------------------------------------------------- #
-def all_range_queries(domain_size: int, min_length: int = 1) -> List[RangeSpec]:
-    """Every closed range ``[a, b]`` with ``b - a + 1 >= min_length``."""
-    return all_range_workload(domain_size, min_length).as_specs()
-
-
-def all_queries_of_length(domain_size: int, length: int) -> List[RangeSpec]:
-    """All ``D - r + 1`` ranges of an exact length ``r``."""
-    return length_workload(domain_size, length).as_specs()
-
-
-def sampled_range_queries(
-    domain_size: int,
-    num_start_points: int,
-    lengths: Optional[Sequence[int]] = None,
-) -> List[RangeSpec]:
-    """List-of-specs form of :func:`sampled_range_workload`."""
-    return sampled_range_workload(domain_size, num_start_points, lengths).as_specs()
-
-
 def geometric_lengths(domain_size: int, base: int = 2) -> List[int]:
     """A geometric ladder of range lengths ``1, base, base^2, ..., ~D``."""
     if domain_size < 1:
@@ -232,19 +209,6 @@ def geometric_lengths(domain_size: int, base: int = 2) -> List[int]:
         value *= base
     lengths.append(domain_size - 1 if domain_size > 1 else 1)
     return sorted(set(lengths))
-
-
-def prefix_queries(domain_size: int) -> List[RangeSpec]:
-    """All prefix queries ``[0, b]`` as :class:`RangeSpec` objects."""
-    return prefix_workload(domain_size).as_specs()
-
-
-def group_by_length(queries: Iterable[RangeSpec]) -> Dict[int, List[RangeSpec]]:
-    """Group queries by their length ``r``."""
-    grouped: Dict[int, List[RangeSpec]] = {}
-    for query in queries:
-        grouped.setdefault(query.length, []).append(query)
-    return grouped
 
 
 def true_answers(

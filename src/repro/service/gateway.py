@@ -81,7 +81,6 @@ import time
 from typing import Dict, List, Optional, Union
 
 from repro.core.exceptions import InvalidWindowError, ProtocolUsageError
-from repro.core.kernels.hash_cache import hash_cache_stats
 from repro.core.serialization import (
     MAGIC_BATCH,
     SerializationError,
@@ -729,11 +728,8 @@ class AggregationService:
                     "sealed_epochs": list(engine.sealed_epochs),
                     "live_epochs": list(engine.live_epochs),
                     "on_disk_bytes": engine.store.total_bytes(),
-                    # Windowed-query fast path: the materialized aggregate
-                    # hierarchy plus the gateway-process OLH decode cache
-                    # (worker processes report their own under "workers").
+                    # Windowed-query fast path: the materialized aggregate hierarchy.
                     "aggregates": engine.store.aggregate_stats(),
-                    "hash_cache": hash_cache_stats(),
                 }
                 if engine.store is not None
                 else None

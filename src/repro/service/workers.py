@@ -41,6 +41,7 @@ import time
 from multiprocessing.connection import Connection
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.core.exceptions import ProtocolUsageError
 from repro.core.serialization import SerializationError, unpack_report_batch
 from repro.core.session import Report, protocol_from_spec
 
@@ -76,9 +77,10 @@ def shard_worker_main(conn: Connection, spec: dict) -> None:
 
     Rebuilds the protocol from its registry ``spec`` (JSON-able, so it
     survives the ``spawn`` start method), then serves opcodes from the
-    pipe until :data:`OP_QUIT` or EOF.  Decode failures never kill the
-    worker: they are counted and surfaced through :data:`OP_STATS` and in
-    the :data:`OP_CLOSE` reply header, so the gateway can report them.
+    pipe until :data:`OP_QUIT` or EOF.  A batch that fails to decode, or
+    holds a report that does not fit the server, never kills the worker:
+    it is counted and surfaced through :data:`OP_STATS`, so the gateway
+    can report it.  A batch that does not fit is refused whole.
     """
     protocol = protocol_from_spec(spec)
     server = protocol.server()
@@ -97,15 +99,13 @@ def shard_worker_main(conn: Connection, spec: dict) -> None:
                 reports = [Report.from_bytes(frame) for frame in frames]
                 server.ingest(reports)
                 batches += 1
-            except (SerializationError, ValueError, TypeError) as exc:
+            except (SerializationError, ProtocolUsageError, ValueError, TypeError) as exc:
                 errors += 1
                 last_error = str(exc)
         elif opcode == OP_CLOSE:
             conn.send_bytes(OP_CLOSE + server.to_bytes())
             server = protocol.server()
         elif opcode == OP_STATS:
-            from repro.core.kernels.hash_cache import hash_cache_stats
-
             document = {
                 "pid": os.getpid(),
                 "epoch_reports": server.n_reports,
@@ -113,10 +113,6 @@ def shard_worker_main(conn: Connection, spec: dict) -> None:
                 "errors": errors,
                 "last_error": last_error,
                 "kernel_backend": getattr(server, "kernel_backend", "numpy"),
-                # Per-process: the OLH decode cache lives where the decode
-                # runs, so replayed batches hit in the worker, not the
-                # gateway.
-                "hash_cache": hash_cache_stats(),
             }
             conn.send_bytes(OP_STATS + json.dumps(document).encode("utf-8"))
         elif opcode == OP_QUIT:

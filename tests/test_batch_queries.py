@@ -24,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.exceptions import InvalidRangeError
+from repro.core.types import RangeSpec
 from repro.flat import FlatRangeQuery
 from repro.hierarchy import HierarchicalHistogram
 from repro.hierarchy.hh import HierarchicalEstimator
@@ -32,6 +33,7 @@ from repro.multidim import HierarchicalGrid2D
 from repro.queries.workload import (
     RangeWorkload,
     all_range_workload,
+    geometric_lengths,
     length_workload,
     prefix_workload,
     random_range_workload,
@@ -371,17 +373,24 @@ class TestRangeWorkload:
         assert all_range_workload(domain_size).as_specs() == [
             spec for spec in all_range_workload(domain_size)
         ]
-        from repro.queries.workload import (
-            all_range_queries,
-            prefix_queries,
-            sampled_range_queries,
-        )
-
+        # Reference specs enumerated query by query, in generator order.
         workload = all_range_workload(domain_size, min_length=3)
-        assert workload.as_specs() == all_range_queries(domain_size, min_length=3)
-        assert prefix_workload(domain_size).as_specs() == prefix_queries(domain_size)
+        assert workload.as_specs() == [
+            RangeSpec(left, right)
+            for left in range(domain_size)
+            for right in range(left + 2, domain_size)
+        ]
+        assert prefix_workload(domain_size).as_specs() == [
+            RangeSpec(0, right) for right in range(domain_size)
+        ]
         sampled = sampled_range_workload(domain_size, 7)
-        assert sampled.as_specs() == sampled_range_queries(domain_size, 7)
+        starts = np.unique(np.linspace(0, domain_size - 1, num=7, dtype=np.int64))
+        assert sampled.as_specs() == [
+            RangeSpec(int(left), int(left) + length - 1)
+            for left in starts
+            for length in geometric_lengths(domain_size)
+            if left + length - 1 < domain_size
+        ]
         lengths = length_workload(domain_size, 5)
         assert np.all(lengths.lengths == 5)
         assert len(lengths) == domain_size - 5 + 1

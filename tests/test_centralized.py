@@ -11,7 +11,7 @@ from repro.centralized import (
     laplace_noise_scale,
     laplace_variance,
 )
-from repro.hierarchy.consistency import consistency_violation
+from repro.hierarchy import consistency_violation
 
 
 class TestLaplacePrimitives:

@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from repro.core.postprocess import (
+    consistency_violation,
     tree_enforce_consistency,
     tree_mean_consistency,
     tree_weighted_averaging,
-)
-from repro.hierarchy.consistency import (
-    consistency_violation,
     variance_reduction_factor,
 )
 from repro.hierarchy.tree import DomainTree
@@ -106,3 +104,11 @@ class TestValidation:
         assert variance_reduction_factor(8) == pytest.approx(8 / 9)
         with pytest.raises(ValueError):
             variance_reduction_factor(1)
+
+
+def test_hierarchy_reexports_the_postprocess_helpers():
+    from repro.hierarchy import consistency_violation as exported_violation
+    from repro.hierarchy import variance_reduction_factor as exported_factor
+
+    assert exported_violation is consistency_violation
+    assert exported_factor is variance_reduction_factor

@@ -4,8 +4,9 @@ Two guarantees anchor the refactor:
 
 * **Bit-identity**: under a fixed seed, flat / hierarchical / Haar outputs
   through the generic ``DecompositionClient`` / ``DecompositionServer`` /
-  ``run_simulated`` engine are identical to the pre-refactor per-family
-  implementations.  ``tests/data/golden_decomposition.json`` holds the
+  ``simulate_aggregate`` engine are identical to the pre-refactor
+  per-family implementations (the golden key ``run_simulated`` names the
+  simulation path).  ``tests/data/golden_decomposition.json`` holds the
   exact (hex-float) frequencies captured from the seed code for 14
   configurations x 3 execution paths; HRR-based paths are allowed a
   <= 1e-12 drift, everything else must match exactly.
@@ -23,14 +24,7 @@ import pytest
 
 from repro import FlatRangeQuery, HaarHRR, HierarchicalHistogram
 from repro.core.decomposition import Decomposition
-from repro.core.session import (
-    FlatReport,
-    HaarReport,
-    HierarchicalReport,
-    LevelReport,
-    Report,
-    _pack_payload,
-)
+from repro.core.session import LevelReport, Report, _pack_payload
 from repro.core.serialization import pack_blob
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "golden_decomposition.json"
@@ -226,30 +220,3 @@ class TestUnifiedReportCodec:
         assert revived.family == "somenewfamily"
         assert sorted(revived.level_payloads) == [1, 3]
         assert np.array_equal(revived.level_user_counts, report.level_user_counts)
-
-    def test_back_compat_constructors(self):
-        # The per-family report subclasses are deprecation shims now: they
-        # must still behave exactly like LevelReport, but warn.
-        with pytest.warns(DeprecationWarning, match="LevelReport"):
-            flat = FlatReport(payload=None, n_users=0)
-        assert flat.family == "flat" and flat.payload is None
-        with pytest.warns(DeprecationWarning, match="LevelReport"):
-            hierarchical = HierarchicalReport({}, np.zeros(4, np.int64), 0)
-        assert hierarchical.family == "hierarchical"
-        with pytest.warns(DeprecationWarning, match="LevelReport"):
-            haar = HaarReport({}, np.zeros(4, np.int64), 0)
-        assert haar.family == "haar" and haar.height_payloads == {}
-        for report in (flat, hierarchical, haar):
-            revived = Report.from_bytes(report.to_bytes())
-            assert isinstance(revived, LevelReport)
-            assert revived.family == report.family
-
-    def test_run_simulated_is_a_deprecated_alias(self):
-        protocol = FlatRangeQuery(16, 1.1, oracle="oue")
-        counts = np.full(16, 20)
-        direct = protocol.simulate_aggregate(counts, rng=np.random.default_rng(5))
-        with pytest.warns(DeprecationWarning, match="simulate_aggregate"):
-            legacy = protocol.run_simulated(counts, rng=np.random.default_rng(5))
-        assert np.array_equal(
-            direct.estimated_frequencies(), legacy.estimated_frequencies()
-        )

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.exceptions import InvalidRangeError, ProtocolUsageError
-from repro.hierarchy import HierarchicalHistogram
-from repro.hierarchy.consistency import consistency_violation
+from repro.hierarchy import HierarchicalHistogram, consistency_violation
 
 
 class TestConfiguration:

@@ -15,12 +15,18 @@ from repro.data import cauchy_population, zipf_population
 from repro.experiments.runner import WorkloadEvaluation, evaluate_method, make_method
 from repro.flat import FlatRangeQuery
 from repro.hierarchy import HierarchicalHistogram
-from repro.queries.workload import all_queries_of_length, all_range_queries
+from repro.queries.workload import RangeWorkload, all_range_workload, length_workload
 from repro.wavelet import HaarHRR
 
 DOMAIN = 256
 N_USERS = 100_000
 EPSILON = 1.1
+
+
+def _thinned_ranges(step):
+    """Every ``step``-th range of the exhaustive workload (for speed)."""
+    full = all_range_workload(DOMAIN)
+    return RangeWorkload(full.lefts[::step], full.rights[::step], DOMAIN)
 
 
 @pytest.fixture(scope="module")
@@ -31,7 +37,7 @@ def population():
 @pytest.fixture(scope="module")
 def workload(population):
     freqs = population.frequencies()
-    queries = all_range_queries(DOMAIN, min_length=1)[::7]  # thinned for speed
+    queries = _thinned_ranges(7)
     return WorkloadEvaluation.from_frequencies(queries, freqs)
 
 
@@ -56,7 +62,7 @@ class TestHeadlineComparisons:
     def test_flat_wins_point_queries(self, population):
         freqs = population.frequencies()
         point_workload = WorkloadEvaluation.from_frequencies(
-            all_queries_of_length(DOMAIN, 1), freqs
+            length_workload(DOMAIN, 1), freqs
         )
         flat = _mse(FlatRangeQuery(DOMAIN, EPSILON), population, point_workload)
         hh2 = _mse(
@@ -118,7 +124,7 @@ class TestScalingBehaviour:
         """Worst-case bounds from the paper hold for the measured average."""
         freqs = population.frequencies()
         length = 64
-        queries = all_queries_of_length(DOMAIN, length)
+        queries = length_workload(DOMAIN, length)
         workload = WorkloadEvaluation.from_frequencies(queries, freqs)
         for protocol in (
             FlatRangeQuery(DOMAIN, EPSILON),
@@ -133,7 +139,7 @@ class TestScalingBehaviour:
         """The paper notes results are insensitive to the data distribution."""
         data = zipf_population(DOMAIN, N_USERS, exponent=1.2, rng=5)
         freqs = data.frequencies()
-        queries = all_range_queries(DOMAIN)[::11]
+        queries = _thinned_ranges(11)
         workload = WorkloadEvaluation.from_frequencies(queries, freqs)
         flat = _mse(FlatRangeQuery(DOMAIN, EPSILON), data, workload)
         hh = _mse(HierarchicalHistogram(DOMAIN, EPSILON, branching=4), data, workload)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.hierarchy.consistency import mean_consistency, weighted_averaging
+from repro.core.postprocess import tree_mean_consistency, tree_weighted_averaging
 from repro.hierarchy.least_squares import (
     design_matrix,
     flatten_levels,
@@ -49,8 +49,8 @@ class TestEquivalenceWithTwoStage:
         rng = np.random.default_rng(height * 10 + branching)
         tree = DomainTree(branching**height, branching)
         levels = _random_levels(tree, rng)
-        two_stage = mean_consistency(
-            weighted_averaging(levels, branching), branching, root_value=None
+        two_stage = tree_mean_consistency(
+            tree_weighted_averaging(levels, branching), branching, root_value=None
         )
         ols_leaves = least_squares_leaves(tree, levels)
         assert np.allclose(two_stage[-1], ols_leaves, atol=1e-10)

@@ -415,21 +415,6 @@ class TestWithConsistency:
         )
 
 
-class TestDeprecatedConsistencyAlias:
-    """Satellite: the legacy entry point warns but stays behavior-identical."""
-
-    def test_enforce_consistency_warns_and_matches(self):
-        from repro.hierarchy.consistency import enforce_consistency
-
-        rng = np.random.default_rng(19)
-        levels = [np.array([1.0]), rng.normal(0.25, 0.02, 4), rng.normal(0.0625, 0.02, 16)]
-        with pytest.warns(DeprecationWarning, match="postprocess"):
-            legacy = enforce_consistency(levels, 4, root_value=1.0)
-        canonical = tree_enforce_consistency(levels, 4, root_value=1.0)
-        for a, b in zip(legacy, canonical):
-            assert np.array_equal(a, b)
-
-
 # --------------------------------------------------------------------- #
 # acceptance: NormSub on the ablation sweep's populations
 # --------------------------------------------------------------------- #

@@ -14,8 +14,7 @@ from hypothesis import strategies as st
 from repro.core.types import RangeSpec, is_power_of, next_power_of
 from repro.frequency_oracles.hadamard import fwht, hadamard_matrix, ifwht
 from repro.hierarchy.badic import badic_decomposition, decomposition_size_bound, is_badic
-from repro.core.postprocess import tree_enforce_consistency
-from repro.hierarchy.consistency import consistency_violation
+from repro.core.postprocess import consistency_violation, tree_enforce_consistency
 from repro.hierarchy.tree import DomainTree
 from repro.wavelet.haar import (
     evaluate_range_from_coefficients,

@@ -13,7 +13,7 @@ import json
 import numpy as np
 import pytest
 
-from repro import FlatRangeQuery, HierarchicalHistogram
+from repro import FlatRangeQuery, HaarHRR, HierarchicalHistogram
 from repro.core.serialization import (
     FORMAT_VERSION,
     MAGIC,
@@ -38,6 +38,15 @@ def server_blob() -> bytes:
 def report_blob() -> bytes:
     protocol = FlatRangeQuery(16, 1.1, oracle="oue")
     return protocol.client().encode_batch(np.arange(16), rng=0).to_bytes()
+
+
+# Protocols whose reports cover every payload shape: hh, flat OLH and HRR, Haar.
+LEVEL_REPORT_PROTOCOLS = [
+    pytest.param(lambda: HierarchicalHistogram(32, 1.1, branching=4), id="hh"),
+    pytest.param(lambda: FlatRangeQuery(16, 1.1, oracle="olh"), id="flat-olh"),
+    pytest.param(lambda: FlatRangeQuery(16, 1.1, oracle="hrr"), id="flat-hrr"),
+    pytest.param(lambda: HaarHRR(16, 1.1), id="haar"),
+]
 
 
 class TestVersionedEnvelope:
@@ -211,6 +220,42 @@ class TestFuzzedEnvelopes:
         unknown_kind = dict(header)
         unknown_kind["state_kind"] = "martian"
         cases.append(unknown_kind)
+        unhashable_kind = dict(header)
+        unhashable_kind["state_kind"] = [1, 2]
+        cases.append(unhashable_kind)
         for mutated_header in cases:
             with pytest.raises(SerializationError):
                 AccumulatorState.from_bytes(pack_blob(mutated_header, arrays))
+
+    @pytest.mark.parametrize("make", LEVEL_REPORT_PROTOCOLS)
+    def test_mutated_report_headers_fail_as_decode_errors(self, make):
+        # Replace every report header field, every level meta and every
+        # field inside one with values of the wrong shape: decoding either
+        # succeeds or raises SerializationError.  Shapes the decoder cannot
+        # read at all must raise it.
+        protocol = make()
+        blob = protocol.client().encode_batch(np.arange(protocol.domain_size), rng=0).to_bytes()
+        values = (7, [1, 2], None, "x", {"z": 1})
+        header, arrays = unpack_blob(blob)
+        levels = header["levels"]
+        must_fail = [{**header, "report_kind": v} for v in (7, [1, 2], None, {"z": 1})]
+        must_fail += [{**header, "levels": v} for v in (7, [1, 2], "x")]
+        may_decode = [{**header, field: v} for field in header for v in values]
+        for level, meta in levels.items():
+            must_fail += [
+                {**header, "levels": {**levels, level: v}} for v in (7, [1, 2], None, "x")
+            ]
+            may_decode += [
+                {**header, "levels": {**levels, level: {**meta, field: v}}}
+                for field in meta
+                for v in values
+            ]
+        for mutated_header in must_fail:
+            with pytest.raises(SerializationError):
+                Report.from_bytes(pack_blob(mutated_header, arrays))
+        for mutated_header in may_decode:
+            try:
+                report = Report.from_bytes(pack_blob(mutated_header, arrays))
+            except SerializationError:
+                continue
+            assert isinstance(report, Report)

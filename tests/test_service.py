@@ -27,11 +27,13 @@ from repro import make_protocol
 from repro.core.serialization import (
     MAGIC_BATCH,
     SerializationError,
+    pack_blob,
     pack_report_batch,
     report_batch_header,
+    unpack_blob,
     unpack_report_batch,
 )
-from repro.core.session import Report, load_server
+from repro.core.session import LevelReport, Report, load_server
 from repro.service import (
     AggregationService,
     IngestWAL,
@@ -167,6 +169,22 @@ class TestWorkerPool:
 
         protocol, reports = encode_reports(SPEC, 50, seed=7, chunks=1)
         good = pack_report_batch(protocol.spec(), reports)
+        # Frames that decode but do not fit a flat server: a report of
+        # another family, alone and after a valid flat frame (the batch
+        # is refused whole), one without its level user count, and a
+        # frame whose level meta is not an object.
+        _, (foreign,) = encode_reports(TREE_SPEC, 30, seed=3, chunks=1)
+        _, (valid,) = encode_reports(SPEC, 20, seed=4, chunks=1)
+        other_family = pack_report_batch(protocol.spec(), [foreign])
+        mixed = pack_report_batch(protocol.spec(), [valid, foreign])
+        no_counts = pack_report_batch(
+            protocol.spec(),
+            [LevelReport("flat", valid.level_payloads, np.zeros(0, np.int64), 20)],
+        )
+        header, arrays = unpack_blob(valid.to_bytes())
+        bad_meta = pack_report_batch(
+            protocol.spec(), [pack_blob({**header, "levels": {"0": 7}}, arrays)]
+        )
 
         # a hand-built container with valid framing but a corrupt report
         # inside (pack_report_batch itself refuses to frame garbage)
@@ -187,18 +205,22 @@ class TestWorkerPool:
         async def run():
             pool = WorkerPool(protocol.spec(), num_workers=1).start()
             try:
-                await pool.ingest(bad)
-                await pool.ingest(good)
+                before = await pool.stats()
+                for batch in (bad, other_family, good, mixed, no_counts, bad_meta):
+                    await pool.ingest(batch)
                 stats = await pool.stats()
                 states = await pool.close_epoch()
             finally:
                 await pool.shutdown(graceful=True)
-            return stats, states
+            return before, stats, states
 
-        stats, states = asyncio.run(run())
-        assert stats[0]["errors"] == 1
+        before, stats, states = asyncio.run(run())
+        assert stats[0]["errors"] == 5
+        assert stats[0]["batches"] == 1
         assert stats[0]["last_error"]
+        assert stats[0]["pid"] == before[0]["pid"]
         assert load_server(states[0]).n_reports == 50
+        assert states[0] == ingest_batches_single_process(SPEC, [good]).to_bytes()
 
 
 @pytest.fixture(scope="class")

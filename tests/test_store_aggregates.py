@@ -14,8 +14,8 @@ under test:
 * **Graceful degradation**: non-contiguous windows fall back to leaf
   segments; SHE (no int pushdown) never builds aggregates; a corrupt
   aggregate is discarded and the window replanned from leaves.
-* **column_sums / hash cache**: the blocked summation kernel and the
-  cross-epoch OLH support cache are exact and observable.
+* **column_sums**: the blocked summation kernel is exact under every
+  backend.
 """
 
 import importlib.util
@@ -31,12 +31,6 @@ from test_engine import _items_for
 
 from repro import make_protocol
 from repro.core.kernels import get_backend
-from repro.core.kernels.hash_cache import (
-    OlhHashCache,
-    configure_hash_cache,
-    default_hash_cache,
-    hash_cache_stats,
-)
 from repro.core.kernels.reference import column_sums
 from repro.engine import (
     PLAN_AGGREGATE,
@@ -310,85 +304,3 @@ class TestColumnSums:
         reference = get_backend("numpy").column_sums(vectors)
         accelerated = get_backend("numba").column_sums(vectors)
         assert np.array_equal(accelerated, reference)
-
-
-# --------------------------------------------------------------------- #
-# OLH hash cache
-# --------------------------------------------------------------------- #
-class TestOlhHashCache:
-    def _support_key(self, cache, seed=0):
-        rng = np.random.default_rng(seed)
-        return cache.key(
-            16, 5,
-            rng.integers(1, 100, size=8, dtype=np.int64),
-            rng.integers(0, 100, size=8, dtype=np.int64),
-            rng.integers(0, 5, size=8, dtype=np.int64),
-        )
-
-    def test_hit_miss_and_eviction_counters(self):
-        cache = OlhHashCache(max_bytes=2048)
-        key = self._support_key(cache)
-        assert cache.get(key) is None
-        support = np.ones((8, 16), dtype=np.int64)  # 1024 bytes
-        cache.put(key, support)
-        assert np.array_equal(cache.get(key), support)
-        other = self._support_key(cache, seed=1)
-        cache.put(other, np.zeros((8, 16), dtype=np.int64))
-        third = self._support_key(cache, seed=2)
-        cache.put(third, np.zeros((8, 16), dtype=np.int64))  # evicts LRU
-        stats = cache.stats()
-        assert stats["hits"] == 1
-        assert stats["misses"] == 1
-        assert stats["evictions"] >= 1
-        assert stats["bytes"] <= 2048
-
-    def test_key_is_sensitive_to_every_input(self):
-        cache = OlhHashCache(max_bytes=1024)
-        mult = np.arange(4, dtype=np.int64)
-        offs = np.arange(4, dtype=np.int64)
-        buck = np.arange(4, dtype=np.int64) % 3
-        base = cache.key(16, 3, mult, offs, buck)
-        assert cache.key(17, 3, mult, offs, buck) != base
-        assert cache.key(16, 4, mult, offs, buck) != base
-        assert cache.key(16, 3, mult + 1, offs, buck) != base
-        assert cache.key(16, 3, mult, offs + 1, buck) != base
-        assert cache.key(16, 3, mult, offs, (buck + 1) % 3) != base
-
-    def test_disabled_cache_is_inert(self):
-        cache = OlhHashCache(max_bytes=0)
-        assert not cache.enabled
-        key = self._support_key(cache)
-        cache.put(key, np.ones((2, 16), dtype=np.int64))
-        assert cache.get(key) is None
-        assert cache.stats()["entries"] == 0
-
-    def test_accumulate_bit_identical_with_cache_on_and_off(self):
-        def ingest():
-            protocol = make_protocol("flat", 32, 1.3, oracle="olh")
-            server = protocol.server()
-            rng = np.random.default_rng(7)
-            items = np.arange(32).repeat(3)
-            client = protocol.client()
-            for report in client.encode_batches(items, 24, rng=rng):
-                server.ingest(report)
-            return server.state.to_bytes()
-
-        previous = hash_cache_stats()["max_bytes"]
-        try:
-            configure_hash_cache(0)
-            cold = ingest()
-            configure_hash_cache(8 * 1024 * 1024)
-            warm_first = ingest()
-            before = hash_cache_stats()["hits"]
-            warm_second = ingest()  # identical batches: all cache hits
-            assert hash_cache_stats()["hits"] > before
-            assert cold == warm_first == warm_second
-        finally:
-            configure_hash_cache(previous)
-
-    def test_default_cache_stats_shape(self):
-        stats = hash_cache_stats()
-        for field in ("entries", "bytes", "max_bytes", "hits",
-                      "misses", "evictions"):
-            assert field in stats
-        assert default_hash_cache().enabled == (stats["max_bytes"] > 0)

@@ -28,7 +28,7 @@ from repro import (
 )
 from repro.cli import main, write_items
 from repro.core.protocol import RangeQueryEstimator
-from repro.core.session import Report, load_server_file
+from repro.core.session import LevelReport, Report, load_server_file
 from repro.core.types import Domain
 
 PROTOCOL_CASES = [
@@ -191,6 +191,60 @@ class TestSessionBasics:
             incremental.finalize().estimated_frequencies(),
             reference.finalize().estimated_frequencies(),
         )
+
+
+class TestIngestIsAtomic:
+    """A batch that does not fit the server is refused before any of it is folded in."""
+
+    def _primed(self, protocol):
+        server = protocol.server()
+        server.ingest(protocol.client().encode_batch(np.arange(protocol.domain_size), rng=1))
+        return server, server.to_bytes()
+
+    def test_foreign_report_after_a_valid_one_refuses_the_batch(self):
+        protocol = FlatRangeQuery(64, 1.1)
+        server, before = self._primed(protocol)
+        valid = protocol.client().encode_batch(np.arange(64), rng=2)
+        foreign = HaarHRR(64, 1.1).client().encode_batch(np.arange(64), rng=3)
+        with pytest.raises(ProtocolUsageError, match="cannot ingest a haar report"):
+            server.ingest([valid, foreign])
+        assert server.to_bytes() == before
+
+    def test_non_report_after_a_valid_one_refuses_the_batch(self):
+        protocol = FlatRangeQuery(64, 1.1)
+        server, before = self._primed(protocol)
+        valid = protocol.client().encode_batch(np.arange(64), rng=2)
+        with pytest.raises(ProtocolUsageError, match="expects Report instances"):
+            server.ingest([valid, valid.to_bytes()])
+        assert server.to_bytes() == before
+
+    def test_unknown_level_refuses_the_report_before_its_known_levels(self):
+        protocol = HierarchicalHistogram(64, 1.1, branching=4)
+        server, before = self._primed(protocol)
+        report = protocol.client().encode_batch(np.arange(64), rng=2)
+        stray = LevelReport(
+            report.family,
+            {**report.level_payloads, 9: report.level_payloads[3]},
+            report.level_user_counts,
+            report.n_users,
+        )
+        with pytest.raises(ProtocolUsageError, match="unknown level 9"):
+            server.ingest(stray)
+        assert server.to_bytes() == before
+
+    def test_missing_level_user_counts_refuse_the_report(self):
+        protocol = HierarchicalHistogram(64, 1.1, branching=4)
+        server, before = self._primed(protocol)
+        report = protocol.client().encode_batch(np.arange(64), rng=2)
+        short = LevelReport(
+            report.family,
+            report.level_payloads,
+            report.level_user_counts[:2],
+            report.n_users,
+        )
+        with pytest.raises(ProtocolUsageError, match="too few for level 2"):
+            server.ingest(short)
+        assert server.to_bytes() == before
 
 
 class TestSerialization:

@@ -6,69 +6,69 @@ import pytest
 from repro.core.exceptions import InvalidRangeError
 from repro.core.types import RangeSpec
 from repro.queries.workload import (
-    all_queries_of_length,
-    all_range_queries,
+    RangeWorkload,
+    all_range_workload,
     geometric_lengths,
-    group_by_length,
-    prefix_queries,
-    sampled_range_queries,
+    length_workload,
+    prefix_workload,
+    sampled_range_workload,
     true_answers,
 )
 
 
 class TestAllRangeQueries:
     def test_counts(self):
-        queries = all_range_queries(5)
+        queries = all_range_workload(5)
         # D*(D+1)/2 closed ranges including points.
         assert len(queries) == 15
 
     def test_min_length_filter(self):
-        queries = all_range_queries(5, min_length=2)
+        queries = all_range_workload(5, min_length=2)
         assert len(queries) == 10
         assert all(query.length >= 2 for query in queries)
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
-            all_range_queries(0)
+            all_range_workload(0)
         with pytest.raises(ValueError):
-            all_range_queries(5, min_length=0)
+            all_range_workload(5, min_length=0)
 
 
 class TestQueriesOfLength:
     def test_count_matches_formula(self):
-        assert len(all_queries_of_length(100, 7)) == 94
-        assert len(all_queries_of_length(100, 100)) == 1
+        assert len(length_workload(100, 7)) == 94
+        assert len(length_workload(100, 100)) == 1
 
     def test_all_have_requested_length(self):
-        assert all(query.length == 9 for query in all_queries_of_length(64, 9))
+        assert all(query.length == 9 for query in length_workload(64, 9))
 
     def test_invalid_length(self):
         with pytest.raises(InvalidRangeError):
-            all_queries_of_length(10, 11)
+            length_workload(10, 11)
         with pytest.raises(InvalidRangeError):
-            all_queries_of_length(10, 0)
+            length_workload(10, 0)
 
 
 class TestSampledQueries:
     def test_queries_stay_in_domain(self):
-        queries = sampled_range_queries(1000, 10)
+        queries = sampled_range_workload(1000, 10)
         assert all(0 <= q.left <= q.right < 1000 for q in queries)
 
     def test_start_points_are_spread(self):
-        queries = sampled_range_queries(1000, 5, lengths=[1])
+        queries = sampled_range_workload(1000, 5, lengths=[1])
         starts = sorted({q.left for q in queries})
         assert starts[0] == 0 and starts[-1] == 999
         assert len(starts) == 5
 
     def test_explicit_lengths(self):
-        queries = sampled_range_queries(100, 3, lengths=[10, 50])
+        queries = sampled_range_workload(100, 3, lengths=[10, 50])
         assert {q.length for q in queries} <= {10, 50}
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            sampled_range_queries(0, 5)
+            sampled_range_workload(0, 5)
         with pytest.raises(ValueError):
-            sampled_range_queries(10, 0)
+            sampled_range_workload(10, 0)
 
 
 class TestHelpers:
@@ -79,14 +79,14 @@ class TestHelpers:
         assert all(lengths[i] < lengths[i + 1] for i in range(len(lengths) - 1))
 
     def test_prefix_queries(self):
-        queries = prefix_queries(8)
+        queries = prefix_workload(8).as_specs()
         assert len(queries) == 8
         assert all(q.left == 0 for q in queries)
         assert queries[-1].right == 7
 
-    def test_group_by_length(self):
+    def test_group_indices_by_length(self):
         queries = [RangeSpec(0, 0), RangeSpec(1, 1), RangeSpec(0, 3)]
-        grouped = group_by_length(queries)
+        grouped = RangeWorkload.from_queries(queries).group_indices_by_length()
         assert len(grouped[1]) == 2
         assert len(grouped[4]) == 1
 
