@@ -105,6 +105,7 @@ from repro.core.session import (
     protocol_from_spec,
     save_report_file,
     save_server_file,
+    spec_sans_postprocess,
 )
 from repro.engine import Engine, parse_window, resolve_window
 from repro.data.synthetic import DISTRIBUTIONS, make_population
@@ -416,22 +417,6 @@ def command_encode(args: argparse.Namespace) -> int:
     return 0
 
 
-def _spec_sans_postprocess(spec: Optional[dict]) -> Optional[dict]:
-    """A protocol spec with its assembly-time keys stripped.
-
-    ``postprocess`` (and the ``consistency`` flag it derives) only affect
-    finalize, never the accumulated statistics, so reports and shards are
-    exchangeable across those settings.
-    """
-    if not isinstance(spec, dict):
-        return spec
-    return {
-        key: value
-        for key, value in spec.items()
-        if key not in ("postprocess", "consistency")
-    }
-
-
 def _load_report_source(path: str):
     """Yield ``(protocol, report)`` pairs from one report source.
 
@@ -494,9 +479,7 @@ def _ingest_report_files(
                     except ValueError as exc:
                         raise SystemExit(str(exc))
                 session = Engine.open(protocol).session(epoch=epoch)
-            elif _spec_sans_postprocess(protocol.spec()) != _spec_sans_postprocess(
-                spec
-            ):
+            elif spec_sans_postprocess(protocol.spec()) != spec_sans_postprocess(spec):
                 raise SystemExit(
                     f"{path} was encoded with a different protocol configuration "
                     f"({protocol.spec()} != {spec})"

@@ -1,70 +1,39 @@
-"""Binary wire format for accumulator states, reports and engine envelopes.
+"""Binary wire formats for reports, states, batches, the WAL and the store.
 
 Sharded aggregation only works if the intermediate objects -- the reports
 clients upload and the sufficient-statistics accumulators servers keep --
-can cross process and machine boundaries.  This module defines the single
-container format both use:
+can cross process and machine boundaries.  All five byte formats here
+(``REPROACC`` v1/v2, ``REPROBAT``, ``REPROWAL`` and ``REPROSEG``) are one
+*framed container*::
 
-``MAGIC | <u64 header length> | <JSON header> | <npy arrays, concatenated>``
+    MAGIC | <u64 header length> | <JSON header> | body [| <u32 CRC32>]
 
-The JSON header carries small metadata (state kind, protocol spec, report
-counts, and -- for the exact summation accumulator -- arbitrary-precision
-integer sums, which JSON represents losslessly).  Bulk numeric payloads are
-written as standard ``.npy`` blocks in a declared order, so decoding never
-needs pickle and the format is stable across Python/numpy versions.
+:func:`_write_frame` is the one writer of that prefix and
+:func:`_read_frame` the one reader; each format adds only its body layout
+and the checks on its own header fields.  The "Byte formats" table in
+``ARCHITECTURE.md`` lists every format's magic, kind tag, body, CRC,
+torn-tail policy, reader and writer.
 
-Nested objects (e.g. the hierarchical accumulator's per-level oracle
-accumulators) embed each child's packed bytes as a ``uint8`` array, which
-keeps the format strictly compositional.
-
-Two format versions coexist:
-
-* **v1** (``REPROACC\\x01``) is the original layout used by every
-  accumulator state and report.  :func:`pack_blob` keeps emitting it by
-  default so all pre-engine payloads stay byte-for-byte identical.
-* **v2** (``REPROACC\\x02``) is the *envelope* version introduced with the
-  :mod:`repro.engine` façade: same physical layout, but the header is
-  expected to carry envelope metadata (engine version, protocol spec,
-  epoch keys).  :func:`unpack_blob` decodes both versions transparently;
-  :func:`blob_version` reports which one a payload uses.
-
-A third magic, ``REPROBAT\\x01``, frames *batches* of reports for network
-transport (:func:`pack_report_batch` / :func:`unpack_report_batch`): a
-JSON header carrying the protocol spec and frame bookkeeping followed by
-length-prefixed packed reports.  This is the wire protocol of the ingest
-gateway in :mod:`repro.service` -- a pure container over the v1 report
-layout, so the gateway can route frames to shard workers without
-decoding any arrays.
-
-A fourth magic, ``REPROWAL\\x01``, frames the gateway's durable ingest
-write-ahead log (:mod:`repro.service.wal`): a segment header naming the
-epoch, then CRC-protected records each carrying a small JSON meta
-document (idempotency key, shard assignment) plus one framed report
-batch.  Unlike every other format here, a WAL segment is expected to be
-*torn*: the gateway may die mid-append, so :func:`scan_wal_segment`
-recovers every intact prefix record and reports -- rather than raises
-on -- a truncated or corrupt tail.
-
-A fifth magic, ``REPROSEG\\x01``, frames one *epoch segment* of the
-out-of-core store (:mod:`repro.engine.store`): a JSON header describing
-the epoch, its protocol spec hash and the byte layout of the body, the
-body itself (the epoch's packed v1 accumulator state plus optional
-8-byte-aligned int64 *pushdown* vectors, mapped zero-copy at query
-time), and a trailing CRC32 over everything before it, so a torn or
-bit-flipped segment is detected before a single array is trusted.
+JSON headers carry small metadata (Python's ``json`` keeps integers exact
+at arbitrary precision, which the exact accumulators rely on); bulk
+numeric payloads are standard ``.npy`` blocks or raw little-endian int64
+vectors, so decoding never needs pickle and the formats are stable across
+Python/numpy versions.
 
 Malformed input of any kind -- wrong magic, truncation, garbage JSON,
-corrupt array blocks -- raises :class:`SerializationError` with the byte
-offset where decoding failed, never a raw ``struct.error`` / ``KeyError``.
+corrupt array blocks, header fields of the wrong type -- raises
+:class:`SerializationError` with the byte offset where decoding failed,
+never a raw ``struct.error`` / ``KeyError``.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import math
 import struct
 import zlib
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -90,15 +59,141 @@ MAGIC_SEG = b"REPROSEG\x01"
 #: The newest format version this build reads and writes.
 FORMAT_VERSION = 2
 
-_MAGICS = {MAGIC: 1, MAGIC_V2: 2}
+#: ``batch_kind`` tag every report batch declares in its header.
+REPORT_BATCH_KIND = "report-batch"
+
+#: ``wal_kind`` tag every WAL segment declares in its header.
+WAL_SEGMENT_KIND = "ingest-wal"
+
+#: ``seg_kind`` tag every epoch segment declares in its header.
+EPOCH_SEGMENT_KIND = "epoch-segment"
+
+#: Layout version of the epoch-segment contents.
+EPOCH_SEGMENT_FORMAT = 1
+
+_BLOB_MAGICS = (MAGIC, MAGIC_V2)  # position + 1 is the format version
 
 _LENGTH = struct.Struct("<Q")
+_CRC = struct.Struct("<I")
+_SEG_ALIGN = 8
 
 
 class SerializationError(ValueError):
     """Raised when a byte blob cannot be decoded as a packed state/report."""
 
 
+# --------------------------------------------------------------------- #
+# the framed container every format shares
+# --------------------------------------------------------------------- #
+#: A format's own header check: ``(header, body size) -> complaint``.
+_FieldCheck = Callable[[dict, int], Optional[str]]
+
+
+def _pad_to(length: int, align: int = _SEG_ALIGN) -> int:
+    """Bytes of padding needed to advance ``length`` to a multiple of ``align``."""
+    return (-length) % align
+
+
+def _write_frame(
+    magic: bytes, header: dict, *body: bytes, align: int = 1, crc: bool = False
+) -> bytes:
+    """``magic | u64 header length | JSON header | body [| u32 CRC32]``.
+
+    The header JSON is space-padded (JSON ignores trailing whitespace)
+    until the body starts ``align``-byte aligned; ``crc`` appends the
+    CRC32 of every byte before it.
+    """
+    encoded = json.dumps(header, sort_keys=True).encode("utf-8")
+    encoded += b" " * _pad_to(len(magic) + _LENGTH.size + len(encoded), align)
+    frame = b"".join((magic, _LENGTH.pack(len(encoded)), encoded, *body))
+    return frame + _CRC.pack(zlib.crc32(frame)) if crc else frame
+
+
+def _read_frame(
+    data, magics: Tuple[bytes, ...], what: str, fields: Optional[_FieldCheck] = None,
+    *, crc: bool = False,
+) -> Tuple[int, dict, int]:
+    """Parse the framed-container prefix of any buffer.
+
+    Returns ``(index of the matching magic, header, body offset)``.
+    ``data`` may be bytes or any buffer (a memory map included); only the
+    magic and the header are copied, never the body.  ``crc`` verifies a
+    trailing CRC32 over everything before it, and ``fields`` names what
+    is wrong with the format's own header fields (``None`` when nothing
+    is).  The view is released before any error propagates, so a caller
+    can still close a memory map it is validating.
+    """
+    try:
+        view = memoryview(data).cast("B")
+    except TypeError:
+        raise SerializationError(f"expected bytes, got {type(data).__name__}") from None
+    with view:
+        magic = bytes(view[: len(magics[0])])
+        if magic not in magics:
+            raise SerializationError(
+                f"bad magic at offset 0: {magic!r} is not {what} "
+                f"(expected {' or '.join(map(repr, magics))})"
+            )
+        end = len(view) - (_CRC.size if crc else 0)
+        offset = len(magic) + _LENGTH.size
+        if end < offset:
+            raise SerializationError(
+                f"truncated at offset {len(view)}: {what} needs "
+                f"{offset + len(view) - end} bytes for its header length"
+                f"{' and CRC' if crc else ''} (torn tail?)"
+            )
+        (length,) = _LENGTH.unpack_from(view, len(magic))
+        if length > end - offset:
+            raise SerializationError(
+                f"truncated at offset {len(view)}: {what} declares a {length}-byte "
+                f"header but only {end - offset} bytes remain after offset "
+                f"{offset} (torn tail?)"
+            )
+        if crc:
+            (stored,) = _CRC.unpack_from(view, end)
+            computed = zlib.crc32(view[:end])
+            if stored != computed:
+                raise SerializationError(
+                    f"{what} failed its CRC check (stored {stored:#010x}, "
+                    f"computed {computed:#010x}): torn or corrupt tail"
+                )
+        body = offset + length
+        where = f"corrupt header JSON in bytes [{offset}, {body}) of {what}"
+        try:
+            header = json.loads(bytes(view[offset:body]).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise SerializationError(f"{where}: {exc}") from exc
+        problem = _field_error(header) or (fields and fields(header, end - body))
+        if problem:
+            raise SerializationError(f"{where}: {problem}")
+    return magics.index(magic), header, body
+
+
+def _is_count(value) -> bool:
+    """A JSON non-negative integer (``bool`` excluded)."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _field_error(mapping, *counts: str, **tags) -> Optional[str]:
+    """What is wrong with one header object, or ``None``.
+
+    ``mapping`` must be an object whose ``tags`` keys hold exactly the
+    given values and whose ``counts`` keys hold non-negative integers.
+    """
+    if not isinstance(mapping, dict):
+        return f"expected an object, got {type(mapping).__name__}"
+    for key, tag in tags.items():
+        if mapping.get(key) != tag:
+            return f"{key} {mapping.get(key)!r} is not {tag!r}"
+    for key in counts:
+        if not _is_count(mapping.get(key)):
+            return f"{key!r} must be a non-negative integer, got {mapping.get(key)!r}"
+    return None
+
+
+# --------------------------------------------------------------------- #
+# REPROACC: accumulator states, reports (v1) and engine envelopes (v2)
+# --------------------------------------------------------------------- #
 def pack_blob(
     header: dict, arrays: Mapping[str, np.ndarray] = (), version: int = 1
 ) -> bytes:
@@ -110,95 +205,38 @@ def pack_blob(
     dtypes are rejected.  ``version`` selects the magic tag: 1 (default)
     for accumulator/report payloads, 2 for engine envelopes.
     """
-    try:
-        magic = {1: MAGIC, 2: MAGIC_V2}[version]
-    except KeyError:
+    if version not in (1, 2):
         raise SerializationError(
             f"unknown serialization format version {version!r}; "
             f"this build writes versions 1 and 2"
-        ) from None
+        )
     arrays = dict(arrays or {})
     body = io.BytesIO()
-    for name, array in arrays.items():
+    for array in arrays.values():
         np.lib.format.write_array(
             body, np.ascontiguousarray(array), allow_pickle=False
         )
     document = {"header": header, "arrays": list(arrays)}
-    encoded = json.dumps(document, sort_keys=True).encode("utf-8")
-    return magic + _LENGTH.pack(len(encoded)) + encoded + body.getvalue()
+    return _write_frame(_BLOB_MAGICS[version - 1], document, body.getvalue())
 
 
-def _sniff_magic(data: bytes) -> int:
-    """The format version of ``data``'s magic tag, or a loud failure."""
-    for magic, version in _MAGICS.items():
-        if data.startswith(magic):
-            return version
-    preview = bytes(data[: len(MAGIC)])
-    raise SerializationError(
-        f"bad magic at offset 0: {preview!r} is not a packed repro "
-        f"state/report/envelope (expected {MAGIC!r} or {MAGIC_V2!r})"
-    )
+def _blob_fields(document: dict, body_size: int) -> Optional[str]:
+    """A blob document holds a ``header`` object and its ``arrays`` names."""
+    if not isinstance(document.get("header", {}), dict):
+        return f"'header' must be an object, got {type(document['header']).__name__}"
+    names = document.get("arrays", [])
+    if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
+        return "'arrays' must be a list of names"
+    return None
+
+
+def _read_blob(data) -> Tuple[int, dict, int]:
+    return _read_frame(data, _BLOB_MAGICS, "a packed repro state/report/envelope", _blob_fields)
 
 
 def blob_version(data: bytes) -> int:
-    """Format version (1 or 2) of a packed blob, via its magic tag."""
-    if not isinstance(data, (bytes, bytearray, memoryview)):
-        raise SerializationError(f"expected bytes, got {type(data).__name__}")
-    return _sniff_magic(bytes(data))
-
-
-def _decode_document(data) -> Tuple[bytes, dict, int]:
-    """Shared front half of decoding: magic, length field, JSON document.
-
-    Returns ``(data, document, body_offset)`` where ``body_offset`` is the
-    position of the first npy block.
-    """
-    if not isinstance(data, (bytes, bytearray, memoryview)):
-        raise SerializationError(
-            f"expected bytes, got {type(data).__name__}"
-        )
-    data = bytes(data)
-    _sniff_magic(data)
-    offset = len(MAGIC)
-    if len(data) < offset + _LENGTH.size:
-        raise SerializationError(
-            f"truncated blob at offset {len(data)}: need {offset + _LENGTH.size} "
-            f"bytes for the header length, have {len(data)}"
-        )
-    (header_length,) = _LENGTH.unpack_from(data, offset)
-    offset += _LENGTH.size
-    if header_length > len(data) - offset:
-        raise SerializationError(
-            f"truncated blob at offset {len(data)}: header declares "
-            f"{header_length} bytes but only {len(data) - offset} remain "
-            f"after offset {offset}"
-        )
-    try:
-        document = json.loads(data[offset : offset + header_length].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise SerializationError(
-            f"corrupt header JSON in bytes [{offset}, {offset + header_length}): {exc}"
-        ) from exc
-    if not isinstance(document, dict):
-        raise SerializationError(
-            f"corrupt header JSON in bytes [{offset}, {offset + header_length}): "
-            f"expected an object, got {type(document).__name__}"
-        )
-    if not isinstance(document.get("header", {}), dict):
-        raise SerializationError(
-            f"corrupt header JSON in bytes [{offset}, {offset + header_length}): "
-            f"'header' must be an object, "
-            f"got {type(document['header']).__name__}"
-        )
-    names = document.get("arrays", [])
-    if not isinstance(names, list) or not all(
-        isinstance(name, str) for name in names
-    ):
-        raise SerializationError(
-            f"corrupt header JSON in bytes [{offset}, {offset + header_length}): "
-            "'arrays' must be a list of names"
-        )
-    return data, document, offset + header_length
+    """Format version (1 or 2) of a packed blob, from its magic tag."""
+    return _read_blob(data)[0] + 1
 
 
 def peek_header(data: bytes) -> dict:
@@ -207,8 +245,7 @@ def peek_header(data: bytes) -> dict:
     Cheap dispatch helper: lets callers route a blob by ``file_kind`` /
     ``state_kind`` without paying for the array blocks.
     """
-    _, document, _ = _decode_document(data)
-    return document.get("header", {})
+    return _read_blob(data)[1].get("header", {})
 
 
 def unpack_blob(data: bytes) -> Tuple[dict, Dict[str, np.ndarray]]:
@@ -217,8 +254,8 @@ def unpack_blob(data: bytes) -> Tuple[dict, Dict[str, np.ndarray]]:
     Accepts both v1 payloads and v2 envelopes (the physical layout is
     identical); use :func:`blob_version` when the version matters.
     """
-    data, document, body_offset = _decode_document(data)
-    body = io.BytesIO(data[body_offset:])
+    _, document, body_offset = _read_blob(data)
+    body = io.BytesIO(bytes(data)[body_offset:])
     arrays: Dict[str, np.ndarray] = {}
     for name in document.get("arrays", []):
         block_offset = body_offset + body.tell()
@@ -232,12 +269,8 @@ def unpack_blob(data: bytes) -> Tuple[dict, Dict[str, np.ndarray]]:
 
 
 # --------------------------------------------------------------------- #
-# framed report batches: the network wire format
+# REPROBAT: framed report batches, the network wire format
 # --------------------------------------------------------------------- #
-#: ``batch_kind`` tag every report batch declares in its header.
-REPORT_BATCH_KIND = "report-batch"
-
-
 def pack_report_batch(spec, reports) -> bytes:
     """Frame a batch of serialized reports for network transport.
 
@@ -258,7 +291,7 @@ def pack_report_batch(spec, reports) -> bytes:
     alone (for packed bytes the user count is peeked from each report's
     own header).
     """
-    frames: list = []
+    blobs: List[bytes] = []
     n_users = 0
     for report in reports:
         if isinstance(report, (bytes, bytearray, memoryview)):
@@ -272,76 +305,23 @@ def pack_report_batch(spec, reports) -> bytes:
                 f"cannot frame a report of type {type(report).__name__}; "
                 "expected a Report or packed report bytes"
             )
-        frames.append(blob)
+        blobs.append(blob)
     if spec is not None and callable(getattr(spec, "spec", None)):
         spec = spec.spec()  # a live protocol object; record its registry spec
-    header = {
-        "batch_kind": REPORT_BATCH_KIND,
-        "count": len(frames),
-        "n_users": n_users,
-    }
+    header = {"batch_kind": REPORT_BATCH_KIND, "count": len(blobs), "n_users": n_users}
     if spec is not None:
         header["protocol"] = spec
-    encoded = json.dumps(header, sort_keys=True).encode("utf-8")
-    out = bytearray(MAGIC_BATCH)
-    out += _LENGTH.pack(len(encoded))
-    out += encoded
-    for blob in frames:
-        out += _LENGTH.pack(len(blob))
-        out += blob
-    return bytes(out)
+    frames = (part for blob in blobs for part in (_LENGTH.pack(len(blob)), blob))
+    return _write_frame(MAGIC_BATCH, header, *frames)
 
 
-def _decode_batch_header(data) -> Tuple[bytes, dict, int]:
-    """Front half of batch decoding: magic, length field, JSON header.
+def _batch_fields(header: dict, body_size: int) -> Optional[str]:
+    """A batch header tags its kind and counts its frames and users."""
+    return _field_error(header, "count", "n_users", batch_kind=REPORT_BATCH_KIND)
 
-    Returns ``(data, header, frames_offset)``.
-    """
-    if not isinstance(data, (bytes, bytearray, memoryview)):
-        raise SerializationError(f"expected bytes, got {type(data).__name__}")
-    data = bytes(data)
-    if not data.startswith(MAGIC_BATCH):
-        preview = bytes(data[: len(MAGIC_BATCH)])
-        raise SerializationError(
-            f"bad magic at offset 0: {preview!r} is not a framed report "
-            f"batch (expected {MAGIC_BATCH!r})"
-        )
-    offset = len(MAGIC_BATCH)
-    if len(data) < offset + _LENGTH.size:
-        raise SerializationError(
-            f"truncated report batch at offset {len(data)}: need "
-            f"{offset + _LENGTH.size} bytes for the header length, have {len(data)}"
-        )
-    (header_length,) = _LENGTH.unpack_from(data, offset)
-    offset += _LENGTH.size
-    if header_length > len(data) - offset:
-        raise SerializationError(
-            f"truncated report batch at offset {len(data)}: header declares "
-            f"{header_length} bytes but only {len(data) - offset} remain "
-            f"after offset {offset}"
-        )
-    try:
-        header = json.loads(data[offset : offset + header_length].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise SerializationError(
-            f"corrupt batch header JSON in bytes "
-            f"[{offset}, {offset + header_length}): {exc}"
-        ) from exc
-    if not isinstance(header, dict) or header.get("batch_kind") != REPORT_BATCH_KIND:
-        kind = header.get("batch_kind") if isinstance(header, dict) else None
-        raise SerializationError(
-            f"corrupt batch header JSON in bytes "
-            f"[{offset}, {offset + header_length}): batch_kind "
-            f"{kind!r} is not {REPORT_BATCH_KIND!r}"
-        )
-    count = header.get("count")
-    if not isinstance(count, int) or isinstance(count, bool) or count < 0:
-        raise SerializationError(
-            f"corrupt batch header JSON in bytes "
-            f"[{offset}, {offset + header_length}): 'count' must be a "
-            f"non-negative integer, got {count!r}"
-        )
-    return data, header, offset + header_length
+
+def _read_batch(data) -> Tuple[int, dict, int]:
+    return _read_frame(data, (MAGIC_BATCH,), "a framed report batch", _batch_fields)
 
 
 def report_batch_header(data) -> dict:
@@ -351,8 +331,7 @@ def report_batch_header(data) -> dict:
     ``protocol`` spec and reads ``count`` / ``n_users`` from here without
     touching the report frames.
     """
-    _, header, _ = _decode_batch_header(data)
-    return header
+    return _read_batch(data)[1]
 
 
 def unpack_report_batch(data) -> Tuple[dict, List[bytes]]:
@@ -364,7 +343,8 @@ def unpack_report_batch(data) -> Tuple[dict, List[bytes]]:
     last frame all raise :class:`SerializationError` with the offending
     byte offset.
     """
-    data, header, offset = _decode_batch_header(data)
+    _, header, offset = _read_batch(data)
+    data = bytes(data)
     count = header["count"]
     frames: List[bytes] = []
     for index in range(count):
@@ -393,14 +373,8 @@ def unpack_report_batch(data) -> Tuple[dict, List[bytes]]:
 
 
 # --------------------------------------------------------------------- #
-# WAL segments: the durable ingest log of the gateway
+# REPROWAL: the gateway's durable ingest log
 # --------------------------------------------------------------------- #
-#: ``wal_kind`` tag every WAL segment declares in its header.
-WAL_SEGMENT_KIND = "ingest-wal"
-
-_CRC = struct.Struct("<I")
-
-
 def pack_wal_segment_header(epoch: int, extra: Optional[dict] = None) -> bytes:
     """The on-disk prefix of one WAL segment file.
 
@@ -408,11 +382,13 @@ def pack_wal_segment_header(epoch: int, extra: Optional[dict] = None) -> bytes:
     the epoch the segment belongs to, so recovery never depends on file
     names alone.
     """
-    header = {"wal_kind": WAL_SEGMENT_KIND, "epoch": int(epoch)}
-    if extra:
-        header.update(extra)
-    encoded = json.dumps(header, sort_keys=True).encode("utf-8")
-    return MAGIC_WAL + _LENGTH.pack(len(encoded)) + encoded
+    header = {"wal_kind": WAL_SEGMENT_KIND, "epoch": int(epoch), **(extra or {})}
+    return _write_frame(MAGIC_WAL, header)
+
+
+def _wal_fields(header: dict, body_size: int) -> Optional[str]:
+    """A WAL segment header tags its kind and names its epoch."""
+    return _field_error(header, "epoch", wal_kind=WAL_SEGMENT_KIND)
 
 
 def read_wal_segment_header(data) -> Tuple[dict, int]:
@@ -423,54 +399,20 @@ def read_wal_segment_header(data) -> Tuple[dict, int]:
     written in one small atomic-in-practice append before any record, so
     a torn header means the file is not a WAL segment at all.
     """
-    if not isinstance(data, (bytes, bytearray, memoryview)):
-        raise SerializationError(f"expected bytes, got {type(data).__name__}")
-    data = bytes(data)
-    if not data.startswith(MAGIC_WAL):
-        preview = bytes(data[: len(MAGIC_WAL)])
-        raise SerializationError(
-            f"bad magic at offset 0: {preview!r} is not a WAL segment "
-            f"(expected {MAGIC_WAL!r})"
-        )
-    offset = len(MAGIC_WAL)
-    if len(data) < offset + _LENGTH.size:
-        raise SerializationError(
-            f"truncated WAL segment at offset {len(data)}: need "
-            f"{offset + _LENGTH.size} bytes for the header length"
-        )
-    (header_length,) = _LENGTH.unpack_from(data, offset)
-    offset += _LENGTH.size
-    if header_length > len(data) - offset:
-        raise SerializationError(
-            f"truncated WAL segment at offset {len(data)}: header declares "
-            f"{header_length} bytes but only {len(data) - offset} remain"
-        )
-    try:
-        header = json.loads(data[offset : offset + header_length].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise SerializationError(
-            f"corrupt WAL segment header in bytes "
-            f"[{offset}, {offset + header_length}): {exc}"
-        ) from exc
-    if not isinstance(header, dict) or header.get("wal_kind") != WAL_SEGMENT_KIND:
-        kind = header.get("wal_kind") if isinstance(header, dict) else None
-        raise SerializationError(
-            f"corrupt WAL segment header: wal_kind {kind!r} is not "
-            f"{WAL_SEGMENT_KIND!r}"
-        )
-    return header, offset + header_length
+    _, header, offset = _read_frame(data, (MAGIC_WAL,), "a WAL segment", _wal_fields)
+    return header, offset
 
 
 def pack_wal_record(meta: dict, blob: bytes) -> bytes:
     """Frame one WAL record: CRC + length + (JSON meta, payload blob).
 
     ``u32 crc32(payload) | u64 payload length | payload`` where the
-    payload is ``u64 meta length | meta JSON | blob``.  The CRC covers
-    the whole payload so a torn or bit-flipped tail is detected by
-    :func:`scan_wal_segment` instead of being replayed as garbage.
+    payload is a magic-less frame, ``u64 meta length | meta JSON | blob``.
+    The CRC covers the whole payload so a torn or bit-flipped tail is
+    detected by :func:`scan_wal_segment` instead of being replayed as
+    garbage.
     """
-    encoded = json.dumps(dict(meta or {}), sort_keys=True).encode("utf-8")
-    payload = _LENGTH.pack(len(encoded)) + encoded + bytes(blob)
+    payload = _write_frame(b"", dict(meta or {}), blob)
     return _CRC.pack(zlib.crc32(payload)) + _LENGTH.pack(len(payload)) + payload
 
 
@@ -495,46 +437,21 @@ def scan_wal_segment(data) -> Tuple[dict, List[Tuple[dict, bytes]], Optional[int
         (crc,) = _CRC.unpack_from(data, offset)
         (payload_length,) = _LENGTH.unpack_from(data, offset + _CRC.size)
         offset += _CRC.size + _LENGTH.size
-        if payload_length > len(data) - offset:
-            return header, records, start
         payload = data[offset : offset + payload_length]
         offset += payload_length
-        if zlib.crc32(payload) != crc:
-            return header, records, start
-        if payload_length < _LENGTH.size:
-            return header, records, start
-        (meta_length,) = _LENGTH.unpack_from(payload, 0)
-        if meta_length > payload_length - _LENGTH.size:
+        if len(payload) != payload_length or zlib.crc32(payload) != crc:
             return header, records, start
         try:
-            meta = json.loads(
-                payload[_LENGTH.size : _LENGTH.size + meta_length].decode("utf-8")
-            )
-        except (UnicodeDecodeError, json.JSONDecodeError):
+            _, meta, blob_offset = _read_frame(payload, (b"",), "a WAL record")
+        except SerializationError:
             return header, records, start
-        if not isinstance(meta, dict):
-            return header, records, start
-        records.append((meta, payload[_LENGTH.size + meta_length :]))
+        records.append((meta, payload[blob_offset:]))
     return header, records, None
 
 
 # --------------------------------------------------------------------- #
-# epoch segments: the out-of-core store's per-epoch files
+# REPROSEG: the out-of-core store's per-epoch files
 # --------------------------------------------------------------------- #
-#: ``seg_kind`` tag every epoch segment declares in its header.
-EPOCH_SEGMENT_KIND = "epoch-segment"
-
-#: Layout version of the epoch-segment contents.
-EPOCH_SEGMENT_FORMAT = 1
-
-_SEG_ALIGN = 8
-
-
-def _pad_to(length: int, align: int = _SEG_ALIGN) -> int:
-    """Bytes of padding needed to advance ``length`` to a multiple of ``align``."""
-    return (-length) % align
-
-
 def pack_epoch_segment(
     epoch: int,
     spec_hash: str,
@@ -574,7 +491,6 @@ def pack_epoch_segment(
     so every reader (CRC check, state decode, pushdown views) applies
     unchanged.
     """
-    state_blob = bytes(state_blob)
     body = bytearray(state_blob)
     header: dict = {
         "seg_kind": EPOCH_SEGMENT_KIND,
@@ -582,26 +498,23 @@ def pack_epoch_segment(
         "epoch": int(epoch),
         "spec_hash": str(spec_hash),
         "n_reports": int(n_reports),
-        "state": {"offset": 0, "length": len(state_blob)},
+        "state": {"offset": 0, "length": len(body)},
     }
     if aggregate is not None:
         header["aggregate"] = {
-            "level": int(aggregate["level"]),
-            "start": int(aggregate["start"]),
-            "count": int(aggregate["count"]),
+            key: int(aggregate[key]) for key in ("level", "start", "count")
         }
     if pushdown is not None:
-        body += b"\x00" * _pad_to(len(body))
+        body += bytes(_pad_to(len(body)))
         children = []
         for child in pushdown.get("children", []):
             vectors = []
             for name, vector in child["vectors"].items():
                 vector = np.ascontiguousarray(vector, dtype="<i8")
-                offset = len(body)
-                body += vector.tobytes()
                 vectors.append(
-                    {"name": str(name), "shape": list(vector.shape), "offset": offset}
+                    {"name": str(name), "shape": list(vector.shape), "offset": len(body)}
                 )
+                body += vector.tobytes()
             children.append(
                 {
                     "oracle_kind": child["oracle_kind"],
@@ -616,104 +529,86 @@ def pack_epoch_segment(
             "n_users": int(pushdown["n_users"]),
             "children": children,
         }
-    encoded = json.dumps(header, sort_keys=True).encode("utf-8")
-    # Pad the header (JSON tolerates trailing spaces) so the body -- and
-    # with it every vector offset -- lands 8-byte aligned in the file.
-    prefix = len(MAGIC_SEG) + _LENGTH.size
-    encoded += b" " * _pad_to(prefix + len(encoded))
-    out = bytearray(MAGIC_SEG)
-    out += _LENGTH.pack(len(encoded))
-    out += encoded
-    out += body
-    out += _CRC.pack(zlib.crc32(out))
-    return bytes(out)
+    return _write_frame(MAGIC_SEG, header, body, align=_SEG_ALIGN, crc=True)
+
+
+def _segment_fields(header: dict, body_size: int) -> Optional[str]:
+    """Kind, format and byte layout of an epoch segment header.
+
+    Every region the header describes must lie inside the body, so the
+    zero-copy views of :func:`segment_state_bytes` and
+    :func:`segment_pushdown_children` need no further checks.
+    """
+    state = header.get("state")
+    problem = _field_error(
+        header, "epoch", seg_kind=EPOCH_SEGMENT_KIND, format=EPOCH_SEGMENT_FORMAT
+    ) or _field_error(state, "offset", "length")
+    if not problem and "aggregate" in header:
+        problem = _field_error(header["aggregate"], "level", "start", "count")
+    if not problem and "pushdown" in header:
+        problem = _pushdown_error(header["pushdown"])
+    if problem:
+        return problem
+    regions = [(state, state["length"])] + [
+        (vector, 8 * math.prod(vector["shape"]))
+        for child in header.get("pushdown", {"children": []})["children"]
+        for vector in child["vectors"]
+    ]
+    for region, size in regions:
+        if region["offset"] + size > body_size:
+            return f"region {region!r} points outside the {body_size}-byte body"
+    return None
+
+
+def _pushdown_error(pushdown) -> Optional[str]:
+    """What is wrong with a segment's pushdown description, or ``None``."""
+    if (
+        _field_error(pushdown, "n_users")
+        or not isinstance(pushdown.get("children"), list)
+        or not {"label", "config"} <= pushdown.keys()
+    ):
+        return "pushdown needs a label, a config, n_users and a list of children"
+    for index, child in enumerate(pushdown["children"]):
+        if (
+            _field_error(child, "n_reports")
+            or not isinstance(child.get("vectors"), list)
+            or not {"oracle_kind", "config"} <= child.keys()
+        ):
+            return (
+                f"pushdown child {index} needs an oracle_kind, a config, "
+                "n_reports and a list of vectors"
+            )
+        for vector in child["vectors"]:
+            if (
+                _field_error(vector, "offset")
+                or not isinstance(vector.get("name"), str)
+                or not isinstance(vector.get("shape"), list)
+                or not all(map(_is_count, vector["shape"]))
+            ):
+                return f"pushdown vector {vector!r} needs a name, a shape and an offset"
+    return None
 
 
 def read_epoch_segment(data) -> Tuple[dict, int]:
     """Validate one epoch segment; return ``(header, body_offset)``.
 
-    ``data`` may be bytes or a memory map; the whole-file CRC is checked
-    here, once, so subsequent zero-copy views over the body need no
-    further validation.  A short file, a bad magic, garbage JSON, or a
-    CRC mismatch (torn or bit-flipped tail) each raise
+    ``data`` may be bytes or a memory map; the whole-file CRC and every
+    region the header describes are checked here, once, so subsequent
+    zero-copy views over the body need no further validation.  A short
+    file, a bad magic, garbage JSON, a malformed layout, or a CRC
+    mismatch (torn or bit-flipped tail) each raise
     :class:`SerializationError` naming what went wrong.
     """
-    try:
-        view = memoryview(data)
-    except TypeError:
-        raise SerializationError(
-            f"expected bytes or a buffer, got {type(data).__name__}"
-        ) from None
-    try:
-        return _read_epoch_segment(view)
-    except SerializationError:
-        # Release the view before the exception propagates: a traceback
-        # frame keeps locals alive, and a still-exported view would stop
-        # the caller from closing a memory map it is validating.
-        view.release()
-        raise
-
-
-def _read_epoch_segment(view: memoryview) -> Tuple[dict, int]:
-    if len(view) < len(MAGIC_SEG) or bytes(view[: len(MAGIC_SEG)]) != MAGIC_SEG:
-        preview = bytes(view[: len(MAGIC_SEG)])
-        raise SerializationError(
-            f"bad magic at offset 0: {preview!r} is not an epoch segment "
-            f"(expected {MAGIC_SEG!r})"
-        )
-    offset = len(MAGIC_SEG)
-    if len(view) < offset + _LENGTH.size + _CRC.size:
-        raise SerializationError(
-            f"truncated epoch segment: {len(view)} bytes is too short to "
-            "hold the header length and trailing CRC (torn tail?)"
-        )
-    (header_length,) = _LENGTH.unpack_from(view, offset)
-    offset += _LENGTH.size
-    if header_length > len(view) - offset - _CRC.size:
-        raise SerializationError(
-            f"truncated epoch segment: header declares {header_length} bytes "
-            f"but only {len(view) - offset - _CRC.size} remain before the CRC "
-            "(torn tail?)"
-        )
-    (stored_crc,) = _CRC.unpack_from(view, len(view) - _CRC.size)
-    actual_crc = zlib.crc32(view[: len(view) - _CRC.size])
-    if actual_crc != stored_crc:
-        raise SerializationError(
-            f"epoch segment failed its CRC check (stored {stored_crc:#010x}, "
-            f"computed {actual_crc:#010x}): torn or corrupt segment tail"
-        )
-    try:
-        header = json.loads(bytes(view[offset : offset + header_length]).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise SerializationError(
-            f"corrupt epoch segment header in bytes "
-            f"[{offset}, {offset + header_length}): {exc}"
-        ) from exc
-    if not isinstance(header, dict) or header.get("seg_kind") != EPOCH_SEGMENT_KIND:
-        kind = header.get("seg_kind") if isinstance(header, dict) else None
-        raise SerializationError(
-            f"corrupt epoch segment header: seg_kind {kind!r} is not "
-            f"{EPOCH_SEGMENT_KIND!r}"
-        )
-    if int(header.get("format", 0)) != EPOCH_SEGMENT_FORMAT:
-        raise SerializationError(
-            f"epoch segment format {header.get('format')!r} is not supported "
-            f"by this build (expected {EPOCH_SEGMENT_FORMAT})"
-        )
-    return header, offset + header_length
+    _, header, body_offset = _read_frame(
+        data, (MAGIC_SEG,), "an epoch segment", _segment_fields, crc=True
+    )
+    return header, body_offset
 
 
 def segment_state_bytes(data, header: dict, body_offset: int) -> bytes:
     """The packed v1 accumulator state embedded in a validated segment."""
-    view = memoryview(data)
-    state = header.get("state", {})
-    start = body_offset + int(state.get("offset", 0))
-    length = int(state.get("length", -1))
-    if length < 0 or start + length > len(view) - _CRC.size:
-        raise SerializationError(
-            f"epoch segment state descriptor {state!r} points outside the body"
-        )
-    return bytes(view[start : start + length])
+    start = body_offset + header["state"]["offset"]
+    return bytes(memoryview(data)[start : start + header["state"]["length"]])
 
 
 def segment_pushdown_children(data, header: dict, body_offset: int) -> List[dict]:
@@ -722,37 +617,27 @@ def segment_pushdown_children(data, header: dict, body_offset: int) -> List[dict
     Returns one dict per oracle child -- ``oracle_kind``, ``config``,
     ``n_reports`` and ``vectors`` (name -> read-only int64 array viewing
     the underlying buffer) -- or raises if the segment carries no
-    pushdown region or a descriptor points outside the body.
+    pushdown region.
     """
-    pushdown = header.get("pushdown")
-    if not isinstance(pushdown, dict):
+    if "pushdown" not in header:
         raise SerializationError("epoch segment carries no pushdown region")
-    view = memoryview(data)
-    limit = len(view) - _CRC.size
-    children: List[dict] = []
-    for child in pushdown.get("children", []):
-        vectors: Dict[str, np.ndarray] = {}
-        for descriptor in child.get("vectors", []):
-            shape = tuple(int(size) for size in descriptor["shape"])
-            count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-            start = body_offset + int(descriptor["offset"])
-            if start + 8 * count > limit:
-                raise SerializationError(
-                    f"epoch segment pushdown vector {descriptor!r} points "
-                    "outside the body"
-                )
-            vectors[descriptor["name"]] = np.frombuffer(
-                view, dtype="<i8", count=count, offset=start
-            ).reshape(shape)
-        children.append(
-            {
-                "oracle_kind": child["oracle_kind"],
-                "config": child["config"],
-                "n_reports": int(child["n_reports"]),
-                "vectors": vectors,
-            }
-        )
-    return children
+    return [
+        {
+            "oracle_kind": child["oracle_kind"],
+            "config": child["config"],
+            "n_reports": child["n_reports"],
+            "vectors": {
+                vector["name"]: np.frombuffer(
+                    data,
+                    dtype="<i8",
+                    count=math.prod(vector["shape"]),
+                    offset=body_offset + vector["offset"],
+                ).reshape(vector["shape"])
+                for vector in child["vectors"]
+            },
+        }
+        for child in header["pushdown"]["children"]
+    ]
 
 
 def pack_child(child_bytes: bytes) -> np.ndarray:

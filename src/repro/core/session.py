@@ -132,27 +132,30 @@ class AccumulatorState(abc.ABC):
 _ASSEMBLY_ONLY_SPEC_KEYS = ("postprocess", "consistency")
 
 
-def _comparable_config(config: dict) -> dict:
-    """A config dict with post-processing identity stripped.
+def spec_sans_postprocess(spec: Optional[dict]) -> Optional[dict]:
+    """A protocol spec with its assembly-time keys stripped.
 
     Post-processing runs at assembly time only -- it never touches the
-    sufficient statistics -- so two accumulators whose embedded protocol
-    specs differ *only* in assembly-time keys (``postprocess``, the
-    ``consistency`` flag it derives) hold exchangeable state and may be
-    merged or adopted across that difference (this is how ``engine query
-    --postprocess`` and the service's ``/query?postprocess=`` re-finalize
-    existing statistics under a different pipeline).
+    sufficient statistics -- so reports, accumulator states and store
+    segments of specs that differ *only* in ``postprocess`` (and the
+    ``consistency`` flag it derives) are exchangeable: they merge, ingest
+    and fingerprint alike.  This is how ``engine query --postprocess``
+    and the service's ``/query?postprocess=`` re-finalize existing
+    statistics under a different pipeline.  Anything but a dict is
+    returned unchanged.
     """
+    if not isinstance(spec, dict):
+        return spec
+    return {
+        key: value for key, value in spec.items() if key not in _ASSEMBLY_ONLY_SPEC_KEYS
+    }
+
+
+def _comparable_config(config: dict) -> dict:
+    """A config dict whose embedded protocol spec is :func:`spec_sans_postprocess`-ed."""
     protocol = config.get("protocol")
-    if isinstance(protocol, dict) and any(
-        key in protocol for key in _ASSEMBLY_ONLY_SPEC_KEYS
-    ):
-        config = dict(config)
-        config["protocol"] = {
-            key: value
-            for key, value in protocol.items()
-            if key not in _ASSEMBLY_ONLY_SPEC_KEYS
-        }
+    if isinstance(protocol, dict):
+        config = {**config, "protocol": spec_sans_postprocess(protocol)}
     return config
 
 
@@ -613,7 +616,8 @@ class ProtocolServer(abc.ABC):
         """Fold one report or an iterable of reports into the accumulator.
 
         Every report is checked before any is folded in, so a batch that
-        does not fit this server (another family, an unknown level) raises
+        does not fit this server (another family, an unknown level, a
+        payload its level's oracle cannot take) raises
         :class:`ProtocolUsageError` and leaves the state untouched.
         """
         # Fast path: a single report skips the iteration machinery -- this
@@ -804,17 +808,27 @@ class DecompositionServer(ProtocolServer):
         if report.n_users <= 0:
             return
         n_counts = len(report.level_user_counts)
-        for level in report.level_payloads:
+        for level, payload in report.level_payloads.items():
             if level not in self._child_index:
                 raise ProtocolUsageError(
                     f"report contains unknown level {level!r} for a "
                     f"{decomposition.label} decomposition"
                 )
-            if decomposition.counts_slot(level) >= n_counts:
+            slot = decomposition.counts_slot(level)
+            if slot >= n_counts:
                 raise ProtocolUsageError(
                     f"report has {n_counts} level user counts, too few for "
                     f"level {level!r} of a {decomposition.label} decomposition"
                 )
+            try:
+                self._oracles[level].check_payload(
+                    payload, int(report.level_user_counts[slot])
+                )
+            except ValueError as exc:
+                raise ProtocolUsageError(
+                    f"level {level!r} payload does not fit the "
+                    f"{decomposition.label} server: {exc}"
+                ) from exc
 
     def _ingest_one(self, report: Report) -> None:
         if report.n_users <= 0:

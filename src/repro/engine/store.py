@@ -70,7 +70,11 @@ from repro.core.serialization import (
     segment_pushdown_children,
     segment_state_bytes,
 )
-from repro.core.session import AccumulatorState, CompositeAccumulator
+from repro.core.session import (
+    AccumulatorState,
+    CompositeAccumulator,
+    spec_sans_postprocess,
+)
 from repro.engine.windows import PLAN_AGGREGATE, PLAN_EPOCH, PlanNode, plan_cover
 from repro.frequency_oracles.base import OracleAccumulator
 
@@ -101,27 +105,17 @@ class _AggregateUnusable(Exception):
         super().__init__(f"aggregate {key} unusable: {cause}")
         self.key = key
 
-#: Spec keys that never affect the accumulated statistics (see
-#: ``repro.core.session._ASSEMBLY_ONLY_SPEC_KEYS``): two stores whose
-#: specs differ only here hold exchangeable segments.
-_ASSEMBLY_ONLY_SPEC_KEYS = ("postprocess", "consistency")
-
-
 def spec_fingerprint(spec: dict) -> str:
     """A stable hash of a protocol spec, ignoring assembly-only keys.
 
     Post-processing runs at finalize time only, so segments written
     under ``postprocess="none"`` are valid for a query under
     ``"consistency+norm_sub"`` and vice versa -- the fingerprint treats
-    those specs as identical, mirroring the engine's merge rules.
+    those specs as identical (:func:`~repro.core.session.spec_sans_postprocess`),
+    mirroring the engine's merge rules.
     """
-    comparable = {
-        key: value
-        for key, value in dict(spec).items()
-        if key not in _ASSEMBLY_ONLY_SPEC_KEYS
-    }
-    encoded = json.dumps(comparable, sort_keys=True).encode("utf-8")
-    return hashlib.sha256(encoded).hexdigest()
+    encoded = json.dumps(spec_sans_postprocess(dict(spec)), sort_keys=True)
+    return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
 
 
 def _fsync_directory(path: str) -> None:

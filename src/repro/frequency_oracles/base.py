@@ -313,6 +313,22 @@ class FrequencyOracle(abc.ABC):
     def finalize(self, accumulator: OracleAccumulator) -> np.ndarray:
         """Unbiased frequency estimates from accumulated statistics."""
 
+    #: Whether one user's report is a length-``D`` row (the unary and
+    #: histogram encodings) rather than a single value.
+    _unary_reports: bool = False
+
+    def check_payload(self, reports: Any, n_users: int) -> None:
+        """Raise ``ValueError`` unless ``reports`` holds ``n_users`` of this oracle's reports.
+
+        Reads only the payload's type, parameters and shapes, never its
+        values, so a server can refuse a report built for another oracle
+        before folding in any part of it.
+        """
+        shape = (n_users, self.domain_size) if self._unary_reports else (n_users,)
+        if not isinstance(reports, np.ndarray) or reports.shape != shape:
+            got = getattr(reports, "shape", type(reports).__name__)
+            raise ValueError(f"{self.name} expects an array of shape {shape}, got {got}")
+
     def _check_accumulator(self, accumulator: OracleAccumulator) -> None:
         if not isinstance(accumulator, OracleAccumulator):
             raise ValueError(
@@ -368,6 +384,16 @@ class FrequencyOracle(abc.ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"{type(self).__name__}(D={self.domain_size}, eps={self.epsilon:g})"
+
+
+def check_report_columns(name: str, n_users: int, **columns: np.ndarray) -> None:
+    """Raise ``ValueError`` unless every column holds one entry per user."""
+    for column, values in columns.items():
+        if np.shape(values) != (n_users,):
+            raise ValueError(
+                f"{name} report column {column!r} has shape {np.shape(values)}, "
+                f"expected ({n_users},)"
+            )
 
 
 def validate_unary_reports(reports: np.ndarray, domain_size: int) -> np.ndarray:

@@ -44,6 +44,7 @@ class SummationHistogramEncoding(FrequencyOracle):
     """SHE: per-entry Laplace noise, decoded by plain averaging."""
 
     name = "she"
+    _unary_reports = True
 
     def __init__(
         self,
@@ -126,6 +127,7 @@ class ThresholdHistogramEncoding(FrequencyOracle):
     """THE: per-entry Laplace noise, decoded by thresholding at ``theta``."""
 
     name = "the"
+    _unary_reports = True
 
     def __init__(
         self,

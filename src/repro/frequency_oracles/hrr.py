@@ -30,6 +30,7 @@ from repro.core.rng import RngLike, ensure_rng
 from repro.frequency_oracles.base import (
     FrequencyOracle,
     OracleAccumulator,
+    check_report_columns,
     standard_oracle_variance,
 )
 from repro.frequency_oracles.hadamard import fwht, pad_to_power_of_two
@@ -163,6 +164,18 @@ class HadamardRandomizedResponse(FrequencyOracle):
             {"value_sums": np.zeros(self._padded, dtype=np.int64)},
         )
 
+    def check_payload(self, reports, n_users: int) -> None:
+        if not isinstance(reports, HadamardReports):
+            raise ValueError(f"hrr expects Hadamard reports, got {type(reports).__name__}")
+        if reports.padded_size != self._padded:
+            raise ValueError(
+                "reports were produced for a different transform length "
+                f"({reports.padded_size} != {self._padded})"
+            )
+        check_report_columns(
+            self.name, n_users, indices=reports.indices, values=reports.values
+        )
+
     def accumulate(
         self,
         accumulator: OracleAccumulator,
@@ -176,15 +189,12 @@ class HadamardRandomizedResponse(FrequencyOracle):
         once, which keeps sharded aggregation exactly order-independent.
         """
         self._check_accumulator(accumulator)
-        if reports.padded_size != self._padded:
-            raise ValueError(
-                "reports were produced for a different transform length "
-                f"({reports.padded_size} != {self._padded})"
-            )
+        n = self._batch_size(reports, n_users)
+        self.check_payload(reports, n)
         accumulator.vectors["value_sums"] += self._kernels.hrr_value_sums(
             reports.indices, reports.values, self._padded
         )
-        accumulator.add_reports(self._batch_size(reports, n_users))
+        accumulator.add_reports(n)
         return accumulator
 
     def finalize(self, accumulator: OracleAccumulator) -> np.ndarray:

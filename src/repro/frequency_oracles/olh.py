@@ -28,6 +28,7 @@ from repro.core.rng import RngLike, ensure_rng
 from repro.frequency_oracles.base import (
     FrequencyOracle,
     OracleAccumulator,
+    check_report_columns,
     standard_oracle_variance,
 )
 
@@ -169,6 +170,18 @@ class OptimalLocalHashing(FrequencyOracle):
             {"support": np.zeros(self.domain_size, dtype=np.int64)},
         )
 
+    def check_payload(self, reports, n_users: int) -> None:
+        if not isinstance(reports, LocalHashReports):
+            raise ValueError(f"olh expects local-hash reports, got {type(reports).__name__}")
+        if reports.num_buckets != self._g:
+            raise ValueError(
+                f"reports use g={reports.num_buckets}, oracle expects g={self._g}"
+            )
+        check_report_columns(
+            self.name, n_users, multipliers=reports.multipliers,
+            offsets=reports.offsets, buckets=reports.buckets,
+        )
+
     def accumulate(
         self,
         accumulator: OracleAccumulator,
@@ -176,10 +189,8 @@ class OptimalLocalHashing(FrequencyOracle):
         n_users: Optional[int] = None,
     ) -> OracleAccumulator:
         self._check_accumulator(accumulator)
-        if reports.num_buckets != self._g:
-            raise ValueError(
-                f"reports use g={reports.num_buckets}, oracle expects g={self._g}"
-            )
+        n = self._batch_size(reports, n_users)
+        self.check_payload(reports, n)
         # The O(N * D) decode runs in the resolved kernel backend (chunked
         # numpy with a reused work buffer, or a fused compiled loop).  The
         # decoded support counts are the (integer) sufficient statistic, so
@@ -193,7 +204,7 @@ class OptimalLocalHashing(FrequencyOracle):
             self._chunk,
         )
         accumulator.vectors["support"] += support
-        accumulator.add_reports(self._batch_size(reports, n_users))
+        accumulator.add_reports(n)
         return accumulator
 
     def finalize(self, accumulator: OracleAccumulator) -> np.ndarray:

@@ -37,6 +37,7 @@ class OptimizedUnaryEncoding(FrequencyOracle):
     """OUE oracle with both per-user and aggregate-simulation execution."""
 
     name = "oue"
+    _unary_reports = True
 
     def __init__(
         self,

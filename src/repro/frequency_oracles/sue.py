@@ -33,6 +33,7 @@ class SymmetricUnaryEncoding(FrequencyOracle):
     """Basic RAPPOR: symmetric per-bit randomized response on one-hot vectors."""
 
     name = "sue"
+    _unary_reports = True
 
     def __init__(
         self,

@@ -81,12 +81,8 @@ import time
 from typing import Dict, List, Optional, Union
 
 from repro.core.exceptions import InvalidWindowError, ProtocolUsageError
-from repro.core.serialization import (
-    MAGIC_BATCH,
-    SerializationError,
-    report_batch_header,
-)
-from repro.core.session import AccumulatorState
+from repro.core.serialization import SerializationError, report_batch_header
+from repro.core.session import AccumulatorState, spec_sans_postprocess
 from repro.engine import Engine, parse_window
 from repro.service.http import (
     DEFAULT_MAX_BODY,
@@ -105,22 +101,6 @@ from repro.service.workers import (
     WorkerPool,
     ingest_batches_single_process,
 )
-
-
-def _spec_sans_postprocess(spec: Optional[dict]) -> Optional[dict]:
-    """Spec identity for ingest compatibility.
-
-    Assembly-time keys (``postprocess`` and the ``consistency`` flag it
-    derives) never touch sufficient statistics, so batches encoded under
-    different settings of them are exchangeable.
-    """
-    if not isinstance(spec, dict):
-        return spec
-    return {
-        key: value
-        for key, value in spec.items()
-        if key not in ("postprocess", "consistency")
-    }
 
 
 class AggregationService:
@@ -741,27 +721,21 @@ class AggregationService:
         blob = request.body
         if not blob:
             raise HttpError(411, "ingest needs a framed report batch as its body")
-        if not blob.startswith(MAGIC_BATCH):
-            raise HttpError(
-                400,
-                f"body is not a framed report batch (expected magic {MAGIC_BATCH!r})",
-            )
         try:
             header = report_batch_header(blob)
         except SerializationError as exc:
             raise HttpError(400, str(exc)) from exc
         batch_spec = header.get("protocol")
-        if batch_spec is not None and _spec_sans_postprocess(
+        if batch_spec is not None and spec_sans_postprocess(
             batch_spec
-        ) != _spec_sans_postprocess(self._spec):
+        ) != spec_sans_postprocess(self._spec):
             raise HttpError(
                 409,
                 "batch was encoded for a different protocol configuration: "
                 f"{batch_spec} != {self._spec}",
             )
-        count = header.get("count", 0)
-        n_users = int(header.get("n_users", 0))
-        if count == 0 or n_users == 0:
+        n_users = header["n_users"]
+        if header["count"] == 0 or n_users == 0:
             return json_response(
                 200,
                 {"queued": 0, "epoch": self._current_epoch},

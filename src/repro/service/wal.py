@@ -195,7 +195,7 @@ class IngestWAL:
         except (OSError, SerializationError):
             return None
         return SegmentScan(
-            epoch=int(header.get("epoch", epoch)),
+            epoch=header["epoch"],
             path=path,
             sealed=sealed,
             records=records,

@@ -8,7 +8,13 @@ decoder internals.  Fuzz-style sweeps mutate valid envelopes to exercise
 every decode stage.
 """
 
+import copy
+import functools
+import hashlib
 import json
+import operator
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -17,13 +23,27 @@ from repro import FlatRangeQuery, HaarHRR, HierarchicalHistogram
 from repro.core.serialization import (
     FORMAT_VERSION,
     MAGIC,
+    MAGIC_BATCH,
+    MAGIC_SEG,
     MAGIC_V2,
+    MAGIC_WAL,
     SerializationError,
     blob_version,
     pack_blob,
+    pack_epoch_segment,
+    pack_report_batch,
+    pack_wal_record,
+    pack_wal_segment_header,
+    read_epoch_segment,
+    report_batch_header,
+    scan_wal_segment,
+    segment_pushdown_children,
+    segment_state_bytes,
     unpack_blob,
+    unpack_report_batch,
 )
 from repro.core.session import AccumulatorState, Report
+from repro.engine import Engine, spec_fingerprint
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +58,37 @@ def server_blob() -> bytes:
 def report_blob() -> bytes:
     protocol = FlatRangeQuery(16, 1.1, oracle="oue")
     return protocol.client().encode_batch(np.arange(16), rng=0).to_bytes()
+
+
+@pytest.fixture(scope="module")
+def batch_blob() -> bytes:
+    protocol = HierarchicalHistogram(32, 1.1, branching=4)
+    client = protocol.client()
+    reports = [client.encode_batch(np.arange(16) + 16 * i, rng=i) for i in range(2)]
+    return pack_report_batch(protocol.spec(), reports)
+
+
+@pytest.fixture(scope="module")
+def wal_blob(batch_blob) -> bytes:
+    records = [
+        pack_wal_record({"key": f"k{i}", "worker": i, "n_users": 32}, batch_blob)
+        for i in range(2)
+    ]
+    return pack_wal_segment_header(epoch=2) + b"".join(records)
+
+
+@pytest.fixture(scope="module")
+def segment_blob(tmp_path_factory) -> bytes:
+    """A sealed epoch segment with a pushdown region, as the store writes it."""
+    store_dir = tmp_path_factory.mktemp("store")
+    engine = Engine.open("hh", domain_size=16, epsilon=1.1, branching=4, store_dir=str(store_dir))
+    engine.session(epoch=0).absorb(np.arange(16), rng=0)
+    engine.seal_epoch(0)
+    with open(engine.store.segment_path(0), "rb") as handle:
+        segment = handle.read()
+    engine.store.close()
+    assert "pushdown" in read_epoch_segment(segment)[0]
+    return segment
 
 
 # Protocols whose reports cover every payload shape: hh, flat OLH and HRR, Haar.
@@ -128,6 +179,15 @@ class TestMalformedInput:
         with pytest.raises(SerializationError, match="corrupt array block 'a' at offset"):
             unpack_blob(bytes(blob))
 
+    def test_batch_header_counts_must_be_non_negative_integers(self, batch_blob):
+        header = _header_of(batch_blob, MAGIC_BATCH)
+        for field, value in [
+            ("n_users", "x"), ("n_users", -30), ("n_users", None), ("count", True),
+        ]:
+            mutated = _reframe(batch_blob, MAGIC_BATCH, {**header, field: value})
+            with pytest.raises(SerializationError, match=f"'{field}' must be a non-negative"):
+                report_batch_header(mutated)
+
     def test_every_truncation_of_a_real_state_fails_loudly(self, server_blob):
         # Sampled prefixes across the whole blob, plus the exact layout
         # boundaries (magic, length field, header end).
@@ -145,6 +205,78 @@ def _mutations(blob: bytes, rng: np.random.Generator, rounds: int):
         position = int(rng.integers(0, len(blob)))
         mutated[position] ^= int(rng.integers(1, 256))
         yield bytes(mutated)
+
+
+def _decode_batch(blob: bytes) -> None:
+    """The shard worker's decode path: unframe, then decode every report."""
+    for frame in unpack_report_batch(blob)[1]:
+        Report.from_bytes(frame)
+
+
+def _decode_wal(blob: bytes) -> None:
+    """WAL recovery's decode path; a torn tail is how a scan rejects a record."""
+    header, records, torn = scan_wal_segment(blob)
+    assert isinstance(header["epoch"], int)
+    for _, batch in records:
+        _decode_batch(batch)
+    if torn is not None:
+        raise SerializationError(f"torn tail at offset {torn}")
+
+
+def _decode_segment(blob: bytes) -> None:
+    """The store's attach-and-read path, state and zero-copy pushdown views."""
+    header, body_offset = read_epoch_segment(blob)
+    AccumulatorState.from_bytes(segment_state_bytes(blob, header, body_offset))
+    segment_pushdown_children(blob, header, body_offset)
+
+
+# format -> (fixture, decode path, magic, trailing CRC)
+CONTAINERS = {
+    "REPROBAT": ("batch_blob", _decode_batch, MAGIC_BATCH, False),
+    "REPROWAL": ("wal_blob", _decode_wal, MAGIC_WAL, False),
+    "REPROSEG": ("segment_blob", _decode_segment, MAGIC_SEG, True),
+}
+
+
+def _header_of(blob: bytes, magic: bytes) -> dict:
+    (length,) = struct.unpack_from("<Q", blob, len(magic))
+    return json.loads(blob[len(magic) + 8 : len(magic) + 8 + length])
+
+
+def _reframe(blob: bytes, magic: bytes, header: dict, crc: bool = False) -> bytes:
+    """``blob`` with its JSON header replaced: body kept, CRC recomputed."""
+    (length,) = struct.unpack_from("<Q", blob, len(magic))
+    body = blob[len(magic) + 8 + length : len(blob) - 4 if crc else len(blob)]
+    encoded = json.dumps(header).encode("utf-8")
+    framed = magic + struct.pack("<Q", len(encoded)) + encoded + body
+    return framed + struct.pack("<I", zlib.crc32(framed)) if crc else framed
+
+
+_DELETE = object()
+_MUTANTS = (7, -1, "x", "ab", None, [1], [7], [[1]], {"z": 1}, _DELETE)
+
+
+def _paths(node, prefix=()):
+    """Every key/index path into a JSON document, parents before children."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+def _mutate(header: dict, path: tuple, value) -> dict:
+    mutated = copy.deepcopy(header)
+    parent = functools.reduce(operator.getitem, path[:-1], mutated)
+    if value is _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return mutated
 
 
 class TestFuzzedEnvelopes:
@@ -259,3 +391,145 @@ class TestFuzzedEnvelopes:
             except SerializationError:
                 continue
             assert isinstance(report, Report)
+
+    # The batch, WAL and segment containers, each through its consumer's
+    # decode path (shard worker, WAL recovery, store attach).
+    @pytest.mark.parametrize("fmt", sorted(CONTAINERS))
+    def test_fuzzed_containers(self, fmt, request):
+        fixture, decode, _, _ = CONTAINERS[fmt]
+        blob = request.getfixturevalue(fixture)
+        rng = np.random.default_rng(4)
+        failures = 0
+        for mutated in _mutations(blob, rng, self.ROUNDS):
+            try:
+                decode(mutated)
+            except SerializationError:
+                failures += 1
+            except Exception as exc:  # noqa: BLE001 - the assertion target
+                raise AssertionError(
+                    f"fuzzed {fmt} leaked {type(exc).__name__}: {exc}"
+                ) from exc
+        assert failures > 0
+
+    @pytest.mark.parametrize("fmt", sorted(CONTAINERS))
+    def test_mutated_container_headers_fail_as_decode_errors(self, fmt, request):
+        # Bit flips never get past a CRC, so replace or remove every header
+        # field at every depth and re-frame with a fresh CRC: decoding
+        # either succeeds or raises SerializationError.
+        fixture, decode, magic, crc = CONTAINERS[fmt]
+        blob = request.getfixturevalue(fixture)
+        header = _header_of(blob, magic)
+        for path in _paths(header):
+            for value in _MUTANTS:
+                try:
+                    decode(_reframe(blob, magic, _mutate(header, path, value), crc))
+                except SerializationError:
+                    continue
+                except Exception as exc:  # noqa: BLE001 - the assertion target
+                    raise AssertionError(
+                        f"{fmt} header with {path} -> {value!r} leaked "
+                        f"{type(exc).__name__}: {exc}"
+                    ) from exc
+
+    VECTOR = ("pushdown", "children", 0, "vectors", 0)
+    MUST_FAIL = {
+        "REPROBAT": [(("n_users",), "x"), (("n_users",), -30), (("batch_kind",), None)],
+        "REPROWAL": [(("epoch",), "x"), (("wal_kind",), 7)],
+        "REPROSEG": [
+            (("format",), "x"),
+            (("format",), [1]),
+            (("state",), [1]),
+            (("state", "offset"), None),
+            (("pushdown", "children"), [7]),
+            (VECTOR + ("shape",), "ab"),
+            (VECTOR + ("shape",), [[1]]),
+            (VECTOR + ("offset",), 1 << 40),
+        ],
+    }
+
+    @pytest.mark.parametrize("fmt", sorted(CONTAINERS))
+    def test_malformed_header_fields_are_refused(self, fmt, request):
+        fixture, decode, magic, crc = CONTAINERS[fmt]
+        blob = request.getfixturevalue(fixture)
+        header = _header_of(blob, magic)
+        for path, value in self.MUST_FAIL[fmt]:
+            with pytest.raises(SerializationError, match="corrupt header JSON"):
+                decode(_reframe(blob, magic, _mutate(header, path, value), crc))
+
+
+def _writer_outputs() -> dict:
+    """Each writer's bytes for fixed seeded inputs."""
+    protocol = HierarchicalHistogram(32, 1.1, branching=4)
+    report = protocol.client().encode_batch(np.arange(32), rng=0)
+    state = protocol.server().ingest(report).to_bytes()
+    pushdown = {
+        "label": "hierarchical",
+        "config": {"protocol": protocol.spec()},
+        "n_users": 32,
+        "children": [
+            {
+                "oracle_kind": "oue",
+                "config": {"domain_size": 4, "epsilon": 1.1},
+                "n_reports": 32,
+                "vectors": {"bit_sums": np.arange(4), "grid": np.arange(6).reshape(2, 3)},
+            }
+        ],
+    }
+    return {
+        "v1_state": state,
+        "v1_report": report.to_bytes(),
+        "v2_envelope": pack_blob(
+            {"file_kind": "engine", "epochs": [0]},
+            {"shard_0": np.frombuffer(state, np.uint8)},
+            version=2,
+        ),
+        "batch": pack_report_batch(protocol.spec(), [report, report.to_bytes()]),
+        "wal": pack_wal_segment_header(epoch=3)
+        + pack_wal_record({"key": "k", "worker": 1, "n_users": 32}, report.to_bytes()),
+        "segment": pack_epoch_segment(4, "cafe", state, n_reports=32),
+        "segment_pushdown": pack_epoch_segment(
+            4, "cafe", state, n_reports=32, pushdown=pushdown
+        ),
+        "segment_aggregate": pack_epoch_segment(
+            4, "cafe", state, n_reports=64, pushdown=pushdown,
+            aggregate={"level": 1, "start": 4, "count": 2},
+        ),
+    }
+
+
+class TestWriterBytesArePinned:
+    """The bytes every writer emits, pinned by SHA-256.
+
+    A digest that changes means files on disk or batches on the wire
+    changed: existing stores, WAL segments and checkpoints would no
+    longer round-trip byte for byte.
+    """
+
+    DIGESTS = {
+        "v1_state": "cb37c4364b59420ff7ad7bc449c5a863010253f2dfe8bd57eccc6f20ba0e4a9d",
+        "v1_report": "02adbf6c80c4143555fa48286bf4c41b2edc45d9db2b1211c7c6014ba21a5f6b",
+        "v2_envelope": "3a1e9ada326171e82d2e3cf8c8a8505b40d27380063c8571fa814276a46820b5",
+        "batch": "4ec83e6697d727facad2970435d7cdbe33d878028964c7977b1490a329ff5844",
+        "wal": "3da40b8f0d3e356a83247bedeb1de555335b6545dfb36af1ee931559f3194941",
+        "segment": "9cffdfd0108ca81b0d386ea30a9481af83754f53a1f0666e251ffc78e382fff3",
+        "segment_pushdown": "1df4a8f024be230c0fbe2dbac9c0948ea2762cb4b3ee46610f8ca215eb1cd222",
+        "segment_aggregate": "46ecc39fdf6e948639c6e01541a907656f075ae5c4536ec72093078ae66726ca",
+    }
+
+    def test_writer_outputs_are_byte_identical(self):
+        digests = {
+            name: hashlib.sha256(blob).hexdigest()
+            for name, blob in _writer_outputs().items()
+        }
+        assert digests == self.DIGESTS
+
+    def test_spec_fingerprint_is_unchanged(self):
+        # Stores record this hash in their manifest; a new value would
+        # refuse to open every existing store.
+        spec = {
+            "name": "hh", "domain_size": 32, "epsilon": 1.1, "branching": 4,
+            "postprocess": "consistency+norm_sub", "consistency": True,
+        }
+        assert spec_fingerprint(spec) == (
+            "ffaf41453541f51f464a1680ae194e96a367d7dbad63c34c4bd29b2d1ea91b0c"
+        )

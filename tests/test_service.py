@@ -18,6 +18,7 @@ Three guarantees anchor the service layer:
 
 import json
 import socket
+import struct
 import threading
 
 import numpy as np
@@ -55,6 +56,7 @@ from repro.service.loadgen import percentile, run_loadgen
 
 SPEC = {"name": "flat", "domain_size": 64, "epsilon": 1.0}
 TREE_SPEC = {"name": "hh", "domain_size": 64, "epsilon": 1.0, "branching": 4}
+OLH_SPEC = {**SPEC, "oracle": "olh"}
 
 
 def encode_reports(spec, n_users, seed, chunks=4):
@@ -71,6 +73,15 @@ def encode_reports(spec, n_users, seed, chunks=4):
     return protocol, [
         client.encode_batch(chunk, rng=rng) for chunk in np.array_split(items, chunks)
     ]
+
+
+def reframe_batch(blob, **fields):
+    """``blob`` with some batch header fields overridden, frames untouched."""
+    start = len(MAGIC_BATCH) + 8
+    (length,) = struct.unpack_from("<Q", blob, len(MAGIC_BATCH))
+    header = {**json.loads(blob[start : start + length]), **fields}
+    encoded = json.dumps(header).encode("utf-8")
+    return MAGIC_BATCH + struct.pack("<Q", len(encoded)) + encoded + blob[start + length :]
 
 
 class TestReportBatchCodec:
@@ -202,11 +213,11 @@ class TestWorkerPool:
             + corrupt_frame
         )
 
-        async def run():
-            pool = WorkerPool(protocol.spec(), num_workers=1).start()
+        async def run(spec, batches):
+            pool = WorkerPool(spec, num_workers=1).start()
             try:
                 before = await pool.stats()
-                for batch in (bad, other_family, good, mixed, no_counts, bad_meta):
+                for batch in batches:
                     await pool.ingest(batch)
                 stats = await pool.stats()
                 states = await pool.close_epoch()
@@ -214,13 +225,30 @@ class TestWorkerPool:
                 await pool.shutdown(graceful=True)
             return before, stats, states
 
-        before, stats, states = asyncio.run(run())
+        before, stats, states = asyncio.run(
+            run(protocol.spec(), (bad, other_family, good, mixed, no_counts, bad_meta))
+        )
         assert stats[0]["errors"] == 5
         assert stats[0]["batches"] == 1
         assert stats[0]["last_error"]
         assert stats[0]["pid"] == before[0]["pid"]
         assert load_server(states[0]).n_reports == 50
         assert states[0] == ingest_batches_single_process(SPEC, [good]).to_bytes()
+
+        # An OLH-spec batch whose second frame decodes but carries an OUE
+        # payload: refused whole before its valid first frame is absorbed,
+        # and the worker lives on.
+        olh, olh_reports = encode_reports(OLH_SPEC, 60, seed=8, chunks=2)
+        olh_good = [pack_report_batch(olh.spec(), [report]) for report in olh_reports]
+        _, (oue_frame,) = encode_reports(SPEC, 20, seed=9, chunks=1)
+        misfit = pack_report_batch(olh.spec(), [olh_reports[0], oue_frame])
+        before, stats, states = asyncio.run(
+            run(olh.spec(), (olh_good[0], misfit, olh_good[1]))
+        )
+        assert stats[0]["pid"] == before[0]["pid"]
+        assert stats[0]["errors"] == 1 and stats[0]["batches"] == 2
+        assert "olh expects local-hash reports" in stats[0]["last_error"]
+        assert states[0] == ingest_batches_single_process(olh.spec(), olh_good).to_bytes()
 
 
 @pytest.fixture(scope="class")
@@ -310,6 +338,17 @@ class TestGatewayEndToEnd:
         mismatched = pack_report_batch(other.spec(), reports)
         with pytest.raises(RuntimeError, match="different protocol"):
             request_json(url + "/ingest", method="POST", body=mismatched)
+        # a header n_users that is not a non-negative integer is refused
+        # before it is acknowledged or counted
+        protocol, reports = encode_reports(TREE_SPEC, 10, seed=10, chunks=1)
+        blob = pack_report_batch(protocol.spec(), reports)
+        accepted = request_json(url + "/stats")["accepted"]["reports"]
+        for n_users in ("x", -30):
+            with pytest.raises(RuntimeError, match="400.*n_users"):
+                request_json(
+                    url + "/ingest", method="POST", body=reframe_batch(blob, n_users=n_users)
+                )
+        assert request_json(url + "/stats")["accepted"]["reports"] == accepted
 
     def test_truncated_body_gets_a_400_not_a_hang(self, live_service):
         import http.client
@@ -652,6 +691,39 @@ class TestFaultTolerance:
             closed = request_json(url + "/close", method="POST")
             assert closed["epoch"] == 1 and closed["reports"] == 100
             assert_matches_reference(url, reference)
+
+    @pytest.mark.chaos
+    def test_misfit_payload_does_not_crash_loop_wal_replay(self, tmp_path):
+        # A batch whose frame decodes but carries another oracle's payload
+        # is acknowledged and logged (only its header is checked before
+        # the ack).  Its shard must refuse it, not die on it -- neither
+        # live nor on every WAL replay after a gateway crash.
+        blobs, reference = make_blobs(OLH_SPEC, 120, seed=24, chunks=4)
+        _, (oue_frame,) = encode_reports(SPEC, 30, seed=25, chunks=1)
+        misfit = pack_report_batch(OLH_SPEC, [oue_frame])
+        wal_dir = str(tmp_path / "wal")
+        store_dir = str(tmp_path / "store")
+        with ServiceProcess(
+            OLH_SPEC, store_dir=store_dir, wal_dir=wal_dir, num_workers=2
+        ) as victim:
+            post_batches(victim.url, blobs[:2], "misfit")
+            post_batches(victim.url, [misfit], "misfit-bad")
+            post_batches(victim.url, blobs[2:], "misfit", start=2)
+            victim.kill()
+
+        restored = AggregationService.from_store(
+            store_dir, num_workers=2, wal_dir=wal_dir
+        )
+        with ServiceThread(restored) as handle:
+            url = handle.url
+            health = request_json(url + "/healthz")
+            assert health["status"] == "ok" and health["workers"]["restarts"] == 0
+            closed = request_json(url + "/close", method="POST")
+            assert closed["reports"] == 120
+            assert_matches_reference(url, reference)
+            stats = request_json(url + "/stats")
+            assert stats["restart_count"] == 0
+            assert sum(worker["errors"] for worker in stats["workers"]) == 1
 
     def test_chaos_stream_duplicates_reorders_dedup_exactly(self, tmp_path):
         blobs, reference = make_blobs(SPEC, 180, seed=23, chunks=6)

@@ -13,6 +13,7 @@ Covers the core guarantees of the redesign:
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -245,6 +246,65 @@ class TestIngestIsAtomic:
         with pytest.raises(ProtocolUsageError, match="too few for level 2"):
             server.ingest(short)
         assert server.to_bytes() == before
+
+    # Payloads that decode but do not fit the level's oracle: (server
+    # oracle, misfit report from a valid one of that oracle, match).
+    PAYLOAD_MISFITS = {
+        "oue-after-olh": (
+            "olh", lambda valid: _flat_report("oue"), "olh expects local-hash reports"
+        ),
+        "hrr-after-olh": (
+            "olh", lambda valid: _flat_report("hrr"), "olh expects local-hash reports"
+        ),
+        "olh-after-oue": (
+            "oue", lambda valid: _flat_report("olh"), "oue expects an array"
+        ),
+        "wrong-g": (
+            "olh",
+            lambda valid: _refit(
+                valid, replace(valid.level_payloads[0], num_buckets=2)
+            ),
+            "g=2",
+        ),
+        "wrong-width": (
+            "oue", lambda valid: _refit(valid, valid.level_payloads[0][:, 1:]), r"\(64, 63\)"
+        ),
+        "wrong-length": (
+            "oue", lambda valid: _refit(valid, valid.level_payloads[0][1:]), r"\(63, 64\)"
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(PAYLOAD_MISFITS))
+    def test_payload_misfit_after_a_valid_report_refuses_the_batch(self, case):
+        oracle, make_misfit, match = self.PAYLOAD_MISFITS[case]
+        protocol = FlatRangeQuery(64, 1.1, oracle=oracle)
+        server, before = self._primed(protocol)
+        valid = protocol.client().encode_batch(np.arange(64), rng=2)
+        with pytest.raises(ProtocolUsageError, match=match):
+            server.ingest([valid, make_misfit(valid)])
+        assert server.to_bytes() == before
+
+    def test_misfit_last_level_refuses_the_report_before_its_first_levels(self):
+        protocol = HierarchicalHistogram(64, 1.1, branching=4, oracle="olh")
+        server, before = self._primed(protocol)
+        report = protocol.client().encode_batch(np.arange(64), rng=2)
+        last = max(report.level_payloads)
+        rows = len(report.level_payloads[last].buckets)
+        payloads = {**report.level_payloads, last: np.zeros((rows, 64), np.int64)}
+        mixed = LevelReport(report.family, payloads, report.level_user_counts, report.n_users)
+        with pytest.raises(ProtocolUsageError, match=f"level {last}"):
+            server.ingest(mixed)
+        assert server.to_bytes() == before
+
+
+def _flat_report(oracle: str) -> LevelReport:
+    """A valid 64-user flat report under ``oracle`` (domain 64)."""
+    return FlatRangeQuery(64, 1.1, oracle=oracle).client().encode_batch(np.arange(64), rng=3)
+
+
+def _refit(report: LevelReport, payload) -> LevelReport:
+    """``report`` with its one flat level's payload replaced."""
+    return LevelReport(report.family, {0: payload}, report.level_user_counts, report.n_users)
 
 
 class TestSerialization:
