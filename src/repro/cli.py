@@ -54,6 +54,10 @@ grid encodes two CSV columns (``--column`` / ``--column-y``, sized by
 ``--domain-size`` / ``--domain-size-y``) and answers axis-aligned
 ``--rectangles`` at merge time instead of scalar ranges.
 
+Query flags go through :mod:`repro.queries.frontend`, the grammar and
+batch answerer the service's ``GET /query`` uses too; a malformed or
+unanswerable query exits with its message.
+
 Example::
 
     repro-cli generate --distribution cauchy --domain-size 1024 \
@@ -109,68 +113,13 @@ from repro.core.session import (
 )
 from repro.engine import Engine, parse_window, resolve_window
 from repro.data.synthetic import DISTRIBUTIONS, make_population
+from repro.queries.frontend import (
+    answer_queries,
+    parse_quantiles,  # noqa: F401 - perfbench/tracing.py patches repro.cli.parse_quantiles
+    parse_ranges,
+)
 from repro.queries.workload import true_answers
 from repro.core.types import RangeSpec
-
-
-# --------------------------------------------------------------------- #
-# small parsing helpers (exposed for tests)
-# --------------------------------------------------------------------- #
-def parse_ranges(text: str) -> List[Tuple[int, int]]:
-    """Parse ``"0:127,300:511"`` into a list of (left, right) tuples."""
-    ranges: List[Tuple[int, int]] = []
-    if not text:
-        return ranges
-    for piece in text.split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
-        try:
-            left_text, right_text = piece.split(":")
-            left, right = int(left_text), int(right_text)
-        except ValueError as exc:
-            raise ValueError(f"malformed range {piece!r}; expected left:right") from exc
-        if left > right:
-            raise ValueError(f"range {piece!r} has left > right")
-        ranges.append((left, right))
-    return ranges
-
-
-def parse_rectangles(text: str) -> List[Tuple[int, int, int, int]]:
-    """Parse ``"0:7:0:7,2:5:9:13"`` into (xl, xr, yl, yr) tuples."""
-    rectangles: List[Tuple[int, int, int, int]] = []
-    if not text:
-        return rectangles
-    for piece in text.split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
-        try:
-            xl, xr, yl, yr = (int(part) for part in piece.split(":"))
-        except ValueError as exc:
-            raise ValueError(
-                f"malformed rectangle {piece!r}; expected xleft:xright:yleft:yright"
-            ) from exc
-        if xl > xr or yl > yr:
-            raise ValueError(f"rectangle {piece!r} has left > right")
-        rectangles.append((xl, xr, yl, yr))
-    return rectangles
-
-
-def parse_quantiles(text: str) -> List[float]:
-    """Parse ``"0.5,0.9,0.99"`` into a list of floats in [0, 1]."""
-    quantiles: List[float] = []
-    if not text:
-        return quantiles
-    for piece in text.split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
-        value = float(piece)
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"quantile {value} outside [0, 1]")
-        quantiles.append(value)
-    return quantiles
 
 
 def read_item_columns(
@@ -310,52 +259,16 @@ def command_run(args: argparse.Namespace) -> int:
     _check_domain_bounds(items, args.domain_size)
     protocol = _build_protocol(args)
     estimator = protocol.run(items, rng=ensure_rng(args.seed))
-
-    output = {
-        "method": protocol.name,
-        "epsilon": args.epsilon,
-        "domain_size": args.domain_size,
-        "n_users": int(len(items)),
-    }
-    output.update(_answer_queries(estimator, args))
-
-    _write_query_output(output, args)
+    _write_query_output(_query_output(protocol, estimator, len(items), args), args)
     return 0
 
 
 def _answer_queries(estimator, args: argparse.Namespace) -> dict:
-    """Evaluate the --ranges / --quantiles / --dump-frequencies requests.
-
-    Grid estimators answer axis-aligned rectangles (--rectangles) instead
-    of scalar ranges and quantiles.
-    """
-    if hasattr(estimator, "rectangle_query"):
-        if (
-            getattr(args, "ranges", "")
-            or getattr(args, "quantiles", "")
-            or getattr(args, "dump_frequencies", False)
-        ):
-            raise SystemExit(
-                "a 2-D grid protocol answers --rectangles "
-                "(xleft:xright:yleft:yright), not "
-                "--ranges/--quantiles/--dump-frequencies"
-            )
-        answers = {"rectangles": {}}
-        for xl, xr, yl, yr in parse_rectangles(getattr(args, "rectangles", "")):
-            answers["rectangles"][f"{xl}:{xr}:{yl}:{yr}"] = estimator.rectangle_query(
-                (xl, xr), (yl, yr)
-            )
-        return answers
-    if getattr(args, "rectangles", ""):
-        raise SystemExit("--rectangles requires a 2-D grid protocol (method grid2d)")
-    answers = {"ranges": {}, "quantiles": {}}
-    for left, right in parse_ranges(args.ranges):
-        answers["ranges"][f"{left}:{right}"] = estimator.range_query((left, right))
-    for phi in parse_quantiles(args.quantiles):
-        answers["quantiles"][f"{phi:g}"] = int(estimator.quantile_query(phi))
-    if getattr(args, "dump_frequencies", False):
-        answers["frequencies"] = [float(v) for v in estimator.estimated_frequencies()]
-    return answers
+    """Answer the query flags; a malformed or unanswerable request exits."""
+    try:
+        return answer_queries(estimator, vars(args))
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from exc
 
 
 def _write_query_output(output: dict, args: argparse.Namespace) -> None:
@@ -554,23 +467,19 @@ def _export_classic_state(path: str, state) -> None:
         handle.write(state.to_bytes())
 
 
-def _window_output(
-    engine: Engine, estimator, n_users: int, args: argparse.Namespace
-) -> dict:
-    """The common JSON skeleton of the windowed query commands."""
-    protocol = engine.protocol
+def _query_output(protocol, estimator, n_users: int, args: argparse.Namespace) -> dict:
+    """The common JSON document of the query commands, answers included."""
     if hasattr(protocol, "domain_size"):
         domain_size = protocol.domain_size
     else:  # 2-D grid: one size per axis
         domain_size = [protocol.domain_size_x, protocol.domain_size_y]
-    output = {
+    return {
         "method": protocol.name,
         "epsilon": protocol.epsilon,
         "domain_size": domain_size,
         "n_users": int(n_users),
+        **_answer_queries(estimator, args),
     }
-    output.update(_answer_queries(estimator, args))
-    return output
 
 
 def command_merge(args: argparse.Namespace) -> int:
@@ -590,7 +499,7 @@ def command_merge(args: argparse.Namespace) -> int:
         _, estimator, n_users = engine.query()
     except ProtocolUsageError as exc:
         raise SystemExit(str(exc))
-    output = _window_output(engine, estimator, n_users, args)
+    output = _query_output(engine.protocol, estimator, n_users, args)
     output["n_shards"] = len(args.states)
     _write_query_output(output, args)
     return 0
@@ -762,7 +671,7 @@ def command_engine_query(args: argparse.Namespace) -> int:
         selected, estimator, n_users = engine.query(window)
     except (ProtocolUsageError, SerializationError) as exc:
         raise SystemExit(str(exc))
-    output = _window_output(engine, estimator, n_users, args)
+    output = _query_output(engine.protocol, estimator, n_users, args)
     output["window"] = getattr(args, "window", "all")
     output["epochs"] = selected
     if postprocess is not None:
@@ -824,7 +733,7 @@ def command_serve(args: argparse.Namespace) -> int:
     import signal
 
     # Deferred import: the service layer is optional machinery the rest
-    # of the CLI never pays for (and it imports cli's query grammar).
+    # of the CLI never pays for.
     from repro.service import AggregationService
 
     options = {
@@ -965,7 +874,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--method", choices=RANGE_PROTOCOL_CHOICES, default="hh")
     run.add_argument("--no-consistency", action="store_true")
     run.add_argument("--quantiles", default="", help="comma separated values in [0, 1]")
-    run.add_argument("--dump-frequencies", action="store_true")
+    run.add_argument("--dump-frequencies", dest="frequencies", action="store_true")
     run.add_argument("--output", default=None, help="write JSON here instead of stdout")
     run.set_defaults(func=command_run)
 
@@ -1033,7 +942,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="",
         help="comma separated xleft:xright:yleft:yright rectangles (grid2d only)",
     )
-    merge.add_argument("--dump-frequencies", action="store_true")
+    merge.add_argument("--dump-frequencies", dest="frequencies", action="store_true")
     merge.add_argument("--output", default=None, help="write JSON here instead of stdout")
     merge.add_argument(
         "--output-state", default=None, help="also write the merged state here"
@@ -1121,7 +1030,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="",
         help="comma separated xleft:xright:yleft:yright rectangles (grid2d only)",
     )
-    query.add_argument("--dump-frequencies", action="store_true")
+    query.add_argument("--dump-frequencies", dest="frequencies", action="store_true")
     add_postprocess_argument(query)
     query.add_argument("--output", default=None, help="write JSON here instead of stdout")
     query.set_defaults(func=command_engine_query)

@@ -1,4 +1,4 @@
-"""Query workloads and derived queries (prefix, CDF, quantiles)."""
+"""Query workloads, derived queries (prefix, CDF, quantiles) and the query front-end."""
 
 from repro.queries.prefix import (
     estimated_cdf,

@@ -8,7 +8,7 @@ merge is exact, the sharded service answers queries bit-identically to
 a single process ingesting the same reports -- scale-out without an
 accuracy tax.
 
-Quickstart (see also ``repro-cli serve`` / ``repro-cli loadgen``)::
+Quickstart (see also the CLI's ``serve`` / ``loadgen`` subcommands)::
 
     from repro.service import AggregationService, ServiceThread
 

@@ -30,6 +30,10 @@ Endpoints (all JSON except the ingest body):
                          and optional ``postprocess=`` re-finalization
 =======================  =====================================================
 
+``/query`` shares one grammar and batch answerer with the CLI,
+:func:`repro.queries.frontend.answer_queries`, run in the executor call
+that merges the window: the event loop only parses and encodes JSON.
+
 Correctness invariant: sharded service ingestion is *bit-identical* to
 single-process ingestion of the same report stream.  Workers accumulate
 integer sufficient statistics and epoch close merges them exactly
@@ -84,6 +88,7 @@ from repro.core.exceptions import InvalidWindowError, ProtocolUsageError
 from repro.core.serialization import SerializationError, report_batch_header
 from repro.core.session import AccumulatorState, spec_sans_postprocess
 from repro.engine import Engine, parse_window
+from repro.queries.frontend import answer_queries
 from repro.service.http import (
     DEFAULT_MAX_BODY,
     MAX_HEADER_BYTES,
@@ -905,28 +910,31 @@ class AggregationService:
         )
 
     async def _handle_query(self, request: HttpRequest) -> bytes:
-        # The windowed merge + finalize runs in the executor, off the
-        # event loop: wide windows gather mmap'd segment vectors through
-        # the blocked column_sums kernel (nogil under the numba backend),
-        # so query pushdown overlaps ingest instead of stalling it.
+        # The windowed merge, finalize and answers run in the executor,
+        # off the event loop: wide windows gather mmap'd segment vectors
+        # through the blocked column_sums kernel (nogil under the numba
+        # backend), so query pushdown overlaps ingest instead of stalling it.
         params = request.params
         engine = self._engine
         postprocess = params.get("postprocess")
-        if postprocess:
-            try:
-                engine = engine.with_postprocess(postprocess)
-            except (ValueError, ProtocolUsageError) as exc:
-                raise HttpError(400, str(exc)) from exc
         try:
+            if postprocess:
+                engine = engine.with_postprocess(postprocess)
             window = parse_window(params.get("window", "all"))
         except (ValueError, ProtocolUsageError) as exc:
             raise HttpError(400, str(exc)) from exc
 
+        def query_and_answer() -> dict:
+            selected, estimator, n_users = engine.query(window)
+            try:
+                answers = answer_queries(estimator, params)
+            except ValueError as exc:
+                raise HttpError(400, str(exc)) from exc
+            return {"epochs": selected, "n_users": int(n_users), **answers}
+
         loop = asyncio.get_running_loop()
         try:
-            selected, estimator, n_users = await loop.run_in_executor(
-                None, engine.query, window
-            )
+            answered = await loop.run_in_executor(None, query_and_answer)
         except InvalidWindowError as exc:
             raise HttpError(409, str(exc)) from exc
         except ProtocolUsageError as exc:
@@ -935,59 +943,11 @@ class AggregationService:
             "method": self._spec.get("name"),
             "epsilon": self._spec.get("epsilon"),
             "window": params.get("window", "all"),
-            "epochs": selected,
-            "n_users": int(n_users),
+            **answered,
         }
         if postprocess:
             payload["postprocess"] = postprocess
-        payload.update(self._answer_queries(estimator, params))
         return json_response(200, payload, keep_alive=request.keep_alive)
-
-    @staticmethod
-    def _answer_queries(estimator, params: dict) -> dict:
-        # Deferred import: repro.cli defines the one query-string grammar
-        # (shared with every CLI surface) and lazily imports this package
-        # for its `serve` command, so the import must not be module-level.
-        from repro.cli import parse_quantiles, parse_ranges, parse_rectangles
-
-        try:
-            if hasattr(estimator, "rectangle_query"):
-                if params.get("ranges") or params.get("quantiles"):
-                    raise HttpError(
-                        400,
-                        "a 2-D grid protocol answers rectangles "
-                        "(xleft:xright:yleft:yright), not ranges/quantiles",
-                    )
-                rectangles = parse_rectangles(params.get("rectangles", ""))
-                return {
-                    "rectangles": {
-                        f"{xl}:{xr}:{yl}:{yr}": estimator.rectangle_query(
-                            (xl, xr), (yl, yr)
-                        )
-                        for xl, xr, yl, yr in rectangles
-                    }
-                }
-            if params.get("rectangles"):
-                raise HttpError(
-                    400, "rectangles require a 2-D grid protocol"
-                )
-            answers = {
-                "ranges": {
-                    f"{left}:{right}": estimator.range_query((left, right))
-                    for left, right in parse_ranges(params.get("ranges", ""))
-                },
-                "quantiles": {
-                    f"{phi:g}": int(estimator.quantile_query(phi))
-                    for phi in parse_quantiles(params.get("quantiles", ""))
-                },
-            }
-            if params.get("frequencies"):
-                answers["frequencies"] = [
-                    float(value) for value in estimator.estimated_frequencies()
-                ]
-            return answers
-        except ValueError as exc:
-            raise HttpError(400, str(exc)) from exc
 
 
 class ServiceThread:

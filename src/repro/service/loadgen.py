@@ -6,7 +6,7 @@ the "device"), pack the reports into framed batches, and post them from
 ``concurrency`` threads over keep-alive connections while sampling
 per-request latency.  The result quantifies the service's two headline
 numbers -- sustained reports/second and p99 ingest latency -- and is what
-``repro-cli loadgen`` and :mod:`benchmarks.bench_service` build on.
+the CLI's ``loadgen`` and :mod:`benchmarks.bench_service` build on.
 
 The generator is honest about what it measures: latency is wall-clock
 around each ``POST /ingest`` round trip (client-observed, connection

@@ -12,8 +12,8 @@ semantics for every protocol:
   and the exact prefix-sum path;
 * quantile batches equal the per-phi searches exactly;
 * every end-to-end protocol (flat / HH with both level strategies /
-  HaarHRR / 2-D grids) answers random workloads identically per-query and
-  batched, including edge ranges (full domain, single item, boundaries).
+  HaarHRR / 2-D grids) answers random workloads bit-identically per-query
+  and batched, including edge ranges (full domain, single item, boundaries).
 """
 
 from __future__ import annotations
@@ -213,6 +213,8 @@ def _protocol_estimators(small_cauchy):
     domain_size = len(counts)
     protocols = [
         FlatRangeQuery(domain_size, 1.1, oracle="oue"),
+        FlatRangeQuery(domain_size, 1.1, oracle="olh"),
+        FlatRangeQuery(domain_size, 1.1, oracle="hrr"),
         HierarchicalHistogram(domain_size, 1.1, branching=4, oracle="oue", consistency=False),
         HierarchicalHistogram(domain_size, 1.1, branching=4, oracle="oue", consistency=True),
         HierarchicalHistogram(
@@ -237,9 +239,10 @@ class TestProtocolBatchEquivalence:
             per_query = np.array(
                 [estimator.range_query(query) for query in workload]
             )
-            np.testing.assert_allclose(
-                batch, per_query, atol=TOLERANCE,
-                err_msg=f"batch != per-query for {protocol.name}",
+            # Exact: the query front-end answers through the batch kernel
+            # and promises the per-query answers bit for bit.
+            np.testing.assert_array_equal(
+                batch, per_query, err_msg=f"batch != per-query for {protocol.name}"
             )
             # Every accepted workload form dispatches to the same kernel.
             np.testing.assert_array_equal(batch, estimator.range_queries(workload))
@@ -347,6 +350,7 @@ class TestGrid2DBatch:
             assert estimator.rectangle_query(x_range, y_range) == pytest.approx(
                 seed_answer, abs=TOLERANCE
             )
+            assert batch[query_index] == estimator.rectangle_query(x_range, y_range)
 
     def test_rectangle_batch_validation(self):
         rng = np.random.default_rng(2)

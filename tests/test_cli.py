@@ -5,13 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from repro.cli import (
-    main,
-    parse_quantiles,
-    parse_ranges,
-    read_items,
-    write_items,
-)
+from repro.cli import main, read_items, write_items
+from repro.queries.frontend import parse_quantiles, parse_ranges, parse_rectangles
 
 
 class TestParsers:
@@ -31,6 +26,19 @@ class TestParsers:
         assert parse_quantiles("") == []
         with pytest.raises(ValueError):
             parse_quantiles("1.5")
+
+    def test_parse_rectangles(self):
+        assert parse_rectangles("0:7:0:7, 2:5:9:13") == [(0, 7, 0, 7), (2, 5, 9, 13)]
+        assert parse_rectangles("") == []
+        assert parse_rectangles(" 3:3:4:4 ,") == [(3, 3, 4, 4)]
+
+    def test_parse_rectangles_errors(self):
+        for text in ("0:7:0", "0:7:0:7:1", "a:b:c:d"):
+            with pytest.raises(ValueError, match="malformed rectangle"):
+                parse_rectangles(text)
+        for text in ("7:0:0:7", "0:7:7:0"):
+            with pytest.raises(ValueError, match="left > right"):
+                parse_rectangles(text)
 
 
 class TestCsvIo:
@@ -209,6 +217,48 @@ class TestCommands:
         )
         payload = json.loads(capsys.readouterr().out)
         assert len(payload["frequencies"]) == 32
+
+
+class TestQueryFlagErrors:
+    """A bad query flag exits with the query front-end's message."""
+
+    BAD_RANGE_FLAGS = [
+        (["--ranges", "10:5"], "left > right"),
+        (["--ranges", "0:64"], "exceeds domain of size 64"),
+        (["--ranges", "0:99999999999999999999"], "int64"),
+        (["--quantiles", "2"], r"outside \[0, 1\]"),
+    ]
+    BAD_FLAGS = BAD_RANGE_FLAGS + [(["--rectangles", "0:1:0:1"], "2-D grid")]
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("query_flags")
+        write_items(str(tmp / "users.csv"), np.random.default_rng(6).integers(0, 64, 500))
+        assert main([
+            "encode", "--input", str(tmp / "users.csv"), "--domain-size", "64",
+            "--method", "hh", "--seed", "1", "--output", str(tmp / "r.bin"),
+        ]) == 0
+        assert main(["aggregate", "--reports", str(tmp / "r.bin"),
+                     "--output", str(tmp / "s.state")]) == 0
+        assert main(["engine", "checkpoint", "--checkpoint", str(tmp / "svc.ckpt"),
+                     "--reports", str(tmp / "r.bin")]) == 0
+        return tmp
+
+    @pytest.mark.parametrize("flags, message", BAD_RANGE_FLAGS)
+    def test_run(self, files, flags, message):
+        with pytest.raises(SystemExit, match=message):
+            main(["run", "--input", str(files / "users.csv"), "--domain-size", "64",
+                  "--seed", "2", *flags])
+
+    @pytest.mark.parametrize("flags, message", BAD_FLAGS)
+    def test_merge(self, files, flags, message):
+        with pytest.raises(SystemExit, match=message):
+            main(["merge", "--states", str(files / "s.state"), *flags])
+
+    @pytest.mark.parametrize("flags, message", BAD_FLAGS)
+    def test_engine_query(self, files, flags, message):
+        with pytest.raises(SystemExit, match=message):
+            main(["engine", "query", "--checkpoint", str(files / "svc.ckpt"), *flags])
 
 
 class TestStdinStdoutPipes:

@@ -35,6 +35,7 @@ from repro.core.serialization import (
     unpack_report_batch,
 )
 from repro.core.session import LevelReport, Report, load_server
+from repro.engine import Engine
 from repro.service import (
     AggregationService,
     IngestWAL,
@@ -331,6 +332,10 @@ class TestGatewayEndToEnd:
             request_json(url + "/query?window=nonsense")
         with pytest.raises(RuntimeError, match="409"):
             request_json(url + "/query?window=17")  # unknown epoch
+        # an endpoint past int64 is a 400, not a 500 (answered over the
+        # epoch the first test of this class closed)
+        with pytest.raises(RuntimeError, match="400"):
+            request_json(url + "/query?ranges=0:99999999999999999999")
         with pytest.raises(RuntimeError, match="409"):
             request_json(url + "/checkpoint", method="POST")  # no store
         # a batch for a different configuration is refused up front
@@ -366,6 +371,31 @@ class TestGatewayEndToEnd:
             assert b"truncated body" in response.read()
         finally:
             connection.close()
+
+
+class TestGridQueries:
+    def test_rectangles_are_answered_and_misfit_requests_refused(self):
+        engine = Engine.open(make_protocol("grid2d", 16, 1.5, domain_size_y=8, branching=2))
+        rng = np.random.default_rng(5)
+        engine.session().absorb(
+            np.stack([rng.integers(0, 16, 400), rng.integers(0, 8, 400)], axis=1), rng
+        )
+        estimator = engine.estimator()
+        with ServiceThread(AggregationService(engine, num_workers=1)) as handle:
+            answer = request_json(handle.url + "/query?rectangles=0:15:0:7,2:5:3:6")
+            for bad in (
+                "rectangles=0:99999999999999999999:0:1",  # outside int64
+                "rectangles=0:3:0:3&frequencies=1",  # a grid has no 1-D vector
+                "rectangles=0:16:0:1",  # outside the domain
+                "ranges=0:3",
+            ):
+                with pytest.raises(RuntimeError, match="400"):
+                    request_json(handle.url + "/query?" + bad)
+        assert answer["n_users"] == 400
+        assert answer["rectangles"] == {
+            "0:15:0:7": estimator.rectangle_query((0, 15), (0, 7)),
+            "2:5:3:6": estimator.rectangle_query((2, 5), (3, 6)),
+        }
 
 
 class TestStoreRecovery:
