@@ -15,7 +15,8 @@ deployment-facing numbers the engine benchmark cannot see:
   recovery budget;
 * **WAL overhead** -- the same ingest workload with the durable ingest
   log on, reported as a ratio against the WAL-off rate (the price of
-  exactly-once acknowledgements);
+  exactly-once acknowledgements); both runs seal each closed epoch into
+  an epoch store, since a WAL needs one;
 * **WAL replay** -- wall clock to replay a crash-orphaned open epoch
   from the log into fresh workers on restart (the unclosed-epoch
   crash-window recovery budget);
@@ -158,7 +159,10 @@ def run(preset: str, output: Path) -> dict:
     # is warm-epoch against warm-epoch.
     wal_root = Path(tempfile.mkdtemp(prefix="bench-service-wal-"))
     wal_service = AggregationService(
-        spec, num_workers=config["workers"], wal_dir=str(wal_root / "ingest")
+        spec,
+        num_workers=config["workers"],
+        store_dir=str(wal_root / "ingest-store"),
+        wal_dir=str(wal_root / "ingest"),
     )
     with ServiceThread(wal_service) as handle:
         request_json(handle.url + "/stats")
@@ -199,8 +203,10 @@ def run(preset: str, output: Path) -> dict:
         seed=99,
     )
     crash_dir = str(wal_root / "crash")
+    crash_store = str(wal_root / "crash-store")
     victim = AggregationService(
-        spec, num_workers=config["workers"], wal_dir=crash_dir
+        spec, num_workers=config["workers"], store_dir=crash_store,
+        wal_dir=crash_dir,
     )
     handle = ServiceThread(victim).start()
     try:
@@ -213,8 +219,8 @@ def run(preset: str, output: Path) -> dict:
         )
     finally:
         handle.stop(flush=False)  # crash: the epoch lives only in the WAL
-    survivor = AggregationService(
-        spec, num_workers=config["workers"], wal_dir=crash_dir
+    survivor = AggregationService.from_store(
+        crash_store, num_workers=config["workers"], wal_dir=crash_dir
     )
     with ServiceThread(survivor) as handle:
         stats = request_json(handle.url + "/stats")

@@ -725,9 +725,11 @@ def command_serve(args: argparse.Namespace) -> int:
     resumes from it (ignoring the protocol flags -- the store's manifest
     *is* the configuration); otherwise a fresh engine is built from
     ``--method``/``--domain-size``/``--epsilon``, and the store, if
-    requested, is created on the first epoch close.  SIGINT/SIGTERM
-    trigger a graceful shutdown: the in-progress epoch is closed and
-    sealed, and the workers quit cleanly.
+    requested, is created on the first epoch close.  ``--wal-dir`` needs
+    ``--store-dir``, and a WAL segment recovery cannot read refuses the
+    start: both exit 1 with a message.  SIGINT/SIGTERM trigger a graceful
+    shutdown: the in-progress epoch is closed and sealed, and the workers
+    quit cleanly.
     """
     import asyncio
     import signal
@@ -760,7 +762,7 @@ def command_serve(args: argparse.Namespace) -> int:
                 _build_protocol(args), store_dir=store_dir, **options
             )
             origin = "fresh engine"
-    except SerializationError as exc:
+    except ValueError as exc:  # includes SerializationError
         raise SystemExit(str(exc))
 
     async def run() -> None:
@@ -782,7 +784,10 @@ def command_serve(args: argparse.Namespace) -> int:
         await service.stop(flush=True)
         print(f"stopped; engine holds epochs {list(service.engine.epochs)}", flush=True)
 
-    asyncio.run(run())
+    try:
+        asyncio.run(run())
+    except SerializationError as exc:  # a WAL segment recovery cannot read
+        raise SystemExit(str(exc))
     return 0
 
 
@@ -1058,8 +1063,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--wal-dir",
         default=None,
         help=(
-            "durable ingest log directory: every accepted batch is logged "
-            "before its ack, so crashes and restarts are exactly-once"
+            "durable ingest log directory (needs --store-dir): every accepted "
+            "batch is logged before its ack, so crashes and restarts are "
+            "exactly-once"
         ),
     )
     serve.add_argument(

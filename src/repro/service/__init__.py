@@ -21,14 +21,15 @@ Quickstart (see also the CLI's ``serve`` / ``loadgen`` subcommands)::
     with ServiceThread(service) as handle:
         ...  # POST framed batches to handle.url + "/ingest"
 
-Fault tolerance: with ``wal_dir`` set, every accepted batch is logged
-durably *before* the ``/ingest`` acknowledgement, dead shard workers
-are respawned and replayed automatically, and a killed gateway replays
-the epochs its store does not hold on restart.  Clients that retry
-should send an ``Idempotency-Key`` header (any stable string per logical
-batch) so a retried delivery of an already-accepted batch is
-deduplicated rather than double-counted -- :func:`request_json` and the
-load generator do this for you.
+Fault tolerance: with ``wal_dir`` set (it needs ``store_dir``: the WAL
+holds only the open epoch, and each closed epoch is sealed into the
+store), every accepted batch is logged durably *before* the ``/ingest``
+acknowledgement, dead shard workers are respawned and replayed
+automatically, and a killed gateway replays its open epoch on restart.
+Clients that retry should send an ``Idempotency-Key`` header (any
+stable string per logical batch) so a retried delivery of an
+already-accepted batch is deduplicated rather than double-counted --
+:func:`request_json` and the load generator do this for you.
 """
 
 from repro.service.faults import ServiceProcess, chaos_stream, kill_worker

@@ -57,7 +57,8 @@ def truncate_wal_tail(path: str, nbytes: int) -> int:
 
     Returns the new file size.  A torn record was by definition never
     acknowledged (the gateway acks only after a flushed append), so
-    recovery must drop it silently and keep every record before it.
+    recovery must drop it silently, keep every record before it, and cut
+    the segment at the tear so appends after the restart stay readable.
     """
     size = os.path.getsize(path)
     keep = max(0, size - int(nbytes))
@@ -143,7 +144,7 @@ class ServiceProcess:
 
     Use as a context manager; ``kill()`` leaves the context cleanly::
 
-        with ServiceProcess(spec, wal_dir=...) as svc:
+        with ServiceProcess(spec, store_dir=..., wal_dir=...) as svc:
             request_json(svc.url + "/ingest", method="POST", body=blob)
             svc.kill()  # SIGKILL mid-epoch
     """

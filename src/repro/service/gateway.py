@@ -49,23 +49,25 @@ many epochs it has served.  Windowed ``/query`` answers over sealed
 epochs run via the store's pushdown path and remain bit-identical to the
 all-in-RAM engine.  Restarting with the same ``store_dir`` resumes from
 the manifest, mapping segments lazily.  Without a store the engine lives
-in RAM only, and a WAL is the only durable copy of its closed epochs.
+in RAM only and nothing survives the process.
 
 Fault tolerance (``wal_dir`` + supervision):
 
-* every accepted ingest batch is appended to a per-epoch write-ahead
-  log (:mod:`repro.service.wal`) *before* the 200 goes out, keyed by a
-  client-supplied ``Idempotency-Key`` header (duplicates are dropped,
-  so at-least-once clients get exactly-once ingestion);
+* every accepted ingest batch is appended to the open epoch's segment
+  of a write-ahead log (:mod:`repro.service.wal`) *before* the 200 goes
+  out, keyed by a client-supplied ``Idempotency-Key`` header (duplicates
+  are dropped, so at-least-once clients get exactly-once ingestion);
+  the WAL holds only the open epoch -- ``/close`` seals the epoch into
+  the store, then discards its segment -- so a WAL needs a store;
 * a supervisor task respawns crashed shard workers under bounded
   exponential backoff and re-ingests their WAL'd batches into the
   replacement -- a worker crash costs availability of one shard for a
   moment, never a single report;
-* on restart, closed epochs the store does not hold are rebuilt from
-  their WAL segments (and sealed, when store-backed) and the open
-  epoch's batches are replayed into fresh workers, so a SIGKILL between
-  ``/ingest`` ack and ``/close`` loses nothing: recovered query answers
-  are bit-identical to a no-fault run;
+* on restart, the open epoch's batches are replayed into fresh workers
+  (its torn tail, never acknowledged, cut off first), so a SIGKILL
+  between ``/ingest`` ack and ``/close`` loses nothing: recovered query
+  answers are bit-identical to a no-fault run.  A segment recovery
+  cannot read refuses the start rather than being skipped;
 * bounded per-worker in-flight queues surface ``429 Retry-After`` when
   the pool is saturated, and slow/stuck clients are disconnected by a
   request read timeout.
@@ -80,6 +82,7 @@ from __future__ import annotations
 import asyncio
 import itertools
 import json
+import os
 import threading
 import time
 from typing import Dict, List, Optional, Union
@@ -115,7 +118,9 @@ class AggregationService:
     from an epoch store), a protocol object, or a spec dict.  The service
     owns the engine's epoch lifecycle: reports accumulate in the worker
     shards of the *current* epoch, ``POST /close`` folds them into the
-    engine, and queries see every closed epoch.
+    engine, and queries see every closed epoch.  ``wal_dir`` needs an
+    epoch store (``store_dir``, or an engine already backed by one) and
+    raises ``ValueError`` without it.
     """
 
     def __init__(
@@ -140,6 +145,12 @@ class AggregationService:
             engine = Engine.open(engine)
         if store_dir is not None and engine.store is None:
             engine.attach_store(store_dir)
+        if wal_dir and engine.store is None:
+            raise ValueError(
+                "wal_dir needs store_dir (serve: --wal-dir needs --store-dir): "
+                "the WAL holds only the open epoch, and every closed epoch "
+                "is sealed into the epoch store"
+            )
         self._engine = engine
         self._store_backed = engine.store is not None
         self._spec = engine.spec()
@@ -251,11 +262,17 @@ class AggregationService:
         return self._pool.restart_count
 
     async def start(self) -> "AggregationService":
-        """Spawn the shard workers, recover the WAL, start accepting."""
+        """Scan the WAL, spawn the shard workers, replay, start accepting.
+
+        The scan comes first, so a WAL segment recovery cannot read
+        (:class:`SerializationError`) refuses the start before any
+        worker spawns.
+        """
+        recovery_started = time.perf_counter()
+        segments = self._wal.scan() if self._wal is not None else None
         self._pool.start()
-        if self._wal is not None:
-            recovery_started = time.perf_counter()
-            await self._recover_from_wal()
+        if segments is not None:
+            await self._recover_from_wal(segments)
             self._wal_recovery_ms = (
                 time.perf_counter() - recovery_started
             ) * 1e3
@@ -323,32 +340,32 @@ class AggregationService:
             blobs.append(blob)
         return ingest_batches_single_process(self._spec, blobs)
 
-    async def _recover_from_wal(self) -> None:
-        """Replay surviving WAL segments after a restart.
+    async def _recover_from_wal(self, segments: List[SegmentScan]) -> None:
+        """Replay the WAL's open segments (oldest first) after a restart.
 
-        A segment whose epoch the engine already holds is covered: it is
-        discarded, never replayed.  That includes an open segment, which
-        a crash between the store seal and the WAL discard of ``/close``
-        leaves behind; replaying it would count its epoch twice.  Any
-        other closed segment holds an epoch the crash orphaned: it is
-        rebuilt by single-process re-ingestion -- bit-identical to the
-        sharded original -- and persisted like a fresh close.  The
-        newest uncovered open segment is the epoch that was in flight
-        when the process died: its batches are replayed into the fresh
-        workers and the segment keeps accepting appends.
+        A restart is normally the store's manifest plus one segment: the
+        newest, if it is newer than every epoch the store holds, was in
+        flight when the process died.  Its torn tail -- a record whose
+        append never finished, so never acknowledged -- is cut off so new
+        appends stay readable, its batches are replayed into the fresh
+        workers, and it keeps accepting appends.
+
+        A segment whose epoch the store already holds is discarded, never
+        replayed: a crash between the store seal and the WAL discard of
+        ``/close`` leaves one, and replaying it would count its epoch
+        twice.  One case needs a rebuild: any other uncovered segment.  A
+        seal that fails at ``/close`` (a full disk, say) leaves one -- the
+        close answers 500, the epoch stays live in RAM, and ingest moves
+        on to the next epoch, which a later close may seal.  It is rebuilt
+        by single-process re-ingestion, bit-identical to the sharded
+        original, and sealed like a fresh close.
         """
-        scan = self._wal.scan()
         loop = asyncio.get_running_loop()
         known = set(self._engine.epochs)
-        open_segments = sorted(scan.open, key=lambda segment: segment.epoch)
         live = None
-        if open_segments and open_segments[-1].epoch not in known:
-            live = open_segments.pop()
-        # Every other open segment is handled like a closed one: a later
-        # epoch superseded it mid-crash, or the engine holds its epoch.
-        for segment in sorted(
-            scan.sealed + open_segments, key=lambda segment: segment.epoch
-        ):
+        if segments and segments[-1].epoch > max(known, default=-1):
+            live = segments.pop()
+        for segment in segments:
             if segment.epoch in known or not segment.records:
                 self._wal.discard(segment.epoch)
                 continue
@@ -365,6 +382,8 @@ class AggregationService:
         if known:
             self._current_epoch = max(known) + 1
         if live is not None:
+            if live.torn_offset is not None:
+                os.truncate(live.path, live.torn_offset)
             self._current_epoch = live.epoch
             seen = set()
             buckets: Dict[int, List[bytes]] = {}
@@ -458,12 +477,13 @@ class AggregationService:
     # epoch lifecycle
     # ------------------------------------------------------------------ #
     async def _persist_closed(self, epoch: int) -> None:
-        """Make a closed epoch durable in the one place that keeps it.
+        """Seal a closed epoch into the store, then drop its WAL segment.
 
-        With a store, sealing writes the segment, builds the aggregate
-        blocks the epoch completes and commits the manifest; after that
-        the epoch's WAL segment is redundant and goes.  Without one, the
-        sealed WAL segment is the epoch's only durable copy and stays.
+        Sealing writes the segment, builds the aggregate blocks the epoch
+        completes and commits the manifest; only then is the WAL copy
+        redundant.  If the seal fails the segment stays, and a restart
+        rebuilds the epoch from it.  Without a store there is no WAL and
+        the epoch lives in RAM only.
         """
         if self._store_backed:
             # The segment and manifest writes fsync: keep them off the loop.
@@ -471,8 +491,6 @@ class AggregationService:
             await loop.run_in_executor(None, self._engine.seal_epoch, epoch)
             if self._wal is not None:
                 self._wal.discard(epoch)
-        elif self._wal is not None:
-            self._wal.seal(epoch)
 
     async def _sweep_store(self) -> None:
         """Rewrite dirty epochs and rebuild missing aggregate segments.

@@ -7,21 +7,20 @@ killed gateway silently drops every batch acknowledged since the last
 epoch close, skewing estimates the estimators then treat as unbiased.
 
 :class:`IngestWAL` closes the hole with a per-epoch, segmented,
-append-only log:
+append-only log that holds only the epoch in flight:
 
 * the gateway appends each accepted batch (with its idempotency key and
   shard assignment) to the *open* segment of the current epoch **before**
   acknowledging the client;
-* ``POST /close`` merges the epoch's shard states into the engine and
-  then either discards the segment, once the epoch store holds the
-  sealed epoch, or -- with no store -- seals it (renamed ``*.closed``)
-  as the epoch's only durable copy, so the log holds exactly the
-  batches whose reports are not durable elsewhere;
+* ``POST /close`` merges the epoch's shard states into the engine, seals
+  the epoch into the epoch store -- the only place a closed epoch lives,
+  which is why a WAL needs a store -- and then discards the segment;
 * on restart, :meth:`IngestWAL.scan` recovers the intact prefix of every
   surviving segment (CRC-protected records, torn tails dropped -- a torn
-  record was never acknowledged) so the gateway can replay sealed
-  epochs into the engine and the open epoch into fresh workers,
-  deduplicating by idempotency key.
+  record was never acknowledged) so the gateway can replay the open
+  epoch into fresh workers, deduplicating by idempotency key.  A
+  segment it cannot decode refuses the start instead of being skipped:
+  skipping it would drop acknowledged reports without a trace.
 
 Durability model: records are flushed to the OS on every append, which
 survives any *process* death (worker crash, gateway SIGKILL).  Pass
@@ -47,10 +46,7 @@ from repro.core.serialization import (
 #: Suffix of a segment still accepting appends (its epoch is in flight).
 OPEN_SUFFIX = ".open"
 
-#: Suffix of a sealed segment (epoch closed, no epoch store holds it).
-CLOSED_SUFFIX = ".closed"
-
-_SEGMENT_RE = re.compile(r"^epoch-(\d+)\.(open|closed)$")
+_SEGMENT_RE = re.compile(r"^epoch-(\d+)\.open$")
 
 
 @dataclass
@@ -59,7 +55,6 @@ class SegmentScan:
 
     epoch: int
     path: str
-    sealed: bool
     records: List[Tuple[dict, bytes]] = field(default_factory=list)
     #: Byte offset of the first torn/corrupt record, ``None`` when clean.
     torn_offset: Optional[int] = None
@@ -67,16 +62,6 @@ class SegmentScan:
     @property
     def n_reports(self) -> int:
         return sum(int(meta.get("n_users", 0)) for meta, _ in self.records)
-
-
-@dataclass
-class WalScan:
-    """Everything :meth:`IngestWAL.scan` found on disk, oldest first."""
-
-    sealed: List[SegmentScan] = field(default_factory=list)
-    open: List[SegmentScan] = field(default_factory=list)
-    #: Files under the WAL directory that could not be decoded at all.
-    unreadable: List[str] = field(default_factory=list)
 
 
 class IngestWAL:
@@ -93,9 +78,8 @@ class IngestWAL:
     # ------------------------------------------------------------------ #
     # paths
     # ------------------------------------------------------------------ #
-    def segment_path(self, epoch: int, sealed: bool = False) -> str:
-        suffix = CLOSED_SUFFIX if sealed else OPEN_SUFFIX
-        return os.path.join(self.directory, f"epoch-{int(epoch):08d}{suffix}")
+    def segment_path(self, epoch: int) -> str:
+        return os.path.join(self.directory, f"epoch-{int(epoch):08d}{OPEN_SUFFIX}")
 
     # ------------------------------------------------------------------ #
     # append path
@@ -103,10 +87,10 @@ class IngestWAL:
     def _handle(self, epoch: int):
         handle = self._handles.get(epoch)
         if handle is None:
-            path = self.segment_path(epoch)
-            fresh = not os.path.exists(path)
-            handle = open(path, "ab")
-            if fresh:
+            handle = open(self.segment_path(epoch), "ab")
+            # A new segment, or a zero-byte one that a crash left between
+            # the open and the header write: no record reads without it.
+            if handle.tell() == 0:
                 handle.write(pack_wal_segment_header(epoch))
                 handle.flush()
             self._handles[epoch] = handle
@@ -136,34 +120,15 @@ class IngestWAL:
     # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
-    def seal(self, epoch: int) -> None:
-        """Seal an epoch's segment after its shards merged into the engine.
-
-        A sealed segment stays until an epoch store holds its epoch --
-        close-then-crash must still be able to rebuild the epoch.
-        Sealing an epoch that never logged a record is a no-op.
-        """
+    def discard(self, epoch: int) -> None:
+        """Delete an epoch's segment: the epoch store holds the epoch."""
         epoch = int(epoch)
         handle = self._handles.pop(epoch, None)
         if handle is not None:
-            handle.flush()
-            if self.sync:
-                os.fsync(handle.fileno())
             handle.close()
         path = self.segment_path(epoch)
         if os.path.exists(path):
-            os.replace(path, self.segment_path(epoch, sealed=True))
-
-    def discard(self, epoch: int) -> None:
-        """Delete an epoch's segment (open or sealed): it is durable elsewhere."""
-        epoch = int(epoch)
-        handle = self._handles.pop(epoch, None)
-        if handle is not None:
-            handle.close()
-        for sealed in (False, True):
-            path = self.segment_path(epoch, sealed=sealed)
-            if os.path.exists(path):
-                os.remove(path)
+            os.remove(path)
 
     def close(self) -> None:
         """Close every open file handle (the segments stay on disk)."""
@@ -178,71 +143,73 @@ class IngestWAL:
     # ------------------------------------------------------------------ #
     # recovery
     # ------------------------------------------------------------------ #
-    def _segments(self) -> List[Tuple[int, bool]]:
-        found = []
-        for name in os.listdir(self.directory):
-            match = _SEGMENT_RE.match(name)
-            if match:
-                found.append((int(match.group(1)), match.group(2) == "closed"))
-        return sorted(found)
-
-    def _scan_segment(self, epoch: int, sealed: bool) -> Optional[SegmentScan]:
-        path = self.segment_path(epoch, sealed=sealed)
+    def _scan_segment(self, epoch: int) -> SegmentScan:
+        path = self.segment_path(epoch)
+        with open(path, "rb") as handle:
+            data = handle.read()
+        if not data:
+            # The header is flushed before any record: nothing was acked.
+            return SegmentScan(epoch=epoch, path=path)
         try:
-            with open(path, "rb") as handle:
-                data = handle.read()
-            header, records, torn = scan_wal_segment(data)
-        except (OSError, SerializationError):
-            return None
-        return SegmentScan(
-            epoch=header["epoch"],
-            path=path,
-            sealed=sealed,
-            records=records,
-            torn_offset=torn,
-        )
+            _, records, torn = scan_wal_segment(data)
+        except SerializationError as exc:
+            raise SerializationError(
+                f"WAL segment {path} is unreadable ({exc}); the reports "
+                "acknowledged into it cannot be recovered.  Move the file "
+                "aside to start without them."
+            ) from exc
+        return SegmentScan(epoch=epoch, path=path, records=records, torn_offset=torn)
 
-    def scan(self) -> WalScan:
-        """Recover every segment on disk, oldest epoch first."""
-        result = WalScan()
-        for epoch, sealed in self._segments():
-            scan = self._scan_segment(epoch, sealed)
-            if scan is None:
-                result.unreadable.append(self.segment_path(epoch, sealed=sealed))
-            elif sealed:
-                result.sealed.append(scan)
-            else:
-                result.open.append(scan)
-        return result
+    def scan(self) -> List[SegmentScan]:
+        """Recover every open segment on disk, oldest epoch first.
+
+        Raises :class:`SerializationError` naming the file for a segment
+        that cannot be decoded, and for a ``.closed`` segment: only a
+        storeless service of an earlier version wrote those, and no epoch
+        store holds their epochs.
+        """
+        names = sorted(os.listdir(self.directory))
+        for name in names:
+            if name.startswith("epoch-") and name.endswith(".closed"):
+                raise SerializationError(
+                    f"WAL segment {os.path.join(self.directory, name)} holds a "
+                    "closed epoch that no epoch store holds.  Fold it into a "
+                    "store with the previous version first (serve --store-dir "
+                    "over the same --wal-dir), or move the file aside."
+                )
+        epochs = sorted(
+            int(match.group(1)) for match in map(_SEGMENT_RE.match, names) if match
+        )
+        return [self._scan_segment(epoch) for epoch in epochs]
 
     def read_epoch(self, epoch: int) -> List[Tuple[dict, bytes]]:
-        """The intact records of one epoch's *open* segment (for replay).
+        """The intact records of one epoch's open segment (for replay).
 
         Flushes the live handle first so a scan observes every append the
         gateway has acknowledged.
         """
-        handle = self._handles.get(int(epoch))
+        epoch = int(epoch)
+        handle = self._handles.get(epoch)
         if handle is not None:
             handle.flush()
-        scan = self._scan_segment(int(epoch), sealed=False)
-        return scan.records if scan is not None else []
+        if not os.path.exists(self.segment_path(epoch)):
+            return []
+        return self._scan_segment(epoch).records
 
     def stats(self) -> dict:
-        segments = self._segments()
         return {
             "directory": self.directory,
             "sync": self.sync,
             "records_appended": self.records_appended,
             "bytes_appended": self.bytes_appended,
-            "open_segments": sum(1 for _, sealed in segments if not sealed),
-            "sealed_segments": sum(1 for _, sealed in segments if sealed),
+            "open_segments": sum(
+                1 for name in os.listdir(self.directory) if _SEGMENT_RE.match(name)
+            ),
         }
 
 
 __all__ = [
-    "CLOSED_SUFFIX",
     "IngestWAL",
     "OPEN_SUFFIX",
     "SegmentScan",
-    "WalScan",
 ]

@@ -16,7 +16,9 @@ Three guarantees anchor the service layer:
   dying.
 """
 
+import errno
 import json
+import os
 import socket
 import struct
 import threading
@@ -24,7 +26,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro import make_protocol
+from repro import cli, make_protocol
 from repro.core.serialization import (
     MAGIC_BATCH,
     SerializationError,
@@ -466,16 +468,18 @@ class TestStoreRecovery:
             swept = request_json(handle.url + "/checkpoint", method="POST")
             assert swept["epochs"] == [0, 1]
 
-        # Without a store, closed epochs live in RAM and in sealed WAL
-        # segments only; a store-backed restart over that WAL must seal
-        # each rebuilt epoch, leaving nothing live and nothing in the log.
+        # With a WAL, each close seals the epoch into the store and then
+        # drops its segment: the log holds nothing closed, and a restart
+        # finds every epoch sealed, nothing live and nothing to replay.
         store_dir, wal_dir = str(tmp_path / "store"), str(tmp_path / "wal")
-        in_ram = AggregationService(SPEC, num_workers=2, wal_dir=wal_dir)
-        with ServiceThread(in_ram) as handle:
+        durable = AggregationService(
+            SPEC, num_workers=2, store_dir=store_dir, wal_dir=wal_dir
+        )
+        with ServiceThread(durable) as handle:
             for epoch, pair in enumerate((blobs[:3], blobs[3:])):
-                post_batches(handle.url, pair, f"ram{epoch}")
+                post_batches(handle.url, pair, f"wal{epoch}")
                 request_json(handle.url + "/close", method="POST")
-        assert len(in_ram.wal.scan().sealed) == 2
+            assert durable.wal.scan() == []
 
         restored = AggregationService(
             SPEC, num_workers=2, store_dir=store_dir, wal_dir=wal_dir
@@ -484,8 +488,7 @@ class TestStoreRecovery:
             assert restored.engine.sealed_epochs == (0, 1)
             assert restored.engine.live_epochs == ()
             assert restored.current_epoch == 2
-            scan = restored.wal.scan()
-            assert scan.sealed == [] and scan.open == []
+            assert restored.wal.scan() == []
             for epoch, pair in enumerate((blobs[:3], blobs[3:])):
                 answer = request_json(
                     handle.url + f"/query?frequencies=1&window={epoch}"
@@ -494,6 +497,14 @@ class TestStoreRecovery:
                 assert answer["frequencies"] == [
                     float(v) for v in reference.estimated_frequencies()
                 ]
+
+    def test_wal_without_a_store_is_refused(self, tmp_path):
+        wal_dir = str(tmp_path / "wal")
+        with pytest.raises(ValueError, match="--wal-dir needs --store-dir"):
+            AggregationService(SPEC, wal_dir=wal_dir)
+        with pytest.raises(SystemExit, match="--wal-dir needs --store-dir"):
+            cli.main(["serve", "--domain-size", "64", "--wal-dir", wal_dir])
+        assert not os.path.exists(wal_dir)  # refused before anything ran
 
     def test_open_segment_of_a_sealed_epoch_is_not_replayed(self, tmp_path):
         # A crash after /close sealed epoch 0 into the store but before it
@@ -524,7 +535,7 @@ class TestStoreRecovery:
             assert answer["n_users"] == 300
             assert answer["frequencies"] == reference
             assert restored.current_epoch == 1
-            assert restored.wal.scan().open == []
+            assert restored.wal.scan() == []
 
     def test_query_labels_match_the_epochs_it_answers(self, tmp_path):
         # An epoch absorbed while a /query finalizes must not leak into
@@ -625,8 +636,8 @@ class TestFaultTolerance:
     def test_worker_kill_mid_ingest_is_exactly_once(self, tmp_path):
         blobs, reference = make_blobs(SPEC, 240, seed=20, chunks=8)
         service = AggregationService(
-            SPEC, num_workers=2, wal_dir=str(tmp_path / "wal"),
-            supervise_interval=0.05,
+            SPEC, num_workers=2, store_dir=str(tmp_path / "store"),
+            wal_dir=str(tmp_path / "wal"), supervise_interval=0.05,
         )
         with ServiceThread(service) as handle:
             url = handle.url
@@ -653,7 +664,8 @@ class TestFaultTolerance:
     def test_all_workers_dead_defers_to_wal_and_recovers(self, tmp_path):
         blobs, reference = make_blobs(SPEC, 120, seed=21, chunks=4)
         service = AggregationService(
-            SPEC, num_workers=2, wal_dir=str(tmp_path / "wal"),
+            SPEC, num_workers=2, store_dir=str(tmp_path / "store"),
+            wal_dir=str(tmp_path / "wal"),
             supervise_interval=None,  # force the close-time repair path
         )
         with ServiceThread(service) as handle:
@@ -761,7 +773,8 @@ class TestFaultTolerance:
         assert delivered_indices(schedule) == list(range(len(blobs)))
         assert len(schedule) > len(blobs)  # seed 7 produces duplicates
         service = AggregationService(
-            SPEC, num_workers=2, wal_dir=str(tmp_path / "wal")
+            SPEC, num_workers=2, store_dir=str(tmp_path / "store"),
+            wal_dir=str(tmp_path / "wal"),
         )
         with ServiceThread(service) as handle:
             url = handle.url
@@ -780,15 +793,16 @@ class TestFaultTolerance:
 
     def test_torn_wal_tail_loses_only_the_unacked_record(self, tmp_path):
         blobs, _ = make_blobs(SPEC, 90, seed=24, chunks=3)
-        wal_dir = str(tmp_path / "wal")
-        service = AggregationService(SPEC, num_workers=2, wal_dir=wal_dir)
+        more, _ = make_blobs(SPEC, 90, seed=29, chunks=3)
+        options = dict(
+            num_workers=2,
+            store_dir=str(tmp_path / "store"),
+            wal_dir=str(tmp_path / "wal"),
+        )
+        service = AggregationService(SPEC, **options)
         handle = ServiceThread(service).start()
         try:
-            for index, blob in enumerate(blobs):
-                request_json(
-                    handle.url + "/ingest", method="POST", body=blob,
-                    headers={"Idempotency-Key": f"torn:{index}"},
-                )
+            post_batches(handle.url, blobs, "torn")
         finally:
             handle.stop(flush=False)  # crash: epoch 0 lives only in the WAL
         # tear the tail of the open segment: the last record's append was
@@ -796,15 +810,142 @@ class TestFaultTolerance:
         # first two batches and drop the torn one
         truncate_wal_tail(service.wal.segment_path(0), 4)
 
-        reference = ingest_batches_single_process(SPEC, blobs[:2]).finalize()
-        restored = AggregationService(SPEC, num_workers=2, wal_dir=wal_dir)
-        with ServiceThread(restored) as handle2:
-            closed = request_json(handle2.url + "/close", method="POST")
-            assert closed["reports"] == 60
-            answer = request_json(handle2.url + "/query?frequencies=1&window=all")
+        restored = AggregationService(SPEC, **options)
+        handle = ServiceThread(restored).start()
+        try:
+            stats = request_json(handle.url + "/stats")
+            assert stats["accepted"]["reports"] == 60
+            assert stats["replayed_batches"] == 2
+            # acked into the same segment, after the torn bytes' offset
+            post_batches(handle.url, more, "more")
+        finally:
+            handle.stop(flush=False)
+
+        reference = ingest_batches_single_process(SPEC, blobs[:2] + more).finalize()
+        survivor = AggregationService(SPEC, **options)
+        with ServiceThread(survivor) as handle:
+            closed = request_json(handle.url + "/close", method="POST")
+            assert closed["reports"] == 150
+            answer = request_json(handle.url + "/query?frequencies=1&window=all")
             assert answer["frequencies"] == [
                 float(v) for v in reference.estimated_frequencies()
             ]
+
+    def test_empty_wal_segment_gets_its_header(self, tmp_path):
+        # A crash between creating a segment and writing its header
+        # leaves a zero-byte file; later records must still be readable.
+        blobs, reference = make_blobs(SPEC, 90, seed=30, chunks=3)
+        options = dict(
+            num_workers=2,
+            store_dir=str(tmp_path / "store"),
+            wal_dir=str(tmp_path / "wal"),
+        )
+        os.makedirs(options["wal_dir"])
+        open(os.path.join(options["wal_dir"], "epoch-00000000.open"), "wb").close()
+        service = AggregationService(SPEC, **options)
+        handle = ServiceThread(service).start()
+        try:
+            assert request_json(handle.url + "/healthz")["status"] == "ok"
+            post_batches(handle.url, blobs, "empty")
+        finally:
+            handle.stop(flush=False)
+
+        restored = AggregationService(SPEC, **options)
+        with ServiceThread(restored) as handle:
+            closed = request_json(handle.url + "/close", method="POST")
+            assert closed["closed"] and closed["reports"] == 90
+            assert_matches_reference(handle.url, reference)
+
+    @pytest.mark.parametrize("damage", ["overwritten_header", "closed_segment"])
+    def test_unreadable_wal_segment_refuses_the_start(self, tmp_path, damage):
+        blobs, _ = make_blobs(SPEC, 90, seed=31, chunks=3)
+        store_dir, wal_dir = str(tmp_path / "store"), str(tmp_path / "wal")
+        service = AggregationService(
+            SPEC, num_workers=2, store_dir=store_dir, wal_dir=wal_dir
+        )
+        handle = ServiceThread(service).start()
+        try:
+            post_batches(handle.url, blobs, "lost")
+        finally:
+            handle.stop(flush=False)
+        segment = service.wal.segment_path(0)
+        if damage == "overwritten_header":
+            with open(segment, "r+b") as fh:
+                fh.write(b"X")
+        else:
+            # what a storeless service of an earlier version left at /close
+            segment = segment[: -len(".open")] + ".closed"
+            os.replace(service.wal.segment_path(0), segment)
+        name = os.path.basename(segment)
+
+        restored = AggregationService(
+            SPEC, num_workers=2, store_dir=store_dir, wal_dir=wal_dir
+        )
+        with pytest.raises(SerializationError, match=name):
+            ServiceThread(restored).start()
+        with pytest.raises(SystemExit, match=name):
+            cli.main([
+                "serve", "--domain-size", "64", "--epsilon", "1.0",
+                "--method", "flat", "--store-dir", store_dir,
+                "--wal-dir", wal_dir,
+            ])
+        assert os.path.exists(segment)  # refused, never skipped or deleted
+
+    @pytest.mark.chaos
+    @pytest.mark.parametrize("close_before_crash", [False, True])
+    def test_failed_seal_is_rebuilt_from_its_wal_segment(
+        self, tmp_path, close_before_crash
+    ):
+        # A seal that fails at /close leaves the epoch live in RAM and its
+        # segment on disk while ingest moves on: the one rebuild path left.
+        # A later close that seals the next epoch must not make the orphan
+        # look like the epoch in flight.
+        blobs, _ = make_blobs(SPEC, 120, seed=32, chunks=4)
+        options = dict(
+            num_workers=2,
+            store_dir=str(tmp_path / "store"),
+            wal_dir=str(tmp_path / "wal"),
+        )
+        service = AggregationService(SPEC, **options)
+        seal = service.engine.seal_epoch
+
+        def seal_fails_once(epoch):
+            service.engine.seal_epoch = seal
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        service.engine.seal_epoch = seal_fails_once
+        handle = ServiceThread(service).start()
+        try:
+            post_batches(handle.url, blobs[:2], "seal")
+            with pytest.raises(RuntimeError, match="500"):
+                request_json(handle.url + "/close", method="POST")
+            assert service.current_epoch == 1
+            assert service.engine.live_epochs == (0,)
+            post_batches(handle.url, blobs[2:], "seal", start=2)
+            segments = ["epoch-00000000.open", "epoch-00000001.open"]
+            if close_before_crash:
+                request_json(handle.url + "/close", method="POST")
+                segments.pop()  # epoch 1 is sealed: its segment goes
+            assert sorted(os.listdir(options["wal_dir"])) == segments
+        finally:
+            handle.stop(flush=False)
+
+        restored = AggregationService(SPEC, **options)
+        with ServiceThread(restored) as handle:
+            request_json(handle.url + "/close", method="POST")
+            assert restored.current_epoch == 2
+            assert restored.engine.epochs == (0, 1)
+            assert restored.engine.n_reports() == 120
+            assert restored.engine.sealed_epochs == (0, 1)
+            assert os.listdir(options["wal_dir"]) == []
+            for epoch, pair in enumerate((blobs[:2], blobs[2:])):
+                answer = request_json(
+                    handle.url + f"/query?frequencies=1&window={epoch}"
+                )
+                reference = ingest_batches_single_process(SPEC, pair).finalize()
+                assert answer["frequencies"] == [
+                    float(v) for v in reference.estimated_frequencies()
+                ]
 
     def test_saturated_pool_rejects_with_429_and_retry_after(self):
         blobs, _ = make_blobs(SPEC, 60, seed=25, chunks=2)

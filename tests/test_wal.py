@@ -4,9 +4,9 @@ The WAL's contract is the spine of the service's exactly-once story:
 every record appended before an acknowledgement must survive any
 process death (flush-to-OS durability), a torn tail must be dropped
 silently (a torn record was never acknowledged), and the segment
-lifecycle -- open while the epoch is in flight, sealed at close,
-discarded once an epoch store holds the epoch -- must hold exactly the
-batches whose reports are not yet durable elsewhere.
+lifecycle -- open while the epoch is in flight, discarded once the epoch
+store holds the sealed epoch -- must hold exactly the batches whose
+reports are not yet durable elsewhere.
 """
 
 import os
@@ -76,36 +76,26 @@ class TestIngestWalLifecycle:
         # a fresh scanner (a "restarted gateway") sees every append even
         # though the writing handle is still open
         scan = IngestWAL(str(tmp_path)).scan()
-        assert len(scan.open) == 1 and not scan.sealed and not scan.unreadable
-        segment = scan.open[0]
+        assert len(scan) == 1
+        segment = scan[0]
         assert segment.epoch == 0
         assert segment.n_reports == 75
         assert [meta["worker"] for meta, _ in segment.records] == [0, 1]
         wal.close()
 
-    def test_seal_and_discard(self, tmp_path):
+    def test_discard_keeps_the_other_segments(self, tmp_path):
         wal = IngestWAL(str(tmp_path))
-        wal.append(0, b"b0", key="k0", worker=0)
-        wal.seal(0)
-        wal.append(1, b"b1", key="k1", worker=0)
-        wal.seal(1)
         wal.append(2, b"b2", key="k2", worker=1)
+        wal.append(0, b"b0", key="k0", worker=0)
+        wal.append(1, b"b1", key="k1", worker=0)
+        assert [s.epoch for s in wal.scan()] == [0, 1, 2]
 
-        scan = wal.scan()
-        assert [s.epoch for s in scan.sealed] == [0, 1]
-        assert [s.epoch for s in scan.open] == [2]
-
-        # an epoch store taking epoch 0 drops only that sealed segment
-        wal.discard(0)
-        scan = wal.scan()
-        assert [s.epoch for s in scan.sealed] == [1]
-        assert [s.epoch for s in scan.open] == [2]
-        wal.close()
-
-    def test_sealing_an_empty_epoch_is_a_noop(self, tmp_path):
-        wal = IngestWAL(str(tmp_path))
-        wal.seal(5)
-        assert wal.scan().sealed == []
+        # an epoch store taking epoch 1 drops only that segment
+        wal.discard(1)
+        assert [s.epoch for s in wal.scan()] == [0, 2]
+        assert [meta["key"] for meta, _ in wal.scan()[1].records] == ["k2"]
+        wal.discard(7)  # an epoch that never logged a record: a no-op
+        assert [s.epoch for s in wal.scan()] == [0, 2]
         wal.close()
 
     def test_read_epoch_sees_unflushed_appends(self, tmp_path):
@@ -125,28 +115,25 @@ class TestIngestWalLifecycle:
         wal.close()
         path = wal.segment_path(0)
         truncate_wal_tail(path, 4)  # tear the last record mid-write
-        scan = IngestWAL(str(tmp_path)).scan()
-        segment = scan.open[0]
+        segment = IngestWAL(str(tmp_path)).scan()[0]
         assert [meta["key"] for meta, _ in segment.records] == ["k0"]
         assert segment.torn_offset is not None
 
-    def test_discard_removes_open_and_sealed(self, tmp_path):
+    def test_discard_removes_the_segment_file(self, tmp_path):
         wal = IngestWAL(str(tmp_path))
         wal.append(0, b"x", key="k", worker=0)
         wal.discard(0)
-        assert wal.scan().open == []
+        assert wal.scan() == []
         assert not os.listdir(str(tmp_path))
         wal.close()
 
     def test_stats_counts_segments_and_bytes(self, tmp_path):
         wal = IngestWAL(str(tmp_path), sync=False)
         wal.append(0, b"abc", key="k0", worker=0)
-        wal.seal(0)
         wal.append(1, b"defg", key="k1", worker=0)
         stats = wal.stats()
         assert stats["records_appended"] == 2
         assert stats["bytes_appended"] > 7
-        assert stats["open_segments"] == 1
-        assert stats["sealed_segments"] == 1
+        assert stats["open_segments"] == 2
         assert stats["sync"] is False
         wal.close()
