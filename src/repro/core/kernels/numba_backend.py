@@ -145,8 +145,13 @@ def _unary_sums(reports):
 
 def unary_sums(reports):
     # No dtype coercion: the loop accumulates any integer report matrix
-    # (uint8 on the wire) into int64 without an 8x-wider copy first.
-    return _unary_sums(np.ascontiguousarray(reports))
+    # into int64 without an 8x-wider copy first.  A bool matrix (unpacked
+    # from the wire's bits) is viewed as uint8, zero-copy, so it reuses
+    # the uint8 specialisation.
+    reports = np.ascontiguousarray(reports)
+    if reports.dtype == np.bool_:
+        reports = reports.view(np.uint8)
+    return _unary_sums(reports)
 
 
 @njit(cache=True)

@@ -27,11 +27,13 @@ chunk)``
     The ``O(N * D)`` OLH decode: for every domain item, the number of
     users whose reported bucket equals the item's hash.
 ``unary_perturb(uniforms, p_zero, items, true_uniforms, p_one)``
-    OUE/SUE/THE bit perturbation: an ``(N, D)`` uint8 matrix where bit
-    ``j`` of row ``i`` is ``uniforms[i, j] < p_zero`` except the true bit,
-    which is ``true_uniforms[i] < p_one``.
+    OUE/SUE/THE bit perturbation: an ``(N, D)`` 0/1 uint8 matrix where
+    bit ``j`` of row ``i`` is ``uniforms[i, j] < p_zero`` except the true
+    bit, which is ``true_uniforms[i] < p_one``.  The oracles view it as
+    ``bool`` (zero-copy), which the report codec packs to bits.
 ``unary_sums(reports)``
-    Per-item int64 column sums of an ``(N, D)`` unary report matrix.
+    Per-item int64 column sums of an ``(N, D)`` unary report matrix
+    (``bool`` as decoded from the wire, or any integer dtype).
 ``hrr_encode(items, signs, indices, keep)``
     HRR signed-coefficient encode: the +/-1 Hadamard entry
     ``H[items[i], indices[i]]`` times ``signs[i]``, flipped where not
@@ -126,7 +128,15 @@ def unary_perturb(
     return reports
 
 
+#: Row count below which ``unary_sums`` of a bool/uint8 matrix may
+#: accumulate in int32: 255 * (2**23 - 1) < 2**31, so the sum is exact.
+UNARY_INT32_ROWS = 1 << 23
+
+
 def unary_sums(reports: np.ndarray) -> np.ndarray:
+    if reports.dtype in (np.bool_, np.uint8) and reports.shape[0] < UNARY_INT32_ROWS:
+        # About twice as fast as numpy's default (u)int64 accumulator.
+        return np.add.reduce(reports, axis=0, dtype=np.int32).astype(np.int64)
     return reports.sum(axis=0).astype(np.int64)
 
 

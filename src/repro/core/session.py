@@ -50,6 +50,7 @@ from repro.core.exceptions import ProtocolUsageError
 from repro.core.rng import RngLike, ensure_rng
 from repro.core.serialization import (
     SerializationError,
+    _is_count,
     pack_blob,
     pack_child,
     unpack_blob,
@@ -260,7 +261,11 @@ register_state_decoder(CompositeAccumulator.state_kind, CompositeAccumulator._de
 def _pack_payload(payload: Any, prefix: str) -> Tuple[dict, Dict[str, np.ndarray]]:
     """Describe one oracle report payload as ``(meta, named arrays)``.
 
-    Imports are deferred so that :mod:`repro.core` never depends on
+    The payload's type picks its kind: HRR and OLH reports by class, and
+    a 2-D ``bool`` matrix (what OUE, SUE and THE report) as ``"bits"`` --
+    ``np.packbits`` along each row plus the row ``width``, one bit per
+    entry on the wire.  Any other ndarray is an ``"array"``.  Imports are
+    deferred so that :mod:`repro.core` never depends on
     :mod:`repro.frequency_oracles` at module load time.
     """
     from repro.frequency_oracles.hrr import HadamardReports
@@ -282,6 +287,9 @@ def _pack_payload(payload: Any, prefix: str) -> Tuple[dict, Dict[str, np.ndarray
         }
         return meta, arrays
     if isinstance(payload, np.ndarray):
+        if payload.dtype == np.bool_ and payload.ndim == 2:
+            meta = {"payload_kind": "bits", "width": int(payload.shape[1])}
+            return meta, {prefix: np.packbits(payload, axis=1)}
         return {"payload_kind": "array"}, {prefix: payload}
     raise SerializationError(
         f"cannot serialize oracle payload of type {type(payload).__name__}"
@@ -289,7 +297,14 @@ def _pack_payload(payload: Any, prefix: str) -> Tuple[dict, Dict[str, np.ndarray
 
 
 def _unpack_payload(meta: dict, arrays: Dict[str, np.ndarray], prefix: str) -> Any:
-    """Inverse of :func:`_pack_payload`."""
+    """Inverse of :func:`_pack_payload`.
+
+    ``"bits"`` is read strictly: ``width`` must be a non-negative integer
+    and the block a 2-D ``uint8`` array of exactly ``ceil(width / 8)``
+    columns, since ``np.unpackbits`` would silently zero-pad or trim a
+    width that disagrees with it.  ``"array"`` payloads (what unary
+    reports were before ``"bits"``) still decode unchanged.
+    """
     from repro.frequency_oracles.hrr import HadamardReports
     from repro.frequency_oracles.olh import LocalHashReports
 
@@ -307,6 +322,17 @@ def _unpack_payload(meta: dict, arrays: Dict[str, np.ndarray], prefix: str) -> A
             buckets=arrays[f"{prefix}.buckets"],
             num_buckets=int(meta["num_buckets"]),
         )
+    if kind == "bits":
+        width, block = meta.get("width"), arrays[prefix]
+        if not _is_count(width):
+            raise SerializationError(f"bits width {width!r} is not a non-negative integer")
+        columns = -(-width // 8)
+        if block.dtype != np.uint8 or block.ndim != 2 or block.shape[1] != columns:
+            raise SerializationError(
+                f"bits block of width {width} must be uint8 of shape (N, {columns}), "
+                f"got {block.dtype} {block.shape}"
+            )
+        return np.unpackbits(block, axis=1, count=width).view(np.bool_)
     if kind == "array":
         return arrays[prefix]
     raise SerializationError(f"unknown oracle payload kind {kind!r}")
@@ -387,12 +413,12 @@ class LevelReport(Report):
     :class:`~repro.core.decomposition.Decomposition.counts_slot`).
 
     One codec serves all families: ``family`` (not the class-level
-    ``kind``) is the wire tag written as ``report_kind``, the layout is
-    the former hierarchical one (``levels`` metadata plus ``level_<key>``
-    arrays), and the decoder -- registered under every family tag, with a
-    fallback for families added later -- also reads the two legacy
-    layouts (``heights`` for Haar, a bare ``payload`` for flat) so
-    reports serialized before the unification still load.
+    ``kind``) is the wire tag written as ``report_kind``, and the layout
+    is ``levels`` metadata plus ``level_<key>`` arrays, one
+    :func:`_pack_payload` entry per level (unary levels travel as
+    ``"bits"``).  The decoder is registered under every family tag, with
+    a fallback for families added later; a header without ``levels`` is
+    refused.
     """
 
     def __init__(
@@ -439,18 +465,9 @@ class LevelReport(Report):
     def _decode(cls, header: dict, arrays: Dict[str, np.ndarray]) -> "LevelReport":
         family = header["report_kind"]
         n_users = int(header["n_users"])
-        if "levels" in header:
-            meta_map, prefix = header["levels"] or {}, "level"
-        elif "heights" in header:  # legacy Haar layout
-            meta_map, prefix = header["heights"] or {}, "height"
-        else:  # legacy flat layout: a single bare payload
-            payloads: Dict[int, Any] = {}
-            if n_users > 0:
-                payloads[0] = _unpack_payload(header["payload"], arrays, "payload")
-            return cls(family, payloads, np.asarray([n_users], np.int64), n_users)
         payloads = {
-            int(level): _unpack_payload(meta, arrays, f"{prefix}_{int(level)}")
-            for level, meta in meta_map.items()
+            int(level): _unpack_payload(meta, arrays, f"level_{int(level)}")
+            for level, meta in (header["levels"] or {}).items()
         }
         counts = arrays.get("level_user_counts")
         if counts is None:

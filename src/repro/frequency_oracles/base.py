@@ -317,17 +317,27 @@ class FrequencyOracle(abc.ABC):
     #: histogram encodings) rather than a single value.
     _unary_reports: bool = False
 
+    #: Whether every report entry is a bit (OUE, SUE, THE; not SHE).
+    _bit_reports: bool = False
+
     def check_payload(self, reports: Any, n_users: int) -> None:
         """Raise ``ValueError`` unless ``reports`` holds ``n_users`` of this oracle's reports.
 
-        Reads only the payload's type, parameters and shapes, never its
-        values, so a server can refuse a report built for another oracle
-        before folding in any part of it.
+        Reads the payload's type, parameters and shapes, and the values
+        of a bit payload that does not arrive as ``bool`` (every entry
+        must be 0 or 1), so a server can refuse a report built for
+        another oracle before folding in any part of it.
         """
         shape = (n_users, self.domain_size) if self._unary_reports else (n_users,)
         if not isinstance(reports, np.ndarray) or reports.shape != shape:
             got = getattr(reports, "shape", type(reports).__name__)
             raise ValueError(f"{self.name} expects an array of shape {shape}, got {got}")
+        if (
+            self._bit_reports
+            and reports.dtype != np.bool_
+            and np.any((reports != 0) & (reports != 1))
+        ):
+            raise ValueError(f"{self.name} report entries must be 0 or 1")
 
     def _check_accumulator(self, accumulator: OracleAccumulator) -> None:
         if not isinstance(accumulator, OracleAccumulator):

@@ -128,6 +128,7 @@ class ThresholdHistogramEncoding(FrequencyOracle):
 
     name = "the"
     _unary_reports = True
+    _bit_reports = True
 
     def __init__(
         self,
@@ -171,7 +172,7 @@ class ThresholdHistogramEncoding(FrequencyOracle):
         n = len(items)
         noisy = rng.laplace(0.0, self._scale, size=(n, self.domain_size))
         noisy[np.arange(n), items] += 1.0
-        return (noisy > self._theta).astype(np.uint8)
+        return noisy > self._theta
 
     def aggregate(
         self, reports: np.ndarray, n_users: Optional[int] = None

@@ -12,10 +12,13 @@ The aggregator sums the reported bit-vectors and applies the bias correction
 
 which yields the per-item variance ``V_F = 4 e^eps / (N (e^eps - 1)^2)``.
 
-Because every user transmits ``D`` bits, a literal implementation is slow
-for large domains.  Following Section 5 of the paper, we also provide the
-statistically equivalent aggregate simulation that samples the aggregator's
-noisy count of each item as a sum of two Binomials.
+Every user transmits ``D`` bits: :meth:`OptimizedUnaryEncoding.privatize`
+returns a ``bool`` matrix, which the report codec packs eight entries to
+a byte (payload kind ``"bits"``).  A literal implementation is still
+``O(N D)`` work, slow for large domains.  Following Section 5 of the
+paper, we also provide the statistically equivalent aggregate simulation
+that samples the aggregator's noisy count of each item as a sum of two
+Binomials.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ class OptimizedUnaryEncoding(FrequencyOracle):
 
     name = "oue"
     _unary_reports = True
+    _bit_reports = True
 
     def __init__(
         self,
@@ -65,18 +69,19 @@ class OptimizedUnaryEncoding(FrequencyOracle):
     # per-user protocol
     # ------------------------------------------------------------------ #
     def privatize(self, items: np.ndarray, rng: RngLike = None) -> np.ndarray:
-        """Return an ``(N, D)`` uint8 matrix of perturbed one-hot vectors."""
+        """Return an ``(N, D)`` bool matrix of perturbed one-hot vectors."""
         rng = ensure_rng(rng)
         items = self.domain.validate_items(np.asarray(items))
         n = len(items)
         # The two draws below are the only generator activity; the bit
         # perturbation itself (zero-bit thresholding plus resampling each
-        # user's true bit) runs in the kernel backend.
+        # user's true bit) runs in the kernel backend, whose 0/1 uint8
+        # matrix is viewed as bool (zero-copy) so it travels as bits.
         uniforms = rng.random((n, self.domain_size))
         true_uniforms = rng.random(n)
         return self._kernels.unary_perturb(
             uniforms, self._p_zero, items, true_uniforms, self._p_one
-        )
+        ).view(np.bool_)
 
     def aggregate(
         self, reports: np.ndarray, n_users: Optional[int] = None

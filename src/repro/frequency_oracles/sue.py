@@ -34,6 +34,7 @@ class SymmetricUnaryEncoding(FrequencyOracle):
 
     name = "sue"
     _unary_reports = True
+    _bit_reports = True
 
     def __init__(
         self,
@@ -64,7 +65,7 @@ class SymmetricUnaryEncoding(FrequencyOracle):
         true_uniforms = rng.random(n)
         return self._kernels.unary_perturb(
             uniforms, self._q, items, true_uniforms, self._p
-        )
+        ).view(np.bool_)
 
     def aggregate(
         self, reports: np.ndarray, n_users: Optional[int] = None

@@ -177,10 +177,10 @@ class AggregationService:
         self._server: Optional[asyncio.AbstractServer] = None
         self._port: Optional[int] = None
         self._close_lock = asyncio.Lock()
-        # Makes a deferred batch's {shard assignment + WAL append} atomic
-        # with respect to the supervisor's {respawn + replay}: without it
-        # a replay could scan the log between the two and miss a record
-        # assigned to the worker it just revived.
+        # Makes every batch's {shard assignment + WAL append} atomic with
+        # respect to the supervisor's {respawn + replay}: without it a
+        # replay could scan the log between the two, and miss a deferred
+        # record or deliver a record twice to the worker it just revived.
         self._repair_lock = asyncio.Lock()
         # Epoch barrier: /close waits for in-flight ingests to land and
         # holds back new ones, so a batch's WAL epoch always matches the
@@ -792,55 +792,38 @@ class AggregationService:
         self._ingest_inflight += 1
         try:
             deferred = False
-            try:
-                worker = self._pool.pick_worker()
-            except PoolSaturatedError as exc:
-                del self._seen_keys[key]
-                self._rejected_busy += 1
-                raise HttpError(
-                    429,
-                    f"ingest queue saturated ({self._pool.max_inflight} "
-                    "in-flight batches per worker); retry shortly",
-                    headers={"Retry-After": "0.1"},
-                ) from exc
-            except NoAliveWorkersError as exc:
-                if self._wal is None:
+            # Under the repair lock a respawn replay cannot scan the log
+            # between the shard assignment and the append landing: it
+            # would miss a deferred record (and nothing would ever deliver
+            # it), or replay a record bound for the shard it just revived
+            # while this handler sends it there too.
+            async with self._repair_lock:
+                try:
+                    worker = self._pool.pick_worker()
+                except PoolSaturatedError as exc:
                     del self._seen_keys[key]
+                    self._rejected_busy += 1
                     raise HttpError(
-                        503, f"shard workers unavailable: {exc}"
+                        429,
+                        f"ingest queue saturated ({self._pool.max_inflight} "
+                        "in-flight batches per worker); retry shortly",
+                        headers={"Retry-After": "0.1"},
                     ) from exc
-                # With a WAL the batch is durable the moment it is
-                # logged; the supervisor's respawn replay delivers it.
-                worker = -1
-                deferred = True
-            try:
-                if deferred:
-                    # Under the repair lock a respawn replay cannot scan
-                    # the log between the shard assignment and the append
-                    # landing (it would miss this record and nothing
-                    # would ever deliver it).  Re-check the pool first: a
-                    # shard that just came back takes the batch directly.
-                    async with self._repair_lock:
-                        try:
-                            worker = self._pool.pick_worker()
-                            deferred = False
-                        except PoolSaturatedError:
-                            # Workers revived mid-request but are full;
-                            # the inflight bound is advisory backpressure
-                            # -- deliver anyway rather than strand the
-                            # batch behind a dead shard.
-                            worker = next(
-                                w.index for w in self._pool.workers if w.alive
-                            )
-                            deferred = False
-                        except NoAliveWorkersError:
-                            worker = self._batches_accepted % len(self._pool)
-                        await self._append_wal(epoch, blob, key, worker, n_users)
-                else:
+                except NoAliveWorkersError as exc:
+                    if self._wal is None:
+                        del self._seen_keys[key]
+                        raise HttpError(
+                            503, f"shard workers unavailable: {exc}"
+                        ) from exc
+                    # With a WAL the batch is durable the moment it is
+                    # logged; the supervisor's respawn replay delivers it.
+                    worker = self._batches_accepted % len(self._pool)
+                    deferred = True
+                try:
                     await self._append_wal(epoch, blob, key, worker, n_users)
-            except OSError as exc:
-                del self._seen_keys[key]
-                raise HttpError(503, f"ingest log write failed: {exc}") from exc
+                except OSError as exc:
+                    del self._seen_keys[key]
+                    raise HttpError(503, f"ingest log write failed: {exc}") from exc
             if not deferred:
                 try:
                     await self._pool.ingest_on(worker, blob)

@@ -10,10 +10,10 @@ Two guarantees anchor the refactor:
   exact (hex-float) frequencies captured from the seed code for 14
   configurations x 3 execution paths; HRR-based paths are allowed a
   <= 1e-12 drift, everything else must match exactly.
-* **Codec unification**: the single :class:`~repro.core.session.LevelReport`
-  codec keeps reading the legacy per-family wire layouts (bare ``payload``
-  for flat, ``heights`` for Haar) under their registered decoder names, so
-  reports serialized before the unification still load.
+* **Codec unification**: one :class:`~repro.core.session.LevelReport`
+  codec (``levels`` metadata plus ``level_<key>`` arrays) serves every
+  family under its registered decoder name, and refuses a family-tagged
+  header without ``levels``.
 """
 
 import json
@@ -25,7 +25,7 @@ import pytest
 from repro import FlatRangeQuery, HaarHRR, HierarchicalHistogram
 from repro.core.decomposition import Decomposition
 from repro.core.session import LevelReport, Report, _pack_payload
-from repro.core.serialization import pack_blob
+from repro.core.serialization import SerializationError, pack_blob
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "golden_decomposition.json"
 
@@ -163,47 +163,19 @@ class TestUnifiedReportCodec:
         assert sorted(revived.level_payloads) == sorted(report.level_payloads)
         assert np.array_equal(revived.level_user_counts, report.level_user_counts)
 
-    def test_legacy_flat_layout_still_loads(self):
+    @pytest.mark.parametrize("family", ["flat", "hierarchical", "haar", "grid2d"])
+    def test_family_header_without_levels_is_refused(self, family):
+        # The codec reads one layout: a registered family tag with no
+        # ``levels`` map (what the pre-unification flat and Haar layouts
+        # looked like) is a decode error, not a silently empty report.
         protocol = FlatRangeQuery(64, 1.1, oracle="oue")
         _, report = self._report_for(protocol)
-        # Re-create the pre-unification flat wire layout: a bare payload
-        # under the "payload" key, no levels map, no counts array.
         meta, arrays = _pack_payload(report.level_payloads[0], "payload")
-        legacy = pack_blob(
-            {"report_kind": "flat", "n_users": report.n_users, "payload": meta},
-            arrays,
+        blob = pack_blob(
+            {"report_kind": family, "n_users": report.n_users, "payload": meta}, arrays
         )
-        revived = Report.from_bytes(legacy)
-        assert isinstance(revived, LevelReport)
-        direct = protocol.server().ingest(report).finalize().estimated_frequencies()
-        via_legacy = protocol.server().ingest(revived).finalize().estimated_frequencies()
-        assert np.array_equal(direct, via_legacy)
-
-    def test_legacy_haar_layout_still_loads(self):
-        protocol = HaarHRR(64, 1.1)
-        _, report = self._report_for(protocol)
-        # Re-create the pre-unification Haar wire layout: payloads keyed by
-        # detail height under "heights" with "height_<j>" array prefixes.
-        arrays = {
-            "level_user_counts": np.asarray(report.level_user_counts, np.int64)
-        }
-        height_meta = {}
-        for height_j, payload in sorted(report.level_payloads.items()):
-            meta, payload_arrays = _pack_payload(payload, f"height_{height_j}")
-            height_meta[str(height_j)] = meta
-            arrays.update(payload_arrays)
-        legacy = pack_blob(
-            {
-                "report_kind": "haar",
-                "n_users": report.n_users,
-                "heights": height_meta,
-            },
-            arrays,
-        )
-        revived = Report.from_bytes(legacy)
-        direct = protocol.server().ingest(report).finalize().estimated_frequencies()
-        via_legacy = protocol.server().ingest(revived).finalize().estimated_frequencies()
-        assert np.array_equal(direct, via_legacy)
+        with pytest.raises(SerializationError, match="levels"):
+            Report.from_bytes(blob)
 
     def test_unregistered_families_decode_through_the_unified_layout(self):
         # A brand-new Decomposition subclass gets wire round-trips without

@@ -11,6 +11,9 @@ Three layers of guarantees:
   produced under different backends merge freely.
 * **Batch encoding** (always run): ``encode_batches`` produces exactly the
   report stream of the equivalent ``encode_batch`` sequence.
+* **Narrow unary sums** (always run): the numpy ``unary_sums`` int32
+  accumulator for ``bool``/``uint8`` matrices equals an int64 sum, and
+  wider integer inputs take the int64 fallback.
 * **numpy/numba equivalence** (skipped when numba is absent): a hypothesis
   sweep driving every kernel with generated populations across seeds,
   dtypes and chunk sizes, asserting bit-identical outputs, plus a rerun of
@@ -56,10 +59,11 @@ needs_numba = pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
 # counts moderate and deadlines off.
 SWEEP_SETTINGS = settings(max_examples=25, deadline=None)
 
-#: Integer dtypes the unary (N, D) report matrices may arrive in.  Float
-#: dtypes are excluded by contract: ``unary_sums`` consumes the uint8
-#: matrices produced by ``unary_perturb`` (or int upcasts of them).
-UNARY_DTYPES = (np.uint8, np.int32, np.int64)
+#: Dtypes the unary (N, D) report matrices may arrive in.  Float dtypes
+#: are excluded by contract: ``unary_sums`` consumes the bool matrices the
+#: oracles report (decoded from the wire's bits), the uint8 matrices
+#: ``unary_perturb`` produces, or int upcasts of them.
+UNARY_DTYPES = (np.bool_, np.uint8, np.int32, np.int64)
 
 
 @pytest.fixture(autouse=True)
@@ -227,6 +231,34 @@ class TestEncodeBatches:
         client = FlatRangeQuery(16, 1.0, oracle="grr").client()
         with pytest.raises(ValueError, match="batch_size"):
             client.encode_batches(np.arange(8), 0)
+
+
+class TestNarrowUnarySums:
+    @staticmethod
+    def _matrices(dtype):
+        rng = np.random.default_rng(9)
+        yield "random", rng.integers(0, 2, size=(400, 1024)).astype(dtype)
+        yield "all ones", np.ones((300, 70), dtype=dtype)
+        yield "zero rows", np.zeros((0, 33), dtype=dtype)
+        if dtype == np.uint8:
+            yield "all 255", np.full((500, 9), 255, dtype=np.uint8)
+
+    @pytest.mark.parametrize("dtype", [np.bool_, np.uint8])
+    def test_int32_path_equals_an_int64_sum(self, dtype):
+        for name, reports in self._matrices(dtype):
+            sums = reference.unary_sums(reports)
+            assert sums.dtype == np.int64, name
+            np.testing.assert_array_equal(
+                sums, reports.astype(np.int64).sum(axis=0), err_msg=name
+            )
+
+    @pytest.mark.parametrize("dtype, entry", [(np.int32, 2**30), (np.int64, 2**40)])
+    def test_wider_inputs_take_the_int64_fallback(self, dtype, entry):
+        # Four rows of these entries overflow an int32 accumulator.
+        reports = np.full((4, 3), entry, dtype=dtype)
+        np.testing.assert_array_equal(
+            reference.unary_sums(reports), np.full(3, 4 * entry, dtype=np.int64)
+        )
 
 
 # --------------------------------------------------------------------- #

@@ -188,6 +188,33 @@ class TestMalformedInput:
             with pytest.raises(SerializationError, match=f"'{field}' must be a non-negative"):
                 report_batch_header(mutated)
 
+    # Bits payloads: width 20 packs into 3 bytes per row, so a wrong width
+    # or block shape is never zero-padded or trimmed into a plausible matrix.
+    MALFORMED_BITS = {
+        "negative width": lambda meta, block: ({**meta, "width": -1}, block),
+        "string width": lambda meta, block: ({**meta, "width": "x"}, block),
+        "huge width": lambda meta, block: ({**meta, "width": 10**9}, block),
+        "one column too many": lambda meta, block: (
+            meta, np.concatenate([block, block[:, :1]], axis=1)
+        ),
+        "one column too few": lambda meta, block: (meta, block[:, 1:]),
+        "int8 block": lambda meta, block: (meta, block.view(np.int8)),
+        "1-D block": lambda meta, block: (meta, block.ravel()),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_BITS))
+    def test_malformed_bits_payloads_are_refused(self, case):
+        report = FlatRangeQuery(20, 1.1, oracle="oue").client().encode_batch(
+            np.arange(20), rng=0
+        )
+        header, arrays = unpack_blob(report.to_bytes())
+        assert header["levels"]["0"] == {"payload_kind": "bits", "width": 20}
+        assert arrays["level_0"].shape == (20, 3)
+        meta, block = self.MALFORMED_BITS[case](header["levels"]["0"], arrays["level_0"])
+        mutated = {**header, "levels": {"0": meta}}
+        with pytest.raises(SerializationError, match="bits"):
+            Report.from_bytes(pack_blob(mutated, {**arrays, "level_0": block}))
+
     def test_every_truncation_of_a_real_state_fails_loudly(self, server_blob):
         # Sampled prefixes across the whole blob, plus the exact layout
         # boundaries (magic, length field, header end).
@@ -507,10 +534,10 @@ class TestWriterBytesArePinned:
 
     DIGESTS = {
         "v1_state": "cb37c4364b59420ff7ad7bc449c5a863010253f2dfe8bd57eccc6f20ba0e4a9d",
-        "v1_report": "02adbf6c80c4143555fa48286bf4c41b2edc45d9db2b1211c7c6014ba21a5f6b",
+        "v1_report": "8361101d59a180aad138ba66702c460bdd32ec77ac419d214fee5d5e4e9ce2f0",
         "v2_envelope": "3a1e9ada326171e82d2e3cf8c8a8505b40d27380063c8571fa814276a46820b5",
-        "batch": "4ec83e6697d727facad2970435d7cdbe33d878028964c7977b1490a329ff5844",
-        "wal": "3da40b8f0d3e356a83247bedeb1de555335b6545dfb36af1ee931559f3194941",
+        "batch": "c43fb3a45497e335afbc2a301fa10aa22ae771665135e89fbd04e99326ed30ad",
+        "wal": "5d5c91accdd7dfebf38ca38a27d125e25dd6a458016f9f279c7f523d778ee671",
         "segment": "9cffdfd0108ca81b0d386ea30a9481af83754f53a1f0666e251ffc78e382fff3",
         "segment_pushdown": "1df4a8f024be230c0fbe2dbac9c0948ea2762cb4b3ee46610f8ca215eb1cd222",
         "segment_aggregate": "46ecc39fdf6e948639c6e01541a907656f075ae5c4536ec72093078ae66726ca",

@@ -22,6 +22,7 @@ import os
 import socket
 import struct
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -56,6 +57,8 @@ from repro.service.faults import (
 )
 from repro.service.http import split_url
 from repro.service.loadgen import percentile, run_loadgen
+
+from test_streaming_session import array_layout_bytes
 
 SPEC = {"name": "flat", "domain_size": 64, "epsilon": 1.0}
 TREE_SPEC = {"name": "hh", "domain_size": 64, "epsilon": 1.0, "branching": 4}
@@ -537,6 +540,35 @@ class TestStoreRecovery:
             assert restored.current_epoch == 1
             assert restored.wal.scan() == []
 
+    def test_array_layout_batches_in_the_wal_replay(self, tmp_path):
+        # A WAL segment written before unary reports travelled as bits
+        # holds "array" (uint8) payloads; a restart replays and closes it
+        # exactly like the same batches sent as bits.
+        protocol, reports = encode_reports(TREE_SPEC, 300, seed=14, chunks=3)
+        spec = protocol.spec()
+        bits = [pack_report_batch(spec, [report]) for report in reports]
+        reference = ingest_batches_single_process(spec, bits).finalize()
+        store_dir, wal_dir = str(tmp_path / "store"), str(tmp_path / "wal")
+        with ServiceThread(
+            AggregationService(TREE_SPEC, num_workers=2, store_dir=store_dir, wal_dir=wal_dir)
+        ):
+            pass
+        wal = IngestWAL(wal_dir)
+        for index, report in enumerate(reports):
+            blob = pack_report_batch(spec, [array_layout_bytes(report)])
+            wal.append(0, blob, key=f"old:{index}", worker=index % 2, n_users=report.n_users)
+        wal.close()
+
+        restored = AggregationService.from_store(store_dir, num_workers=2, wal_dir=wal_dir)
+        with ServiceThread(restored) as handle:
+            assert request_json(handle.url + "/stats")["replayed_batches"] == 3
+            closed = request_json(handle.url + "/close", method="POST")
+            assert closed["epoch"] == 0 and closed["reports"] == 300
+            answer = request_json(handle.url + "/query?frequencies=1&window=all")
+            assert answer["frequencies"] == [
+                float(v) for v in reference.estimated_frequencies()
+            ]
+
     def test_query_labels_match_the_epochs_it_answers(self, tmp_path):
         # An epoch absorbed while a /query finalizes must not leak into
         # the answer's report count or epoch labels.
@@ -659,6 +691,35 @@ class TestFaultTolerance:
             stats = request_json(url + "/stats")
             assert stats["restart_count"] >= 1
             assert stats["replayed_batches"] >= 1
+
+    @pytest.mark.chaos
+    def test_ingest_during_a_respawn_replay_is_counted_once(self, tmp_path):
+        # The supervisor respawns a killed shard, then scans the WAL and
+        # replays the shard's records into it.  A batch routed to the
+        # revived shard and logged before that scan must reach it once:
+        # not by the replay and again by its own send.
+        blobs, reference = make_blobs(SPEC, 240, seed=20, chunks=8)
+        service = AggregationService(
+            SPEC, num_workers=2, store_dir=str(tmp_path / "store"),
+            wal_dir=str(tmp_path / "wal"), supervise_interval=0.05,
+        )
+        with ServiceThread(service) as handle:
+            post_batches(handle.url, blobs[:4], "rr")
+            read_epoch, scanning = service.wal.read_epoch, threading.Event()
+
+            def slow_scan(epoch):
+                scanning.set()
+                time.sleep(0.3)  # widen the respawn-to-scan window
+                return read_epoch(epoch)
+
+            service.wal.read_epoch = slow_scan
+            kill_worker(handle, 0)
+            assert scanning.wait(10)
+            post_batches(handle.url, blobs[4:], "rr", start=4)
+            closed = request_json(handle.url + "/close", method="POST")
+            assert closed["reports"] == 240
+            assert_matches_reference(handle.url, reference)
+            assert request_json(handle.url + "/stats")["replayed_batches"] == 2
 
     @pytest.mark.chaos
     def test_all_workers_dead_defers_to_wal_and_recovers(self, tmp_path):

@@ -8,6 +8,8 @@ Covers the core guarantees of the redesign:
   number of servers and merging in any order finalizes to frequencies that
   are *exactly* (``np.array_equal``) those of single-server ingestion;
 * reports and accumulator states survive ``to_bytes``/``from_bytes``;
+  OUE, SUE and THE reports travel as packed bits, and reports written
+  with the older ``"array"`` payloads ingest to the same state;
 * the CLI ``encode`` / ``aggregate`` / ``merge`` pipeline reproduces the
   same exactness guarantees on files.
 """
@@ -29,8 +31,10 @@ from repro import (
 )
 from repro.cli import main, write_items
 from repro.core.protocol import RangeQueryEstimator
+from repro.core.serialization import pack_blob, pack_report_batch, unpack_blob
 from repro.core.session import LevelReport, Report, load_server_file
 from repro.core.types import Domain
+from repro.service import ingest_batches_single_process
 
 PROTOCOL_CASES = [
     pytest.param(lambda: FlatRangeQuery(64, 1.1, oracle="oue"), id="flat-oue"),
@@ -284,6 +288,20 @@ class TestIngestIsAtomic:
             server.ingest([valid, make_misfit(valid)])
         assert server.to_bytes() == before
 
+    @pytest.mark.parametrize("oracle", ["oue", "sue", "the"])
+    def test_unary_entry_outside_zero_one_is_refused(self, oracle):
+        protocol = FlatRangeQuery(16, 1.1, oracle=oracle)
+        server, before = self._primed(protocol)
+        valid = protocol.client().encode_batch(np.arange(16), rng=2)
+        entries = valid.level_payloads[0].astype(np.uint8)
+        entries[0, 0] = 7
+        with pytest.raises(ProtocolUsageError, match="must be 0 or 1"):
+            server.ingest([valid, _refit(valid, entries)])
+        assert server.to_bytes() == before
+        # The same entries as bool hold only bits, so they are accepted.
+        server.ingest(_refit(valid, entries.astype(np.bool_)))
+        assert server.n_reports == 2 * 16
+
     def test_misfit_last_level_refuses_the_report_before_its_first_levels(self):
         protocol = HierarchicalHistogram(64, 1.1, branching=4, oracle="olh")
         server, before = self._primed(protocol)
@@ -305,6 +323,78 @@ def _flat_report(oracle: str) -> LevelReport:
 def _refit(report: LevelReport, payload) -> LevelReport:
     """``report`` with its one flat level's payload replaced."""
     return LevelReport(report.family, {0: payload}, report.level_user_counts, report.n_users)
+
+
+def array_layout_bytes(report: LevelReport) -> bytes:
+    """``report`` packed as before ``"bits"``: every level a uint8 ``"array"``."""
+    arrays = {"level_user_counts": np.asarray(report.level_user_counts, np.int64)}
+    levels = {}
+    for level, payload in sorted(report.level_payloads.items()):
+        arrays[f"level_{level}"] = payload.astype(np.uint8)
+        levels[str(level)] = {"payload_kind": "array"}
+    header = {"report_kind": report.family, "n_users": report.n_users, "levels": levels}
+    return pack_blob(header, arrays)
+
+
+UNARY_FAMILIES = [
+    pytest.param(lambda oracle: FlatRangeQuery(64, 1.1, oracle=oracle), id="flat"),
+    pytest.param(
+        lambda oracle: HierarchicalHistogram(64, 1.1, branching=4, oracle=oracle), id="hh"
+    ),
+]
+
+
+class TestBitPayloads:
+    """OUE, SUE and THE reports travel as bits; older ``"array"`` reports still ingest."""
+
+    @pytest.mark.parametrize("oracle", ["oue", "sue", "the"])
+    @pytest.mark.parametrize("make", UNARY_FAMILIES)
+    def test_unary_levels_travel_as_bits(self, make, oracle):
+        protocol = make(oracle)
+        report = protocol.client().encode_batch(np.arange(64), rng=5)
+        header, _ = unpack_blob(report.to_bytes())
+        revived = Report.from_bytes(report.to_bytes())
+        assert sorted(revived.level_payloads) == sorted(report.level_payloads)
+        for level, payload in report.level_payloads.items():
+            assert header["levels"][str(level)] == {
+                "payload_kind": "bits", "width": payload.shape[1]
+            }
+            assert payload.dtype == revived.level_payloads[level].dtype == np.bool_
+            assert np.array_equal(revived.level_payloads[level], payload)
+
+    @pytest.mark.parametrize(
+        "oracle, kind",
+        [("she", "array"), ("olh", "localhash"), ("hrr", "hadamard"), ("grr", "array")],
+    )
+    @pytest.mark.parametrize("make", UNARY_FAMILIES)
+    def test_other_payload_kinds_are_unchanged(self, make, oracle, kind):
+        report = make(oracle).client().encode_batch(np.arange(64), rng=5)
+        header, _ = unpack_blob(report.to_bytes())
+        assert {meta["payload_kind"] for meta in header["levels"].values()} == {kind}
+
+    def test_bits_batch_is_at_most_a_seventh_of_the_array_batch(self):
+        # The service benchmark's ingest batch: hh B=4 OUE, D=1024, 2,000 users.
+        protocol = HierarchicalHistogram(1024, 1.1, branching=4, oracle="oue")
+        items = np.random.default_rng(6).integers(0, 1024, size=2000)
+        report = protocol.client().encode_batch(items, rng=7)
+        bits = pack_report_batch(protocol.spec(), [report])
+        arrays = pack_report_batch(protocol.spec(), [array_layout_bytes(report)])
+        assert 7 * len(bits) <= len(arrays)
+
+    @pytest.mark.parametrize("oracle", ["oue", "sue", "the"])
+    @pytest.mark.parametrize("make", UNARY_FAMILIES)
+    def test_array_layout_batches_ingest_like_bits(self, make, oracle):
+        protocol = make(oracle)
+        reports = _encode_stream(protocol, _items_for(protocol, n_users=300), n_batches=3)
+        spec = protocol.spec()
+        bits = [pack_report_batch(spec, [report]) for report in reports]
+        arrays = [pack_report_batch(spec, [array_layout_bytes(r)]) for r in reports]
+        old = Report.from_bytes(array_layout_bytes(reports[0]))
+        assert all(p.dtype == np.uint8 for p in old.level_payloads.values())
+        assert (
+            ingest_batches_single_process(spec, arrays).to_bytes()
+            == ingest_batches_single_process(spec, bits).to_bytes()
+        )
 
 
 class TestSerialization:
