@@ -7,13 +7,12 @@ traffic arrives continuously and the underlying distribution drifts.  The
 
 1. each *epoch* (here: a "day" of traffic) is absorbed into its own
    mergeable accumulator shard -- historical epochs are never touched;
-2. the whole service state is *checkpointed* to one durable file and
-   restored bit-identically, surviving process restarts;
+2. with ``store_dir=`` the service is durable: each sealed day spills to
+   its own memory-mapped segment file, and the engine restarts from the
+   store's manifest alone, bit-identically;
 3. queries are answered over *windows* of epochs -- all-time, or a
-   sliding ``last(k)`` -- by lazily merging exactly the selected shards;
-4. with ``store_dir=`` the same service runs *out of core*: each sealed
-   day spills to its own mmap segment file, the engine restarts from the
-   manifest alone, and windowed queries answer from disk bit-identically.
+   sliding ``last(k)`` -- by merging exactly the selected shards, read
+   from disk.
 
 The population drifts upward over the week, so the sliding window tracks
 the current median while the all-time estimate lags behind it.
@@ -50,23 +49,26 @@ def daily_items(day: int, rng: np.random.Generator) -> np.ndarray:
 
 def main() -> None:
     rng = np.random.default_rng(0)
+    store_dir = os.path.join(tempfile.mkdtemp(), "epochstore")
     engine = Engine.open(
-        "hh", domain_size=DOMAIN_SIZE, epsilon=EPSILON, branching=4
+        "hh", domain_size=DOMAIN_SIZE, epsilon=EPSILON, branching=4,
+        store_dir=store_dir,
     )
 
-    # --- the service absorbs one epoch per day ------------------------- #
+    # --- the service absorbs one epoch per day and seals it ------------ #
     true_medians = []
     for day in range(N_DAYS):
         items = daily_items(day, rng)
         true_medians.append(int(np.median(items)))
         engine.session(epoch=day).absorb(items, rng=rng)
+        engine.seal_epoch(day)  # spill to its own segment, evict from RAM
+    engine.checkpoint()  # incremental: manifest only, nothing is dirty
     print(f"service state: {engine.describe()}")
+    print(f"epoch store: {len(engine.sealed_epochs)} sealed segments, "
+          f"{engine.store.total_bytes():,} bytes in {store_dir}")
 
-    # --- durability: checkpoint, forget everything, restore ------------ #
-    path = os.path.join(tempfile.mkdtemp(), "service.ckpt")
-    engine.checkpoint(path)
-    print(f"checkpoint written: {os.path.getsize(path):,} bytes -> {path}")
-    engine = Engine.restore(path)
+    # --- durability: forget everything, restore from the manifest ------ #
+    engine = Engine.restore(store_dir)  # lazy: no segment is read yet
     print(f"restored:      {engine.describe()}")
 
     # --- windowed queries: sliding window vs all-time ------------------ #
@@ -97,29 +99,6 @@ def main() -> None:
             "all": engine.n_reports(),
         },
     )
-
-    # --- the same week, out of core ------------------------------------ #
-    # Seal each day into its own segment file: live memory stays O(1) in
-    # the number of days, restart reads only the manifest, and the
-    # windowed answers match the in-RAM engine bit for bit.
-    store_dir = os.path.join(tempfile.mkdtemp(), "epochstore")
-    rng = np.random.default_rng(0)  # replay the exact same week
-    stored = Engine.open(
-        "hh", domain_size=DOMAIN_SIZE, epsilon=EPSILON, branching=4,
-        store_dir=store_dir,
-    )
-    for day in range(N_DAYS):
-        stored.session(epoch=day).absorb(daily_items(day, rng), rng=rng)
-        stored.seal_epoch(day)  # spill to epoch-%08d.seg, evict from RAM
-    stored.checkpoint()  # incremental: manifest only, nothing is dirty
-    print()
-    print(f"epoch store: {len(stored.sealed_epochs)} sealed segments, "
-          f"{stored.store.total_bytes():,} bytes in {store_dir}")
-
-    restored = Engine.restore(store_dir)  # lazy: no segment is read yet
-    answer = restored.estimator(window=last(2)).quantile_query(0.5)
-    print("last-2-day median from sealed segments:", answer)
-    print("matches the in-RAM engine:", answer == recent.quantile_query(0.5))
 
 
 if __name__ == "__main__":

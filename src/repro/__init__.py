@@ -61,44 +61,35 @@ rather than one-shot runs.  :class:`repro.engine.Engine` is that layer::
 
     from repro.engine import Engine, last
 
-    engine = Engine.open("hh", domain_size=1024, epsilon=1.1, branching=4)
+    engine = Engine.open("hh", domain_size=1024, epsilon=1.1, branching=4,
+                         store_dir="epochstore")
     for day, batch in enumerate(daily_batches):        # epoch per day
         engine.session(epoch=day).absorb(batch, rng=rng)
-    engine.checkpoint("service.ckpt")                  # durable v2 envelope
+        engine.seal_epoch(day)                         # spill + evict
 
-    engine = Engine.restore("service.ckpt")
-    weekly = engine.estimator(window=last(7))          # lazy exact merge
+    engine = Engine.restore("epochstore")              # manifest-only restart
+    weekly = engine.estimator(window=last(7))          # exact windowed merge
     print(weekly.range_query((100, 400)))
 
 Each epoch is an independent mergeable accumulator shard; windowed
 queries merge the selected epochs lazily (exactly -- integer sufficient
 statistics) and feed the estimators' batch query kernels unchanged.  A
 single-epoch ``window="all"`` engine is bit-identical to the plain
-client/server session path, and pre-engine v1 state files restore as
-single-epoch engines.  The CLI mirrors the façade with
-``engine checkpoint`` / ``engine query`` / ``engine info`` subcommands.
+client/server session path.  The CLI mirrors the façade with
+``engine checkpoint`` / ``engine query`` / ``engine info`` subcommands
+on a ``--store-dir``; ``merge --states`` reads v1 state files.
 
-For histories too large for RAM, ``Engine.open(..., store_dir=...)``
-attaches the *out-of-core epoch store*: sealed epochs spill into
-per-epoch memory-mapped segment files under a versioned manifest,
-``checkpoint()`` becomes incremental (only dirty epochs rewrite), and
-windowed queries over sealed epochs sum each segment's pre-aggregated
-integer vectors instead of rebuilding full accumulators -- bit-identical
-to the in-RAM merge, at O(window) memory.  Sealed runs additionally fold
-into power-of-two *aggregate segments*, so a wide window reads O(log k)
-segments instead of k (``last:64`` over 1024 sealed epochs answers ~23x
-faster than the per-epoch sum at the default benchmark preset)::
-
-    engine = Engine.open("hh", domain_size=1024, epsilon=1.1,
-                         branching=4, store_dir="epochstore")
-    for day, batch in enumerate(daily_batches):
-        engine.session(epoch=day).absorb(batch, rng=rng)
-        engine.seal_epoch(day)                      # spill + evict
-    engine = Engine.restore("epochstore")           # manifest-only restart
-    weekly = engine.estimator(window=last(7))       # segment pushdown
-
-The ``engine`` subcommands accept ``--store-dir`` wherever they accept
-``--checkpoint``; ``serve`` persists through ``--store-dir`` alone.
+The *out-of-core epoch store* behind ``store_dir`` is an engine's one
+persistence path: sealed epochs spill into per-epoch memory-mapped
+segment files under a versioned manifest, ``checkpoint()`` is
+incremental (only dirty epochs rewrite), and windowed queries over
+sealed epochs sum each segment's pre-aggregated integer vectors instead
+of rebuilding full accumulators -- bit-identical to the in-RAM merge, at
+O(window) memory.  Sealed runs additionally fold into power-of-two
+*aggregate segments*, so a wide window reads O(log k) segments instead
+of k (``last:64`` over 1024 sealed epochs answers ~23x faster than the
+per-epoch sum at the default benchmark preset).  ``serve`` persists
+through ``--store-dir`` as well.
 
 The network-facing service
 --------------------------
@@ -234,7 +225,7 @@ from repro.hierarchy import HierarchicalHistogram
 from repro.multidim import HierarchicalGrid2D
 from repro.wavelet import HaarHRR
 
-__version__ = "1.10.0"
+__version__ = "1.11.0"
 
 #: Protocol registry used by the experiment harness and the CLI.  Classes
 #: may expose a ``from_registry(domain_size, epsilon, **kwargs)`` adapter

@@ -28,11 +28,11 @@ state-file juggling for long-running services (``aggregate`` and
 ``merge`` remain as thin wrappers over the same façade):
 
 * ``repro-cli engine checkpoint`` -- fold report files into one epoch of a
-  durable checkpoint (created on first use, extended thereafter);
-* ``repro-cli engine info``       -- inspect a checkpoint (spec, epochs,
-  per-epoch report counts) and optionally export a merged window as a
-  classic state file;
-* ``repro-cli engine query``      -- restore a checkpoint and answer
+  ``--store-dir`` epoch store (created on first use, extended thereafter);
+* ``repro-cli engine info``       -- inspect a store (spec, epochs,
+  per-epoch report counts, aggregates) and optionally export a merged
+  window as a classic state file;
+* ``repro-cli engine query``      -- reopen a store and answer
   range/quantile/rectangle queries over a window of epochs
   (``--window all``, ``--window last:K``, or ``--window 0,2,5``).
 
@@ -106,6 +106,7 @@ from repro.core.session import (
     Report,
     load_report_bytes,
     load_report_file,
+    load_server,
     protocol_from_spec,
     save_report_file,
     save_server_file,
@@ -437,16 +438,15 @@ def command_aggregate(args: argparse.Namespace) -> int:
 
 
 def _engine_from_state_files(paths: Sequence[str]) -> Engine:
-    """An engine holding one epoch per state file, in file order."""
+    """An engine holding one epoch per v1 state file, in file order."""
     engine = None
     for path in paths:
         try:
             with open(path, "rb") as handle:
-                blob = handle.read()
+                server = load_server(handle.read())
             if engine is None:
-                engine = Engine.from_bytes(blob)
-            else:
-                engine.adopt_state(blob)
+                engine = Engine.open(server.protocol)
+            engine.adopt_state(server.state)
         except (OSError, SerializationError) as exc:
             raise SystemExit(f"could not load state file {path}: {exc}")
         except ProtocolUsageError as exc:
@@ -508,31 +508,12 @@ def command_merge(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------- #
 # engine subcommands: the epoch-aware aggregation-service façade on files
 # --------------------------------------------------------------------- #
-def _restore_engine(path: Optional[str] = None, store_dir: Optional[str] = None) -> Engine:
-    """Restore an engine from a checkpoint file or an epoch store directory."""
-    if store_dir is not None:
-        try:
-            return Engine.open(None, store_dir=store_dir)
-        except (OSError, SerializationError) as exc:
-            raise SystemExit(f"could not open epoch store {store_dir}: {exc}")
+def _restore_engine(store_dir: str) -> Engine:
+    """Reopen an engine from its epoch store directory."""
     try:
-        return Engine.restore(path)
+        return Engine.restore(store_dir)
     except (OSError, SerializationError) as exc:
-        raise SystemExit(f"could not restore engine checkpoint {path}: {exc}")
-
-
-def _checkpoint_source(args: argparse.Namespace) -> Tuple[Optional[str], Optional[str]]:
-    """Validate the ``--checkpoint`` / ``--store-dir`` pair of a subcommand."""
-    checkpoint = getattr(args, "checkpoint", None)
-    store_dir = getattr(args, "store_dir", None)
-    if checkpoint is None and store_dir is None:
-        raise SystemExit("one of --checkpoint or --store-dir is required")
-    if checkpoint is not None and store_dir is not None:
-        raise SystemExit(
-            "--checkpoint and --store-dir are mutually exclusive: a store "
-            "directory replaces the monolithic checkpoint file"
-        )
-    return checkpoint, store_dir
+        raise SystemExit(f"could not open epoch store {store_dir}: {exc}")
 
 
 def _parse_window_arg(args: argparse.Namespace):
@@ -543,25 +524,21 @@ def _parse_window_arg(args: argparse.Namespace):
 
 
 def command_engine_checkpoint(args: argparse.Namespace) -> int:
-    """Fold report files into one epoch of a durable engine checkpoint.
+    """Fold report files into one epoch of a ``--store-dir`` epoch store.
 
-    The checkpoint (file or epoch store directory) is created on first
-    use and extended on every subsequent run; ``--epoch`` selects the
-    epoch (default: the next fresh one), and re-using an epoch key
-    appends to that epoch's shard.  With ``--store-dir`` the write is
+    The store is created on first use and extended on every subsequent
+    run; ``--epoch`` selects the epoch (default: the next fresh one), and
+    re-using an epoch key appends to that epoch's shard.  The write is
     *incremental*: only the touched epoch's segment is rewritten, and
     every other epoch's segment stays byte-identical on disk.
     """
-    checkpoint, store_dir = _checkpoint_source(args)
+    store_dir = args.store_dir
     engine = None
     spec = None
-    if store_dir is not None and os.path.exists(
+    if os.path.isfile(store_dir) or os.path.exists(
         os.path.join(store_dir, "MANIFEST.json")
     ):
-        engine = _restore_engine(store_dir=store_dir)
-        spec = engine.spec()
-    elif checkpoint is not None and os.path.exists(checkpoint):
-        engine = _restore_engine(checkpoint)
+        engine = _restore_engine(store_dir)
         spec = engine.spec()
     session = None
     if engine is not None:
@@ -576,38 +553,32 @@ def command_engine_checkpoint(args: argparse.Namespace) -> int:
         raise SystemExit("no report files given")
     engine = session.engine
     try:
-        if store_dir is not None:
-            if engine.store is None:
-                engine.attach_store(store_dir)
-            engine.checkpoint()
-            engine.seal_epoch(session.epoch)
-            destination = store_dir
-        else:
-            engine.checkpoint(checkpoint)
-            destination = checkpoint
+        if engine.store is None:
+            engine.attach_store(store_dir)
+        engine.checkpoint()
+        engine.seal_epoch(session.epoch)
     except (OSError, SerializationError, ProtocolUsageError) as exc:
         raise SystemExit(f"could not write checkpoint: {exc}")
     print(
         f"epoch {session.epoch}: folded {folded} reports from "
-        f"{len(args.reports)} file(s); checkpoint {destination} now holds "
+        f"{len(args.reports)} file(s); store {store_dir} now holds "
         f"epochs {list(engine.epochs)} ({engine.n_reports()} reports total)"
     )
     return 0
 
 
 def command_engine_info(args: argparse.Namespace) -> int:
-    """Inspect a checkpoint; optionally export a window as a state file.
+    """Inspect an epoch store; optionally export a window as a state file.
 
-    Reports per-epoch report counts and serialized sizes (plus on-disk
-    segment sizes and seal/dirty status when store-backed), without
-    materializing a single sealed epoch.
+    Reports per-epoch report counts, on-disk segment sizes and
+    seal/dirty status, without materializing a single sealed epoch.
     """
-    checkpoint, store_dir = _checkpoint_source(args)
-    engine = _restore_engine(checkpoint, store_dir=store_dir)
+    engine = _restore_engine(args.store_dir)
     window = _parse_window_arg(args)
     epoch_stats = engine.epoch_stats()
+    store = engine.store
     output = {
-        "checkpoint": checkpoint if store_dir is None else store_dir,
+        "checkpoint": args.store_dir,
         "method": getattr(engine.protocol, "name", type(engine.protocol).__name__),
         "spec": engine.spec(),
         "epochs": list(engine.epochs),
@@ -616,26 +587,25 @@ def command_engine_info(args: argparse.Namespace) -> int:
         },
         "epoch_stats": {str(epoch): stats for epoch, stats in epoch_stats.items()},
         "n_users": engine.n_reports(),
-    }
-    if engine.store is not None:
-        output["store"] = {
-            "dir": engine.store.directory,
+        "store": {
+            "dir": store.directory,
             "sealed_epochs": list(engine.sealed_epochs),
-            "on_disk_bytes": engine.store.total_bytes(),
-            "aggregates": engine.store.aggregate_stats(),
-        }
-        if getattr(args, "aggregates", False):
-            # Detailed listing: one row per materialized aggregate block,
-            # plus the cover plan the current window would use.
-            output["store"]["aggregate_segments"] = engine.store.aggregate_entries()
-            sealed = [
-                epoch
-                for epoch in resolve_window(window, list(engine.epochs))
-                if epoch in engine.store
-            ]
-            output["store"]["window_plan"] = [
-                list(node) for node in engine.store.plan_window(sealed)
-            ]
+            "on_disk_bytes": store.total_bytes(),
+            "aggregates": store.aggregate_stats(),
+        },
+    }
+    if getattr(args, "aggregates", False):
+        # Detailed listing: one row per materialized aggregate block,
+        # plus the cover plan the current window would use.
+        output["store"]["aggregate_segments"] = store.aggregate_entries()
+        sealed = [
+            epoch
+            for epoch in resolve_window(window, list(engine.epochs))
+            if epoch in store
+        ]
+        output["store"]["window_plan"] = [
+            list(node) for node in store.plan_window(sealed)
+        ]
     if args.output_state:
         try:
             merged = engine.window_state(window)
@@ -649,17 +619,15 @@ def command_engine_info(args: argparse.Namespace) -> int:
 
 
 def command_engine_query(args: argparse.Namespace) -> int:
-    """Restore a checkpoint and answer queries over a window of epochs.
+    """Reopen an epoch store and answer queries over a window of epochs.
 
-    ``--postprocess`` re-finalizes the checkpointed statistics under a
+    ``--postprocess`` re-finalizes the stored statistics under a
     different pipeline (post-processing never touches the accumulated
-    state, so no re-ingestion is needed).  With ``--store-dir`` the
-    window is answered out-of-core: only the selected epochs' segments
-    are read (via pushdown when available), bit-identically to the
-    in-RAM merge path.
+    state, so no re-ingestion is needed).  The window is answered
+    out-of-core: only the selected epochs' segments are read (via
+    pushdown when available), bit-identically to the in-RAM merge path.
     """
-    checkpoint, store_dir = _checkpoint_source(args)
-    engine = _restore_engine(checkpoint, store_dir=store_dir)
+    engine = _restore_engine(args.store_dir)
     window = _parse_window_arg(args)
     postprocess = getattr(args, "postprocess", None)
     if postprocess is not None:
@@ -956,25 +924,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     engine = subparsers.add_parser(
         "engine",
-        help="epoch-aware aggregation service: durable checkpoints + windowed queries",
+        help="epoch-aware aggregation service: epoch store + windowed queries",
     )
     engine_sub = engine.add_subparsers(dest="engine_command", required=True)
 
     checkpoint = engine_sub.add_parser(
         "checkpoint",
-        help="fold report files into one epoch of a durable checkpoint",
-    )
-    checkpoint.add_argument(
-        "--checkpoint",
-        default=None,
-        help="monolithic checkpoint file (created or extended)",
+        help="fold report files into one epoch of an epoch store",
     )
     checkpoint.add_argument(
         "--store-dir",
-        default=None,
+        required=True,
         help=(
-            "epoch store directory: per-epoch mmap segments + incremental "
-            "checkpoints (replaces --checkpoint)"
+            "epoch store directory (created or extended): per-epoch mmap "
+            "segments + incremental checkpoints"
         ),
     )
     checkpoint.add_argument(
@@ -989,13 +952,10 @@ def build_parser() -> argparse.ArgumentParser:
     checkpoint.set_defaults(func=command_engine_checkpoint)
 
     info = engine_sub.add_parser(
-        "info", help="inspect a checkpoint (spec, epochs, report counts)"
+        "info", help="inspect an epoch store (spec, epochs, report counts)"
     )
-    info.add_argument("--checkpoint", default=None)
     info.add_argument(
-        "--store-dir",
-        default=None,
-        help="epoch store directory to inspect (replaces --checkpoint)",
+        "--store-dir", required=True, help="epoch store directory to inspect"
     )
     info.add_argument(
         "--window",
@@ -1015,13 +975,10 @@ def build_parser() -> argparse.ArgumentParser:
     info.set_defaults(func=command_engine_info)
 
     query = engine_sub.add_parser(
-        "query", help="answer queries over a window of checkpointed epochs"
+        "query", help="answer queries over a window of stored epochs"
     )
-    query.add_argument("--checkpoint", default=None)
     query.add_argument(
-        "--store-dir",
-        default=None,
-        help="epoch store directory to query (replaces --checkpoint)",
+        "--store-dir", required=True, help="epoch store directory to query"
     )
     query.add_argument(
         "--window",

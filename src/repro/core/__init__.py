@@ -37,9 +37,7 @@ from repro.core.exceptions import (
 )
 from repro.core.rng import ensure_rng, spawn_rngs
 from repro.core.serialization import (
-    FORMAT_VERSION,
     SerializationError,
-    blob_version,
     pack_blob,
     unpack_blob,
 )
@@ -88,8 +86,6 @@ __all__ = [
     "InvalidWindowError",
     "ProtocolUsageError",
     "SerializationError",
-    "FORMAT_VERSION",
-    "blob_version",
     "ensure_rng",
     "spawn_rngs",
     "pack_blob",

@@ -2,8 +2,8 @@
 
 Sharded aggregation only works if the intermediate objects -- the reports
 clients upload and the sufficient-statistics accumulators servers keep --
-can cross process and machine boundaries.  All five byte formats here
-(``REPROACC`` v1/v2, ``REPROBAT``, ``REPROWAL`` and ``REPROSEG``) are one
+can cross process and machine boundaries.  All four byte formats here
+(``REPROACC``, ``REPROBAT``, ``REPROWAL`` and ``REPROSEG``) are one
 *framed container*::
 
     MAGIC | <u64 header length> | <JSON header> | body [| <u32 CRC32>]
@@ -37,12 +37,9 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-#: Version-1 format tag: accumulator states and reports (the pre-engine
-#: wire format, still written by default for byte-for-byte stability).
+#: Accumulator-state and report framing tag (format version 1, the only
+#: ``REPROACC`` version this build reads or writes).
 MAGIC = b"REPROACC\x01"
-
-#: Version-2 format tag: engine envelopes (checkpoints, epoch shards).
-MAGIC_V2 = b"REPROACC\x02"
 
 #: Report-batch framing tag: the network wire format of the ingest
 #: gateway (:mod:`repro.service`) and of ``encode --output -``.
@@ -56,9 +53,6 @@ MAGIC_WAL = b"REPROWAL\x01"
 #: (:mod:`repro.engine.store`), CRC-framed and memory-mappable.
 MAGIC_SEG = b"REPROSEG\x01"
 
-#: The newest format version this build reads and writes.
-FORMAT_VERSION = 2
-
 #: ``batch_kind`` tag every report batch declares in its header.
 REPORT_BATCH_KIND = "report-batch"
 
@@ -70,8 +64,6 @@ EPOCH_SEGMENT_KIND = "epoch-segment"
 
 #: Layout version of the epoch-segment contents.
 EPOCH_SEGMENT_FORMAT = 1
-
-_BLOB_MAGICS = (MAGIC, MAGIC_V2)  # position + 1 is the format version
 
 _LENGTH = struct.Struct("<Q")
 _CRC = struct.Struct("<I")
@@ -192,24 +184,16 @@ def _field_error(mapping, *counts: str, **tags) -> Optional[str]:
 
 
 # --------------------------------------------------------------------- #
-# REPROACC: accumulator states, reports (v1) and engine envelopes (v2)
+# REPROACC: accumulator states and reports
 # --------------------------------------------------------------------- #
-def pack_blob(
-    header: dict, arrays: Mapping[str, np.ndarray] = (), version: int = 1
-) -> bytes:
+def pack_blob(header: dict, arrays: Mapping[str, np.ndarray] = ()) -> bytes:
     """Serialize a JSON-able header plus named numeric arrays to bytes.
 
     ``header`` must be JSON serializable (Python's ``json`` keeps integer
     values exact at arbitrary precision, which the exact accumulators rely
     on).  ``arrays`` values are written as raw ``.npy`` blocks; object
-    dtypes are rejected.  ``version`` selects the magic tag: 1 (default)
-    for accumulator/report payloads, 2 for engine envelopes.
+    dtypes are rejected.
     """
-    if version not in (1, 2):
-        raise SerializationError(
-            f"unknown serialization format version {version!r}; "
-            f"this build writes versions 1 and 2"
-        )
     arrays = dict(arrays or {})
     body = io.BytesIO()
     for array in arrays.values():
@@ -217,7 +201,7 @@ def pack_blob(
             body, np.ascontiguousarray(array), allow_pickle=False
         )
     document = {"header": header, "arrays": list(arrays)}
-    return _write_frame(_BLOB_MAGICS[version - 1], document, body.getvalue())
+    return _write_frame(MAGIC, document, body.getvalue())
 
 
 def _blob_fields(document: dict, body_size: int) -> Optional[str]:
@@ -231,12 +215,7 @@ def _blob_fields(document: dict, body_size: int) -> Optional[str]:
 
 
 def _read_blob(data) -> Tuple[int, dict, int]:
-    return _read_frame(data, _BLOB_MAGICS, "a packed repro state/report/envelope", _blob_fields)
-
-
-def blob_version(data: bytes) -> int:
-    """Format version (1 or 2) of a packed blob, from its magic tag."""
-    return _read_blob(data)[0] + 1
+    return _read_frame(data, (MAGIC,), "a packed repro state/report", _blob_fields)
 
 
 def peek_header(data: bytes) -> dict:
@@ -249,11 +228,7 @@ def peek_header(data: bytes) -> dict:
 
 
 def unpack_blob(data: bytes) -> Tuple[dict, Dict[str, np.ndarray]]:
-    """Inverse of :func:`pack_blob`: return ``(header, arrays)``.
-
-    Accepts both v1 payloads and v2 envelopes (the physical layout is
-    identical); use :func:`blob_version` when the version matters.
-    """
+    """Inverse of :func:`pack_blob`: return ``(header, arrays)``."""
     _, document, body_offset = _read_blob(data)
     body = io.BytesIO(bytes(data)[body_offset:])
     arrays: Dict[str, np.ndarray] = {}

@@ -904,7 +904,12 @@ def protocol_from_spec(spec: dict):
 
 
 def load_server(data: bytes) -> ProtocolServer:
-    """Rebuild a server (protocol included) from ``server.to_bytes()`` output."""
+    """Rebuild a server (protocol included) from ``server.to_bytes()`` output.
+
+    Corrupt bytes raise :class:`SerializationError` only: a spec the
+    registry refuses or a state that does not fit its own spec is a
+    decode failure too.
+    """
     state = AccumulatorState.from_bytes(data)
     if not isinstance(state, CompositeAccumulator):
         raise SerializationError(
@@ -913,8 +918,12 @@ def load_server(data: bytes) -> ProtocolServer:
     spec = state.config.get("protocol")
     if not isinstance(spec, dict):
         raise SerializationError("server state does not embed a protocol spec")
-    protocol = protocol_from_spec(spec)
-    return protocol.server(state=state)
+    try:
+        return protocol_from_spec(spec).server(state=state)
+    except SerializationError:
+        raise
+    except (ProtocolUsageError, KeyError, TypeError, ValueError) as exc:
+        raise SerializationError(f"corrupt server state: {exc}") from exc
 
 
 # --------------------------------------------------------------------- #

@@ -18,38 +18,34 @@ client/server objects into managed, durable, epoch-partitioned state:
   ``window="all"`` engine is bit-identical to the plain session path.
   ``engine.query(window=...)`` also returns the resolved epoch keys and
   their report count, all from one resolution under the engine lock.
-* **Durability.**  ``engine.checkpoint(path)`` persists every epoch shard
-  in one versioned v2 envelope (:data:`repro.core.serialization.MAGIC_V2`)
-  carrying the protocol spec, engine metadata and the epoch keys;
-  :meth:`Engine.restore` rebuilds the engine from it.  A bare v1 server
-  state (``server.to_bytes()`` / ``repro-cli aggregate`` output) restores
-  too, as a single-epoch engine, so pre-engine files keep working.
-* **Out-of-core storage.**  ``Engine.open(..., store_dir=...)`` attaches
-  an :class:`~repro.engine.store.EpochStore`: live epochs stay in RAM,
+* **Durability.**  An engine persists through its out-of-core
+  :class:`~repro.engine.store.EpochStore` alone
+  (``Engine.open(..., store_dir=...)``): live epochs stay in RAM,
   :meth:`Engine.seal_epoch` writes a finished epoch to its own
-  memory-mapped segment file and evicts it, ``checkpoint()`` (no path)
-  becomes *incremental* -- only dirty epochs are rewritten, manifest
-  fsync'd last -- and restore maps segments lazily, so RSS scales with
-  the queried window instead of the total epoch count.  Windowed queries
-  over sealed epochs sum the segments' pre-aggregated integer vectors
-  (query pushdown) and remain bit-identical to the in-RAM merge path.
+  memory-mapped segment file and evicts it, :meth:`Engine.checkpoint` is
+  *incremental* -- only dirty epochs are rewritten, manifest fsync'd
+  last -- and :meth:`Engine.restore` maps segments lazily, so RSS scales
+  with the queried window instead of the total epoch count.  Windowed
+  queries over sealed epochs sum the segments' pre-aggregated integer
+  vectors (query pushdown), bit-identically to the in-RAM merge path.
 
 Example::
 
     from repro.engine import Engine, last
 
-    engine = Engine.open("hh", domain_size=1024, epsilon=1.1, branching=4)
+    engine = Engine.open("hh", domain_size=1024, epsilon=1.1, branching=4,
+                         store_dir="epochstore")
     for day, items in enumerate(daily_batches):
         engine.session(epoch=day).absorb(items, rng=rng)
-    engine.checkpoint("service.ckpt")
+        engine.seal_epoch(day)
 
+    engine = Engine.restore("epochstore")
     weekly = engine.estimator(window=last(7))
     print(weekly.range_query((100, 400)))
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
@@ -57,31 +53,15 @@ import numpy as np
 
 from repro.core.exceptions import ProtocolUsageError
 from repro.core.rng import RngLike
-from repro.core.serialization import (
-    SerializationError,
-    pack_blob,
-    pack_child,
-    peek_header,
-    unpack_blob,
-    unpack_child,
-)
 from repro.core.session import (
     AccumulatorState,
     CompositeAccumulator,
     ProtocolServer,
     Report,
-    load_server,
     protocol_from_spec,
 )
 from repro.engine.store import EpochStore
 from repro.engine.windows import ALL, WindowLike, resolve_window, split_window
-
-#: ``file_kind`` tag of a checkpoint envelope.
-CHECKPOINT_KIND = "engine-checkpoint"
-
-#: Layout version of the checkpoint envelope contents (independent of the
-#: wire-format version, which is the envelope's v2 magic).
-CHECKPOINT_FORMAT = 1
 
 
 def _is_protocol_like(obj) -> bool:
@@ -163,7 +143,7 @@ class Engine:
     **Concurrency contract.**  The epoch map itself is thread-safe: every
     operation that creates, adopts, absorbs or enumerates epoch shards
     (:meth:`session`, :meth:`adopt_state`, :meth:`absorb_shard`,
-    :meth:`window_state`, :meth:`estimator`, :meth:`to_bytes`, ...) runs
+    :meth:`window_state`, :meth:`estimator`, :meth:`checkpoint`, ...) runs
     under one internal re-entrant lock, so concurrent shard adoption from
     many threads never loses, duplicates or misnumbers an epoch -- this
     is what lets a multi-process ingest service (:mod:`repro.service`)
@@ -190,7 +170,7 @@ class Engine:
         self._store: Optional[EpochStore] = None
         self._dirty: set = set()
         # Guards the epoch map (see the concurrency contract above).
-        # Re-entrant because compound operations (from_bytes, absorb_shard,
+        # Re-entrant because compound operations (absorb_shard,
         # with_postprocess) call the locked primitives while holding it.
         self._lock = threading.RLock()
 
@@ -630,111 +610,8 @@ class Engine:
         return driver(true_counts, rng=rng)
 
     # ------------------------------------------------------------------ #
-    # checkpoint / restore
+    # sealing, checkpoint, restore
     # ------------------------------------------------------------------ #
-    def to_bytes(self) -> bytes:
-        """Serialize every epoch shard into one versioned v2 envelope.
-
-        On a store-backed engine sealed epochs are included too (their
-        packed states are read straight from the segment files), so a
-        monolithic checkpoint of an out-of-core engine is complete and
-        restorable anywhere -- the export path out of a store.
-        """
-        from repro import __version__  # deferred: repro imports engine
-
-        with self._lock:
-            epochs = sorted(self._known_epochs())
-            header = {
-                "file_kind": CHECKPOINT_KIND,
-                "engine": {"format": CHECKPOINT_FORMAT, "version": __version__},
-                "protocol": self._protocol.spec(),
-                "epochs": epochs,
-                "epoch_reports": {
-                    str(epoch): self._epoch_reports(epoch) for epoch in epochs
-                },
-            }
-            arrays = {}
-            for epoch in epochs:
-                server = self._servers.get(epoch)
-                if server is not None:
-                    blob = server.to_bytes()
-                else:
-                    blob = self._store.read_state_bytes(epoch)
-                arrays[f"epoch_{epoch}"] = pack_child(blob)
-        return pack_blob(header, arrays, version=2)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "Engine":
-        """Rebuild an engine from checkpoint bytes.
-
-        Accepts both the v2 checkpoint envelope and a bare v1 accumulator
-        state from the pre-engine era (``server.to_bytes()`` output),
-        which restores as a single-epoch engine.
-        """
-        # Route on the JSON header alone; the array blocks are decoded
-        # once, by whichever branch owns the payload.
-        kind_header = peek_header(data)
-        if kind_header.get("file_kind") == CHECKPOINT_KIND:
-            header, arrays = unpack_blob(data)
-            spec = header.get("protocol")
-            if not isinstance(spec, dict):
-                raise SerializationError(
-                    "engine checkpoint does not embed a protocol spec"
-                )
-            epochs = header.get("epochs")
-            if not isinstance(epochs, list):
-                raise SerializationError(
-                    "engine checkpoint does not declare its epoch keys"
-                )
-            try:
-                engine = cls(protocol_from_spec(spec))
-            except (ProtocolUsageError, KeyError, TypeError, ValueError) as exc:
-                raise SerializationError(
-                    f"corrupt engine checkpoint: {exc}"
-                ) from exc
-            for epoch in epochs:
-                key = f"epoch_{int(epoch)}"
-                if key not in arrays:
-                    raise SerializationError(
-                        f"engine checkpoint is missing the shard for epoch {epoch}"
-                    )
-                try:
-                    engine.adopt_state(unpack_child(arrays[key]), epoch=int(epoch))
-                except SerializationError as exc:
-                    # Name the failing epoch: a corrupt child's own error
-                    # reports byte offsets *within* the nested blob, which
-                    # is useless without knowing which shard it was.
-                    raise SerializationError(
-                        f"corrupt shard for epoch {epoch} in engine "
-                        f"checkpoint: {exc}"
-                    ) from exc
-                except (ProtocolUsageError, KeyError, TypeError, ValueError) as exc:
-                    # A corrupt-but-parseable checkpoint (e.g. a mutated
-                    # spec or an epoch shard that no longer matches it) is
-                    # a decode failure, not an internal error.
-                    raise SerializationError(
-                        f"corrupt shard for epoch {epoch} in engine "
-                        f"checkpoint: {exc}"
-                    ) from exc
-            return engine
-        if kind_header.get("state_kind") is not None:
-            # A pre-engine v1 payload: a single server's accumulator state.
-            try:
-                server = load_server(data)
-            except SerializationError:
-                raise
-            except (ProtocolUsageError, KeyError, TypeError, ValueError) as exc:
-                raise SerializationError(f"corrupt server state: {exc}") from exc
-            engine = cls(server.protocol)
-            epoch = int(server.state.meta.get("epoch", 0))
-            server.state.meta.setdefault("epoch", epoch)
-            engine._servers[epoch] = server
-            return engine
-        raise SerializationError(
-            f"not an engine checkpoint or server state (file_kind="
-            f"{kind_header.get('file_kind')!r})"
-        )
-
     def seal_epoch(self, epoch: int) -> "Engine":
         """Write one epoch to its own segment and evict it from RAM.
 
@@ -774,56 +651,35 @@ class Engine:
                 "Engine.open(..., store_dir=...) or attach_store()"
             )
 
-    def checkpoint(self, path: Optional[str] = None) -> "Engine":
-        """Persist the engine state durably.
+    def checkpoint(self) -> "Engine":
+        """Persist the engine state durably into its epoch store.
 
-        With ``path``, writes the full monolithic v2 envelope there
-        atomically (temporary sibling + rename), exactly as before --
-        including sealed epochs on a store-backed engine.
-
-        Without ``path`` (store-backed engines only), the checkpoint is
-        *incremental*: only live epochs whose statistics have changed
-        since their last segment write -- plus live epochs that never had
-        a segment -- are rewritten, missing aggregate blocks are
-        materialized, then the manifest is rewritten and fsync'd last.
-        Clean sealed epochs are never touched, and a fully clean store
-        (nothing dirty, nothing built) skips the manifest rewrite
-        entirely, which is what makes the checkpoint cost O(dirty)
-        instead of O(total).
+        The checkpoint is *incremental*: only live epochs whose statistics
+        have changed since their last segment write -- plus live epochs
+        that never had a segment -- are rewritten, missing aggregate
+        blocks are materialized, then the manifest is rewritten and
+        fsync'd last.  Clean sealed epochs are never touched, and a fully
+        clean store (nothing dirty, nothing built) skips the manifest
+        rewrite entirely, which is what makes the checkpoint cost
+        O(dirty) instead of O(total).  Requires an attached store.
         """
-        if path is None:
-            with self._lock:
-                self._require_store("checkpoint() without a path")
-                for epoch in sorted(self._servers):
-                    if epoch in self._dirty or not self._store.has_segment(epoch):
-                        self._store.write_segment(
-                            epoch, self._servers[epoch].state
-                        )
-                self._store.build_aggregates()
-                if self._store.manifest_dirty:
-                    self._store.save_manifest()
-                self._dirty.clear()
-            return self
-        blob = self.to_bytes()
-        temp_path = f"{path}.tmp.{os.getpid()}"
-        try:
-            with open(temp_path, "wb") as handle:
-                handle.write(blob)
-            os.replace(temp_path, path)
-        finally:
-            if os.path.exists(temp_path):  # pragma: no cover - crash cleanup
-                os.unlink(temp_path)
+        with self._lock:
+            self._require_store("checkpoint")
+            for epoch in sorted(self._servers):
+                if epoch in self._dirty or not self._store.has_segment(epoch):
+                    self._store.write_segment(epoch, self._servers[epoch].state)
+            self._store.build_aggregates()
+            if self._store.manifest_dirty:
+                self._store.save_manifest()
+            self._dirty.clear()
         return self
 
     @classmethod
-    def restore(cls, path: str) -> "Engine":
-        """Rebuild an engine from a checkpoint file or a store directory.
+    def restore(cls, store_dir: str) -> "Engine":
+        """Reopen a store-backed engine from its epoch store directory.
 
-        A directory restores as a store-backed engine (lazy: the
-        manifest is read, segments are mapped only when queried); a file
-        restores the monolithic envelope as before.
+        Restore is lazy: the manifest is read, and segments are mapped
+        only when a window queries them.  Equivalent to
+        ``Engine.open(None, store_dir=store_dir)``.
         """
-        if os.path.isdir(path):
-            return cls.open(None, store_dir=path)
-        with open(path, "rb") as handle:
-            return cls.from_bytes(handle.read())
+        return cls.open(None, store_dir=store_dir)

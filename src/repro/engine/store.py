@@ -1,12 +1,10 @@
 """Out-of-core epoch store: one mmap-backed segment file per sealed epoch.
 
-The :class:`~repro.engine.Engine` keeps every epoch's accumulator in RAM
-and rewrites one monolithic checkpoint envelope on every
-``checkpoint()``.  That is fine for a handful of epochs; a long-running
-service holding months of hourly epochs is memory-bound (RSS grows with
-*total* epochs, not the queried window) and checkpoint-bound (the whole
-envelope is rewritten even when one epoch changed).  :class:`EpochStore`
-is the out-of-core backend that fixes both:
+The :class:`~repro.engine.Engine` persists through this store alone.  A
+long-running service holding months of hourly epochs would be
+memory-bound if every epoch stayed in RAM (RSS growing with *total*
+epochs, not the queried window) and checkpoint-bound if every
+checkpoint rewrote every epoch.  :class:`EpochStore` fixes both:
 
 * **One segment per epoch.**  Each sealed epoch lives in its own
   CRC-framed file (``epoch-%08d.seg``, see
@@ -19,12 +17,18 @@ is the out-of-core backend that fixes both:
   manifest is always rewritten *after* the segments it references and
   fsync'd, so a crash mid-checkpoint leaves the previous consistent
   manifest in place.
+* **Crash invariant.**  A file the on-disk manifest references is never
+  overwritten or unlinked before a manifest without it is durable.  A
+  rewrite of such a file goes to a fresh name (``epoch-%08d.1.seg``, the
+  smallest free ``.N``), and the replaced file is unlinked only after the
+  next manifest save.  Readers follow each entry's ``file``, so the
+  name of a segment never matters.
 * **Query pushdown.**  For states whose children are all plain integer
   :class:`~repro.frequency_oracles.base.OracleAccumulator` vectors, the
   segment stores those int64 vectors raw and 8-byte aligned.  A windowed
   query then sums the mapped vectors of the selected segments
   elementwise -- exactly the accumulator merge, because integer addition
-  is associative and commutative -- without decoding a single envelope,
+  is associative and commutative -- without decoding a single packed state,
   so ``estimator(window=last(k))`` over sealed epochs is bit-identical
   to the in-RAM merge path at a fraction of the work.  States with
   non-integer children (SHE's exact-summation partials) fall back to a
@@ -44,8 +48,8 @@ is the out-of-core backend that fixes both:
   leaves instead of failing the query.
 
 Every structural failure -- a torn segment tail, a manifest/segment spec
-mismatch, a missing segment file, a monolithic checkpoint where a store
-directory was expected -- raises
+mismatch, a missing segment file, a regular file where a store directory
+was expected -- raises
 :class:`~repro.core.serialization.SerializationError` naming the epoch
 and file involved.
 """
@@ -62,10 +66,9 @@ import numpy as np
 
 from repro.core.kernels import resolve_backend
 from repro.core.serialization import (
-    MAGIC,
-    MAGIC_V2,
     SerializationError,
     pack_epoch_segment,
+    peek_header,
     read_epoch_segment,
     segment_pushdown_children,
     segment_state_bytes,
@@ -91,6 +94,10 @@ MANIFEST_NAME = "MANIFEST.json"
 #: top block, so a month of hourly epochs collapses into a handful of
 #: nodes while the per-seal bookkeeping stays trivial.
 DEFAULT_MAX_AGGREGATE_LEVEL = 10
+
+#: Magic of the monolithic engine checkpoint that repro 1.10.0 and
+#: earlier wrote; recognised only to refuse it with a migration path.
+_ENVELOPE_MAGIC = b"REPROACC\x02"
 
 
 class _AggregateUnusable(Exception):
@@ -196,6 +203,9 @@ class EpochStore:
         self._aggregates_written = 0
         self._max_aggregate_level = max(0, int(max_aggregate_level))
         self._manifest_dirty = False
+        # File names MANIFEST.json on disk references: never overwritten,
+        # and unlinked only once a manifest without them is durable.
+        self._durable: set = set()
         self._kernels = resolve_backend(kernel_backend)
         manifest_path = self.manifest_path
         if os.path.exists(manifest_path):
@@ -227,14 +237,24 @@ class EpochStore:
         """A store path that is a file is a usage error; name the likely fix."""
         try:
             with open(path, "rb") as handle:
-                magic = handle.read(len(MAGIC_V2))
+                data = handle.read()
         except OSError:
-            magic = b""
-        if magic in (MAGIC, MAGIC_V2):
+            data = b""
+        if data.startswith(_ENVELOPE_MAGIC):
             raise SerializationError(
-                f"{path} is a monolithic engine checkpoint, not an epoch "
-                "store directory; restore it with Engine.restore(path) and "
-                "attach a store directory to migrate it"
+                f"{path} is a monolithic engine checkpoint, which this build "
+                "no longer reads; to migrate it, open it with repro 1.10.0 "
+                "(Engine.restore(path)), then attach_store(dir) and "
+                "checkpoint()"
+            )
+        try:
+            is_state = "state_kind" in peek_header(data)
+        except SerializationError:
+            is_state = False
+        if is_state:
+            raise SerializationError(
+                f"{path} is a server state file, not an epoch store "
+                "directory; merge --states reads it"
             )
         raise SerializationError(
             f"{path} is a regular file, not an epoch store directory"
@@ -310,7 +330,7 @@ class EpochStore:
                     f"corrupt epoch store manifest {path}: epoch key {key!r} "
                     "is not an integer"
                 ) from None
-            if not isinstance(entry, dict) or "file" not in entry:
+            if not isinstance(entry, dict) or not isinstance(entry.get("file"), str):
                 raise SerializationError(
                     f"corrupt epoch store manifest {path}: entry for epoch "
                     f"{epoch} does not name its segment file"
@@ -332,12 +352,13 @@ class EpochStore:
                     f"corrupt epoch store manifest {path}: aggregate key "
                     f"{key!r} is not 'level:start'"
                 ) from None
-            if not isinstance(entry, dict) or "file" not in entry:
+            if not isinstance(entry, dict) or not isinstance(entry.get("file"), str):
                 raise SerializationError(
                     f"corrupt epoch store manifest {path}: aggregate entry "
                     f"{key!r} does not name its segment file"
                 )
             self._aggregates[(level, start)] = dict(entry)
+        self._durable = self._referenced_files()
 
     def save_manifest(self) -> None:
         """Atomically rewrite and fsync the manifest (always written last).
@@ -345,6 +366,8 @@ class EpochStore:
         Segment writes happen first; only once every referenced segment
         is durable does the manifest rename land, so a crash at any
         point leaves a manifest whose entries all point at valid files.
+        Files the previous manifest referenced and this one does not are
+        unlinked only after the rename is durable.
         """
         from repro import __version__  # deferred: repro imports engine
 
@@ -380,6 +403,38 @@ class EpochStore:
                 os.unlink(temp_path)
         _fsync_directory(self.directory)
         self._manifest_dirty = False
+        referenced = self._referenced_files()
+        stale, self._durable = self._durable - referenced, referenced
+        for name in sorted(stale):
+            self._discard_file(name)
+
+    def _referenced_files(self) -> set:
+        """Every file name the in-memory manifest references."""
+        names = {entry["file"] for entry in self._entries.values()}
+        names.update(entry["file"] for entry in self._aggregates.values())
+        return names
+
+    def _fresh_name(self, stem: str) -> str:
+        """``stem.seg``, else ``stem.N.seg`` with the smallest ``N`` MANIFEST.json lacks."""
+        name, index = f"{stem}.seg", 0
+        while name in self._durable:
+            index += 1
+            name = f"{stem}.{index}.seg"
+        return name
+
+    def _discard_file(self, name: str) -> None:
+        """Unlink a file no entry references, unless MANIFEST.json still does.
+
+        A file the on-disk manifest references is left in place; the next
+        :meth:`save_manifest` unlinks it once a manifest without it is
+        durable.
+        """
+        if name in self._durable:
+            return
+        try:
+            os.unlink(os.path.join(self.directory, name))
+        except OSError:
+            pass
 
     @property
     def manifest_dirty(self) -> bool:
@@ -441,10 +496,11 @@ class EpochStore:
         """Persist one epoch's accumulator as its own durable segment.
 
         The segment is staged in a temporary sibling, fsync'd and
-        renamed into place, so a crash mid-write never damages an
-        existing segment.  The in-memory manifest entry is updated
-        (clean) but *not* saved -- callers batch segment writes and call
-        :meth:`save_manifest` once, after every segment is durable.
+        renamed to a name the on-disk manifest does not reference, so a
+        crash mid-write never damages the segment that manifest reads.
+        The in-memory manifest entry is updated (clean) but *not* saved
+        -- callers batch segment writes and call :meth:`save_manifest`
+        once, after every segment is durable.
         """
         epoch = int(epoch)
         pushdown = _pushdown_description(state)
@@ -455,7 +511,7 @@ class EpochStore:
             n_reports=state.n_reports,
             pushdown=pushdown,
         )
-        name = f"epoch-{epoch:08d}.seg"
+        name = self._fresh_name(f"epoch-{epoch:08d}")
         path = os.path.join(self.directory, name)
         temp_path = f"{path}.tmp.{os.getpid()}"
         try:
@@ -468,6 +524,9 @@ class EpochStore:
             if os.path.exists(temp_path):  # pragma: no cover - crash cleanup
                 os.unlink(temp_path)
         self._drop_map(epoch)
+        previous = self._entries.get(epoch)
+        if previous is not None and previous["file"] != name:
+            self._discard_file(previous["file"])
         self._entries[epoch] = {
             "file": name,
             "n_reports": int(state.n_reports),
@@ -630,7 +689,7 @@ class EpochStore:
             pushdown=_pushdown_description(state),
             aggregate={"level": level, "start": start, "count": size},
         )
-        name = f"agg-L{level}-{start:08d}.seg"
+        name = self._fresh_name(f"agg-L{level}-{start:08d}")
         path = os.path.join(self.directory, name)
         temp_path = f"{path}.tmp.{os.getpid()}"
         try:
@@ -673,11 +732,7 @@ class EpochStore:
             return
         self._drop_agg_map(key)
         self._manifest_dirty = True
-        path = os.path.join(self.directory, str(entry.get("file")))
-        try:
-            os.unlink(path)
-        except OSError:
-            pass
+        self._discard_file(entry["file"])
 
     def _drop_agg_map(self, key: Tuple[int, int]) -> None:
         cached = self._agg_maps.pop(key, None)

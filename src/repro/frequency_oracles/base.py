@@ -323,10 +323,10 @@ class FrequencyOracle(abc.ABC):
     def check_payload(self, reports: Any, n_users: int) -> None:
         """Raise ``ValueError`` unless ``reports`` holds ``n_users`` of this oracle's reports.
 
-        Reads the payload's type, parameters and shapes, and the values
-        of a bit payload that does not arrive as ``bool`` (every entry
-        must be 0 or 1), so a server can refuse a report built for
-        another oracle before folding in any part of it.
+        Reads the payload's type, parameters, shapes and values (here,
+        that a bit payload not sent as ``bool`` holds only 0 and 1;
+        oracles with other value domains add their own rules), so a
+        server can refuse a misfit report before folding in any of it.
         """
         shape = (n_users, self.domain_size) if self._unary_reports else (n_users,)
         if not isinstance(reports, np.ndarray) or reports.shape != shape:
@@ -406,6 +406,13 @@ def check_report_columns(name: str, n_users: int, **columns: np.ndarray) -> None
             )
 
 
+def check_report_range(name: str, column: str, values: np.ndarray, bound: int) -> None:
+    """Raise ``ValueError`` unless every entry of ``values`` lies in ``[0, bound)``."""
+    values = np.asarray(values)
+    if not np.all((values >= 0) & (values < bound)):
+        raise ValueError(f"{name} report {column} must lie in [0, {bound})")
+
+
 def validate_unary_reports(reports: np.ndarray, domain_size: int) -> np.ndarray:
     """Shape-check one ``(N, D)`` unary report matrix and return it."""
     reports = np.asarray(reports)
@@ -414,19 +421,6 @@ def validate_unary_reports(reports: np.ndarray, domain_size: int) -> np.ndarray:
             f"reports must have shape (N, {domain_size}), got {reports.shape}"
         )
     return reports
-
-
-def unary_bit_sums(reports: np.ndarray, domain_size: int) -> np.ndarray:
-    """Validated per-item column sums of an ``(N, D)`` unary report matrix.
-
-    The returned ``int64`` vector is the sufficient statistic shared by all
-    unary-encoding oracles (OUE, SUE, THE): only bit totals matter, never
-    the individual report rows.  This is the reference path; oracles call
-    the equivalent ``unary_sums`` kernel of their resolved backend.
-    """
-    from repro.core.kernels.reference import unary_sums
-
-    return unary_sums(validate_unary_reports(reports, domain_size))
 
 
 def standard_oracle_variance(epsilon: float) -> float:

@@ -15,7 +15,11 @@ from typing import Optional
 import numpy as np
 
 from repro.core.rng import RngLike, ensure_rng
-from repro.frequency_oracles.base import FrequencyOracle, OracleAccumulator
+from repro.frequency_oracles.base import (
+    FrequencyOracle,
+    OracleAccumulator,
+    check_report_range,
+)
 
 
 class GeneralizedRandomizedResponse(FrequencyOracle):
@@ -78,6 +82,10 @@ class GeneralizedRandomizedResponse(FrequencyOracle):
             self._accumulator_config(),
             {"report_counts": np.zeros(self.domain_size, dtype=np.int64)},
         )
+
+    def check_payload(self, reports, n_users: int) -> None:
+        super().check_payload(reports, n_users)
+        check_report_range(self.name, "items", reports, self.domain_size)
 
     def accumulate(
         self,

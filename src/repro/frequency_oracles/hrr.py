@@ -31,6 +31,7 @@ from repro.frequency_oracles.base import (
     FrequencyOracle,
     OracleAccumulator,
     check_report_columns,
+    check_report_range,
     standard_oracle_variance,
 )
 from repro.frequency_oracles.hadamard import fwht, pad_to_power_of_two
@@ -175,6 +176,9 @@ class HadamardRandomizedResponse(FrequencyOracle):
         check_report_columns(
             self.name, n_users, indices=reports.indices, values=reports.values
         )
+        check_report_range(self.name, "indices", reports.indices, self._padded)
+        if not np.all(np.abs(reports.values) == 1):
+            raise ValueError(f"{self.name} report values must be -1 or +1")
 
     def accumulate(
         self,

@@ -29,6 +29,7 @@ from repro.frequency_oracles.base import (
     FrequencyOracle,
     OracleAccumulator,
     check_report_columns,
+    check_report_range,
     standard_oracle_variance,
 )
 
@@ -181,6 +182,7 @@ class OptimalLocalHashing(FrequencyOracle):
             self.name, n_users, multipliers=reports.multipliers,
             offsets=reports.offsets, buckets=reports.buckets,
         )
+        check_report_range(self.name, "buckets", reports.buckets, self._g)
 
     def accumulate(
         self,

@@ -240,7 +240,7 @@ class TestQueryFlagErrors:
         ]) == 0
         assert main(["aggregate", "--reports", str(tmp / "r.bin"),
                      "--output", str(tmp / "s.state")]) == 0
-        assert main(["engine", "checkpoint", "--checkpoint", str(tmp / "svc.ckpt"),
+        assert main(["engine", "checkpoint", "--store-dir", str(tmp / "store"),
                      "--reports", str(tmp / "r.bin")]) == 0
         return tmp
 
@@ -258,7 +258,7 @@ class TestQueryFlagErrors:
     @pytest.mark.parametrize("flags, message", BAD_FLAGS)
     def test_engine_query(self, files, flags, message):
         with pytest.raises(SystemExit, match=message):
-            main(["engine", "query", "--checkpoint", str(files / "svc.ckpt"), *flags])
+            main(["engine", "query", "--store-dir", str(files / "store"), *flags])
 
 
 class TestStdinStdoutPipes:

@@ -6,10 +6,10 @@ Three guarantees anchor the engine layer:
   with ``window="all"`` reproduces ``protocol.run`` exactly, pinned
   against the same hex-float goldens as the decomposition engine for all
   14 configurations (HRR-based cases keep their <= 1e-12 allowance).
-* **Durability**: engine -> checkpoint -> restore -> estimator is
+* **Durability**: engine -> store checkpoint -> restore -> estimator is
   bit-identical for every registry handle (flat, tree, wavelet alias,
   grid2d), epochs merge exactly in any order, and pre-engine v1 payloads
-  (bare server states) still restore through the v2 codec.
+  (bare server states) still load as an epoch through ``load_server``.
 * **Window semantics**: ``all`` / ``last(k)`` / explicit epoch lists
   resolve deterministically and fail loudly on unknown epochs.
 """
@@ -21,12 +21,7 @@ from test_decomposition import CASES, HRR_CASES, _expected, golden  # noqa: F401
 
 from repro import HierarchicalGrid2D, HierarchicalHistogram, make_protocol
 from repro.core.exceptions import ProtocolUsageError
-from repro.core.serialization import (
-    MAGIC_V2,
-    SerializationError,
-    blob_version,
-    pack_blob,
-)
+from repro.core.serialization import MAGIC
 from repro.engine import Engine, InvalidWindowError, last, parse_window, resolve_window
 
 
@@ -51,12 +46,14 @@ class TestGoldenBitIdentity:
         _check(case, estimator.estimated_frequencies(), _expected(golden, case, "run"))
 
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_checkpoint_restore_preserves_goldens(self, golden, case):
+    def test_checkpoint_restore_preserves_goldens(self, golden, case, tmp_path):
         protocol = CASES[case]()
         items = np.random.default_rng(0).integers(0, protocol.domain_size, size=600)
-        engine = Engine.open(protocol)
+        store_dir = str(tmp_path / "store")
+        engine = Engine.open(protocol, store_dir=store_dir)
         engine.session().absorb(items, rng=np.random.default_rng(9))
-        restored = Engine.from_bytes(engine.to_bytes())
+        engine.seal_epoch(0)
+        restored = Engine.restore(store_dir)
         _check(
             case,
             restored.estimator().estimated_frequencies(),
@@ -110,11 +107,11 @@ class TestCheckpointRestoreRoundTrip:
 
     def test_round_trip_is_bit_identical(self, handle, tmp_path):
         protocol, engine = self._engine(handle)
-        path = str(tmp_path / "service.ckpt")
-        engine.checkpoint(path)
-        with open(path, "rb") as fh:
-            assert blob_version(fh.read()) == 2
-        restored = Engine.restore(path)
+        store_dir = str(tmp_path / "store")
+        engine.attach_store(store_dir)
+        engine.checkpoint()
+        restored = Engine.restore(store_dir)
+        assert restored.sealed_epochs == engine.epochs
         assert restored.epochs == engine.epochs
         assert restored.n_reports() == engine.n_reports()
         for window in ("all", last(2), [0, 2]):
@@ -147,12 +144,16 @@ class TestCheckpointRestoreRoundTrip:
             _fingerprint(protocol, reversed_engine.estimator("all")), expected
         )
 
-    def test_v1_server_state_restores_as_single_epoch(self, handle):
+    def test_v1_server_state_restores_as_single_epoch(self, handle, tmp_path):
+        from repro.cli import _engine_from_state_files
+
         protocol, engine = self._engine(handle, n_epochs=1)
         server = engine.session(epoch=0).server
-        blob = server.state.copy().to_bytes()  # a pre-engine v1 payload
-        assert blob_version(blob) == 1
-        restored = Engine.from_bytes(blob)
+        path = tmp_path / "s.state"
+        path.write_bytes(server.state.copy().to_bytes())  # a pre-engine v1 payload
+        assert path.read_bytes().startswith(MAGIC)
+        restored = _engine_from_state_files([str(path)])  # merge's loader
+        assert restored.epochs == (0,)
         assert restored.n_reports() == server.n_reports
         assert np.array_equal(
             _fingerprint(protocol, restored.estimator()),
@@ -299,43 +300,6 @@ class TestEngineLifecycle:
         with pytest.raises(ProtocolUsageError, match="aggregate simulation"):
             engine.simulate(np.ones(16))
 
-    def test_checkpoint_envelope_is_v2_and_self_describing(self):
-        engine = Engine.open("flat", domain_size=8, epsilon=1.0)
-        engine.session().absorb(np.arange(8), rng=0)
-        blob = engine.to_bytes()
-        assert blob.startswith(MAGIC_V2)
-        # A structurally valid blob that is neither a checkpoint nor a
-        # server state must be refused.
-        with pytest.raises(SerializationError, match="not an engine checkpoint"):
-            Engine.from_bytes(pack_blob({"file_kind": "something-else"}))
-
-    def test_corrupt_epoch_child_names_the_failing_epoch(self):
-        from repro.core.serialization import unpack_blob
-
-        engine = Engine.open("flat", domain_size=8, epsilon=1.0)
-        for epoch in range(3):
-            engine.session(epoch=epoch).absorb(np.arange(8), rng=epoch)
-        header, arrays = unpack_blob(engine.to_bytes())
-        child = bytearray(arrays["epoch_1"])
-        child[len(child) // 2] ^= 0x40  # flip one bit inside epoch 1's shard
-        arrays["epoch_1"] = bytes(child)
-        with pytest.raises(SerializationError, match="epoch 1"):
-            Engine.from_bytes(pack_blob(header, arrays, version=2))
-
-    def test_checkpoint_overwrites_atomically(self, tmp_path):
-        engine = Engine.open("flat", domain_size=8, epsilon=1.0)
-        engine.session().absorb(np.arange(8), rng=0)
-        path = str(tmp_path / "svc.ckpt")
-        engine.checkpoint(path)
-        first = (tmp_path / "svc.ckpt").read_bytes()
-        engine.session().absorb(np.arange(8), rng=1)
-        engine.checkpoint(path)  # rewrite over the existing file
-        second = (tmp_path / "svc.ckpt").read_bytes()
-        assert second != first
-        assert Engine.restore(path).n_reports() == 16
-        # The temp sibling used for the atomic rename never lingers.
-        assert [p.name for p in tmp_path.iterdir()] == ["svc.ckpt"]
-
     def test_server_snapshot_restore_round_trip(self):
         protocol = HierarchicalHistogram(32, 1.1, branching=4)
         server = protocol.server()
@@ -371,14 +335,14 @@ class TestEngineCli:
         from repro.cli import main
 
         (report,) = self._encode(tmp_path)
-        path = str(tmp_path / "svc.ckpt")
-        # --epoch on a brand-new checkpoint must key the first shard,
+        store_dir = str(tmp_path / "store")
+        # --epoch on a brand-new store must key the first shard,
         # e.g. a service using dates (20260730) rather than 0, 1, 2...
         assert main([
-            "engine", "checkpoint", "--checkpoint", path,
+            "engine", "checkpoint", "--store-dir", store_dir,
             "--reports", report, "--epoch", "20260730",
         ]) == 0
-        assert Engine.restore(path).epochs == (20260730,)
+        assert Engine.restore(store_dir).epochs == (20260730,)
 
     def test_aggregate_output_is_byte_identical_to_a_plain_server(self, tmp_path):
         from repro.cli import main

@@ -519,17 +519,19 @@ class TestRoundTrips:
 
     def test_engine_checkpoint_round_trip_and_override(self, tmp_path):
         protocol = make_protocol("flat", 32, 1.1, postprocess="norm_sub")
-        engine = Engine.open(protocol)
+        store_dir = str(tmp_path / "store")
+        engine = Engine.open(protocol, store_dir=store_dir)
         rng = np.random.default_rng(26)
         engine.session(epoch=0).absorb(rng.integers(0, 32, 400), rng=rng)
         engine.session(epoch=1).absorb(rng.integers(0, 32, 400), rng=rng)
-        path = str(tmp_path / "svc.ckpt")
-        engine.checkpoint(path)
-        restored = Engine.restore(path)
+        engine.checkpoint()
+        restored = Engine.restore(store_dir)
         assert restored.spec()["postprocess"] == "norm_sub"
         frequencies = restored.estimator().estimated_frequencies()
         assert np.isclose(frequencies.sum(), 1.0, atol=1e-9)
-        # Re-finalize the same shards under a different pipeline.
+        # Re-finalize the same shards under a different pipeline, with
+        # epoch 1 loaded back into RAM and epoch 0 still sealed.
+        restored.session(epoch=1)
         raw_view = restored.with_postprocess("none")
         raw_frequencies = raw_view.estimator().estimated_frequencies()
         assert raw_frequencies.min() < 0.0  # OUE noise goes negative
@@ -611,13 +613,13 @@ class TestCliPostprocess:
 
     def test_engine_query_postprocess_override(self, tmp_path, capsys):
         reports = self._encode(tmp_path)
-        checkpoint = tmp_path / "svc.ckpt"
+        store_dir = tmp_path / "store"
         cli_main(
             [
                 "engine",
                 "checkpoint",
-                "--checkpoint",
-                str(checkpoint),
+                "--store-dir",
+                str(store_dir),
                 "--reports",
                 str(reports),
             ]
@@ -627,8 +629,8 @@ class TestCliPostprocess:
             [
                 "engine",
                 "query",
-                "--checkpoint",
-                str(checkpoint),
+                "--store-dir",
+                str(store_dir),
                 "--dump-frequencies",
                 "--postprocess",
                 "norm_sub",
@@ -644,13 +646,13 @@ class TestCliPostprocess:
 
     def test_engine_query_surfaces_window_errors(self, tmp_path, capsys):
         reports = self._encode(tmp_path)
-        checkpoint = tmp_path / "svc.ckpt"
+        store_dir = tmp_path / "store"
         cli_main(
             [
                 "engine",
                 "checkpoint",
-                "--checkpoint",
-                str(checkpoint),
+                "--store-dir",
+                str(store_dir),
                 "--reports",
                 str(reports),
             ]
@@ -660,8 +662,8 @@ class TestCliPostprocess:
                 [
                     "engine",
                     "query",
-                    "--checkpoint",
-                    str(checkpoint),
+                    "--store-dir",
+                    str(store_dir),
                     "--window",
                     "last:9",
                     "--ranges",

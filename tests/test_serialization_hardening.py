@@ -21,14 +21,11 @@ import pytest
 
 from repro import FlatRangeQuery, HaarHRR, HierarchicalHistogram
 from repro.core.serialization import (
-    FORMAT_VERSION,
     MAGIC,
     MAGIC_BATCH,
     MAGIC_SEG,
-    MAGIC_V2,
     MAGIC_WAL,
     SerializationError,
-    blob_version,
     pack_blob,
     pack_epoch_segment,
     pack_report_batch,
@@ -42,7 +39,7 @@ from repro.core.serialization import (
     unpack_blob,
     unpack_report_batch,
 )
-from repro.core.session import AccumulatorState, Report
+from repro.core.session import AccumulatorState, ProtocolServer, Report, load_server
 from repro.engine import Engine, spec_fingerprint
 
 
@@ -101,30 +98,9 @@ LEVEL_REPORT_PROTOCOLS = [
 
 
 class TestVersionedEnvelope:
-    def test_default_pack_is_v1_and_v2_is_opt_in(self):
-        header = {"file_kind": "x"}
-        arrays = {"a": np.arange(4)}
-        v1 = pack_blob(header, arrays)
-        v2 = pack_blob(header, arrays, version=2)
-        assert v1.startswith(MAGIC) and blob_version(v1) == 1
-        assert v2.startswith(MAGIC_V2) and blob_version(v2) == 2
-        assert FORMAT_VERSION == 2
-        # Same logical content, both decode identically.
-        for blob in (v1, v2):
-            decoded_header, decoded_arrays = unpack_blob(blob)
-            assert decoded_header == header
-            assert np.array_equal(decoded_arrays["a"], np.arange(4))
-        # The payload after the magic is byte-identical across versions.
-        assert v1[len(MAGIC) :] == v2[len(MAGIC_V2) :]
-
-    def test_unknown_version_is_refused_at_pack_time(self):
-        with pytest.raises(SerializationError, match="format version"):
-            pack_blob({}, version=3)
-
     def test_v1_payloads_decode_unchanged(self, server_blob, report_blob):
         # The acceptance bar: accumulator states and reports from the
-        # pre-engine era load through the v2-aware codec.
-        assert blob_version(server_blob) == 1
+        # pre-engine era load unchanged.
         state = AccumulatorState.from_bytes(server_blob)
         assert state.n_reports == 32
         report = Report.from_bytes(report_blob)
@@ -135,8 +111,6 @@ class TestMalformedInput:
     def test_non_bytes_input(self):
         with pytest.raises(SerializationError, match="expected bytes"):
             unpack_blob(12345)
-        with pytest.raises(SerializationError, match="expected bytes"):
-            blob_version(None)
 
     def test_wrong_magic_reports_offset_zero(self):
         with pytest.raises(SerializationError, match="offset 0"):
@@ -341,25 +315,23 @@ class TestFuzzedEnvelopes:
                 assert isinstance(report, Report)
         assert failures > 0
 
-    def test_fuzzed_engine_checkpoints(self):
-        from repro.engine import Engine
-
-        engine = Engine.open("hh", domain_size=16, epsilon=1.1, branching=4)
-        engine.session().absorb(np.arange(16), rng=0)
-        blob = engine.to_bytes()
+    def test_fuzzed_server_states(self, server_blob):
+        # ``merge --states`` reads every file through load_server: a spec
+        # the registry refuses or a state that no longer fits its spec is
+        # a decode error too.
         rng = np.random.default_rng(3)
         failures = 0
-        for mutated in _mutations(blob, rng, self.ROUNDS):
+        for mutated in _mutations(server_blob, rng, self.ROUNDS):
             try:
-                restored = Engine.from_bytes(mutated)
+                server = load_server(mutated)
             except SerializationError:
                 failures += 1
             except Exception as exc:  # noqa: BLE001 - the assertion target
                 raise AssertionError(
-                    f"fuzzed checkpoint leaked {type(exc).__name__}: {exc}"
+                    f"fuzzed server state leaked {type(exc).__name__}: {exc}"
                 ) from exc
             else:
-                assert isinstance(restored, Engine)
+                assert isinstance(server, ProtocolServer)
         assert failures > 0
 
     def test_mutated_but_valid_json_headers_fail_as_decode_errors(self, server_blob):
@@ -505,11 +477,6 @@ def _writer_outputs() -> dict:
     return {
         "v1_state": state,
         "v1_report": report.to_bytes(),
-        "v2_envelope": pack_blob(
-            {"file_kind": "engine", "epochs": [0]},
-            {"shard_0": np.frombuffer(state, np.uint8)},
-            version=2,
-        ),
         "batch": pack_report_batch(protocol.spec(), [report, report.to_bytes()]),
         "wal": pack_wal_segment_header(epoch=3)
         + pack_wal_record({"key": "k", "worker": 1, "n_users": 32}, report.to_bytes()),
@@ -528,14 +495,13 @@ class TestWriterBytesArePinned:
     """The bytes every writer emits, pinned by SHA-256.
 
     A digest that changes means files on disk or batches on the wire
-    changed: existing stores, WAL segments and checkpoints would no
+    changed: existing stores, WAL segments and state files would no
     longer round-trip byte for byte.
     """
 
     DIGESTS = {
         "v1_state": "cb37c4364b59420ff7ad7bc449c5a863010253f2dfe8bd57eccc6f20ba0e4a9d",
         "v1_report": "8361101d59a180aad138ba66702c460bdd32ec77ac419d214fee5d5e4e9ce2f0",
-        "v2_envelope": "3a1e9ada326171e82d2e3cf8c8a8505b40d27380063c8571fa814276a46820b5",
         "batch": "c43fb3a45497e335afbc2a301fa10aa22ae771665135e89fbd04e99326ed30ad",
         "wal": "5d5c91accdd7dfebf38ca38a27d125e25dd6a458016f9f279c7f523d778ee671",
         "segment": "9cffdfd0108ca81b0d386ea30a9481af83754f53a1f0666e251ffc78e382fff3",

@@ -9,13 +9,19 @@ Three guarantees anchor the store layer:
 * **Incrementality**: ``checkpoint()`` rewrites only dirty epochs'
   segments; clean segments stay byte-identical on disk.
 * **Fail-loud durability**: torn segment tails, spec mismatches,
-  missing segment files, and pointing the store opener at a monolithic
-  checkpoint file all raise a contextual ``SerializationError`` instead
-  of silently corrupting estimates.
+  missing segment files, and pointing the store opener at a regular file
+  (a server state, or the monolithic checkpoint that repro 1.10.0 wrote)
+  all raise a contextual ``SerializationError`` instead of silently
+  corrupting estimates.
+* **Crash safety**: a crash at any file operation of a seal, a rewrite
+  or an ``absorb_shard`` leaves a store that restores to the state before
+  or after the operation, never a mix.
 """
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -35,6 +41,10 @@ from repro.core.serialization import (
     segment_state_bytes,
 )
 from repro.engine import Engine, EpochStore, last, spec_fingerprint, split_window
+from repro.engine import store as store_module
+
+#: A two-epoch hh envelope written by repro 1.10.0's ``Engine.checkpoint(path)``.
+ENVELOPE = os.path.join(os.path.dirname(__file__), "data", "engine_checkpoint_1_10_0.ckpt")
 
 
 def _check(case, actual, expected):
@@ -178,23 +188,6 @@ class TestHandlesRoundTrip:
                     _fingerprint(protocol, engine.estimator(window)),
                     _fingerprint(protocol, in_ram.estimator(window)),
                 )
-
-    def test_monolithic_export_from_store(self, handle, tmp_path):
-        """A store-backed engine still writes classic v2 checkpoints."""
-        protocol = make_protocol(handle, 16, 1.2, **HANDLES[handle])
-
-        def factory():
-            return make_protocol(handle, 16, 1.2, **HANDLES[handle])
-
-        _, in_ram, stored = _paired_engines(factory, tmp_path)
-        path = str(tmp_path / "mono.ckpt")
-        stored.checkpoint(path)
-        restored = Engine.restore(path)
-        assert list(restored.epochs) == [0, 1, 2]
-        assert np.array_equal(
-            _fingerprint(protocol, restored.estimator()),
-            _fingerprint(protocol, in_ram.estimator()),
-        )
 
 
 class TestPushdownPlan:
@@ -347,17 +340,41 @@ class TestCorruption:
         with pytest.raises(SerializationError, match="different .* configuration"):
             EpochStore(store_dir, make_protocol("flat", 16, 1.2).spec())
 
-    def test_monolithic_checkpoint_is_not_a_store(self, tmp_path):
-        engine = Engine.open(make_protocol("hh", 16, 1.2, branching=4))
-        engine.session(epoch=0).absorb(np.arange(16), rng=np.random.default_rng(0))
-        path = str(tmp_path / "mono.ckpt")
-        engine.checkpoint(path)
-        with pytest.raises(SerializationError, match="monolithic engine checkpoint"):
-            EpochStore(path, engine.spec())
-        with pytest.raises(SystemExit, match="monolithic"):
-            from repro.cli import _restore_engine
+    def test_monolithic_checkpoint_is_not_a_store(self):
+        from repro.cli import _restore_engine
 
-            _restore_engine(store_dir=path)
+        migrate = r"monolithic engine checkpoint.*repro 1\.10\.0.*attach_store"
+        with pytest.raises(SerializationError, match=migrate):
+            EpochStore(ENVELOPE, make_protocol("hh", 16, 1.1, branching=4).spec())
+        with pytest.raises(SerializationError, match=migrate):
+            Engine.restore(ENVELOPE)
+        with pytest.raises(SystemExit, match="monolithic"):
+            _restore_engine(ENVELOPE)
+
+    @pytest.mark.parametrize(
+        "command",
+        [["checkpoint", "--reports", "r.bin"], ["info"], ["query", "--ranges", "0:3"]],
+        ids=lambda command: command[0],
+    )
+    def test_engine_subcommands_refuse_the_envelope(self, command):
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "engine", command[0],
+             "--store-dir", ENVELOPE, *command[1:]],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 1
+        assert "monolithic engine checkpoint" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    def test_server_state_file_is_not_a_store(self, tmp_path):
+        protocol = make_protocol("hh", 16, 1.2, branching=4)
+        path = tmp_path / "s.state"
+        path.write_bytes(protocol.server().to_bytes())
+        with pytest.raises(SerializationError, match="server state file.*merge --states"):
+            EpochStore(str(path), protocol.spec())
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(SerializationError, match="MANIFEST"):
@@ -410,3 +427,146 @@ class TestStoreProperties:
             restored.estimator("all").estimated_frequencies(),
             in_ram.estimator("all").estimated_frequencies(),
         )
+
+
+# --------------------------------------------------------------------- #
+# crash points: a crash at any file operation restores before or after
+# --------------------------------------------------------------------- #
+class _Crash(BaseException):
+    """A simulated process death; no handler in the store catches it."""
+
+
+class _CrashingOs:
+    """The ``os`` module as the store sees it, dying at one file operation.
+
+    Counts every ``replace`` and ``unlink``.  At call number ``at`` it
+    raises :class:`_Crash` just before the call, or just after it with
+    ``after=True``; once dead, every later call raises too, since a dead
+    process runs no cleanup.
+    """
+
+    def __init__(self, at=None, after=False):
+        self.at, self.after, self.calls, self.dead = at, after, 0, False
+
+    def __getattr__(self, name):
+        return getattr(os, name)
+
+    def _call(self, operation, *args):
+        if self.dead:
+            raise _Crash()
+        index, self.calls = self.calls, self.calls + 1
+        if index == self.at and not self.after:
+            self.dead = True
+            raise _Crash()
+        operation(*args)
+        if index == self.at:
+            self.dead = True
+            raise _Crash()
+
+    def replace(self, source, target):
+        self._call(os.replace, source, target)
+
+    def unlink(self, path):
+        self._call(os.unlink, path)
+
+
+def _crash_base(store_dir):
+    """Epochs 0-2 sealed with 80 reports each; the block [0, 2) is aggregated."""
+    engine = Engine.open("hh", domain_size=16, epsilon=1.2, branching=4, store_dir=store_dir)
+    for epoch in range(3):
+        engine.session(epoch=epoch).absorb(np.arange(80) % 16, rng=np.random.default_rng(epoch))
+        engine.seal_epoch(epoch)
+    return engine
+
+
+def _seal_completing_a_block(engine):
+    # Epoch 3 completes the blocks [2, 4) and [0, 4).
+    engine.session(epoch=3).absorb(np.arange(80) % 16, rng=np.random.default_rng(3))
+    engine.seal_epoch(3)
+
+
+def _rewrite_then_checkpoint(engine):
+    engine.session(epoch=1).absorb(np.arange(48) % 16, rng=np.random.default_rng(4))
+    engine.checkpoint()
+
+
+def _absorb_shard_then_seal(engine):
+    server = engine.protocol.server()
+    server.ingest(engine.client().encode_batch(np.arange(48) % 16, rng=5))
+    engine.absorb_shard(server.state, epoch=1)
+    engine.seal_epoch(1)
+
+
+CRASH_OPERATIONS = {
+    "seal": _seal_completing_a_block,
+    "rewrite": _rewrite_then_checkpoint,
+    "absorb_shard": _absorb_shard_then_seal,
+}
+
+
+def _inconsistency(store_dir, expected):
+    """What is wrong with the store a crash left behind, or ``None``."""
+    try:
+        restored = Engine.restore(store_dir)
+        counts = restored.epoch_report_counts()
+        if counts not in expected:
+            return f"restored counts {counts} are neither {expected[0]} nor {expected[1]}"
+        for epoch, count in counts.items():
+            held = restored.window_state([epoch]).n_reports
+            if held != count:
+                return f"epoch {epoch}: the manifest counts {count}, its segment holds {held}"
+        epochs = list(restored.epochs)
+        for start in range(len(epochs)):
+            for stop in range(start + 1, len(epochs) + 1):
+                window = epochs[start:stop]
+                planned = restored.store.pushdown_state(window)
+                naive = restored.store.pushdown_state(window, use_aggregates=False)
+                if planned.to_bytes() != naive.to_bytes():
+                    return f"window {window}: the aggregates disagree with the leaves"
+        restored.checkpoint()
+        restored.store.close()
+        if Engine.restore(store_dir).epoch_report_counts() != counts:
+            return "the next checkpoint changed the counts"
+    except SerializationError as exc:
+        return f"unreadable store: {exc}"
+    return None
+
+
+class TestCrashPoints:
+    """A crash just before or just after each ``os.replace`` / ``os.unlink``.
+
+    A raised exception models a process that dies between two file
+    operations.  It cannot model losing bytes that were never fsync'd
+    (aggregate segments skip the fsync); their CRC, checked on read,
+    covers that case.
+    """
+
+    def _run(self, store_dir, operation, at=None, after=False):
+        engine = _crash_base(store_dir)
+        before = engine.epoch_report_counts()
+        crashing = _CrashingOs(at, after)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(store_module, "os", crashing)
+            try:
+                operation(engine)
+            except _Crash:
+                pass
+        engine.store.close()
+        return before, crashing
+
+    @pytest.mark.parametrize("name", sorted(CRASH_OPERATIONS))
+    def test_every_crash_point_restores_before_or_after(self, name, tmp_path):
+        operation = CRASH_OPERATIONS[name]
+        before, clean = self._run(str(tmp_path / "clean"), operation)
+        after = Engine.restore(str(tmp_path / "clean")).epoch_report_counts()
+        assert not clean.dead and after != before
+        problems = {}
+        for at in range(clean.calls):
+            for position in ("before", "after"):
+                store_dir = str(tmp_path / f"crash-{at}-{position}")
+                _, crashing = self._run(store_dir, operation, at, position == "after")
+                assert crashing.dead
+                problem = _inconsistency(store_dir, (before, after))
+                if problem:
+                    problems[f"{position} file operation {at}"] = problem
+        assert problems == {}, f"{len(problems)} of {2 * clean.calls} crash points"

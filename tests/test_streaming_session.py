@@ -302,6 +302,55 @@ class TestIngestIsAtomic:
         server.ingest(_refit(valid, entries.astype(np.bool_)))
         assert server.n_reports == 2 * 16
 
+    # Entries outside the level oracle's value domain, written into the
+    # last level so that no earlier level may be folded in before the
+    # refusal: (protocol, last-level payload -> misfit, match).
+    VALUE_MISFITS = {
+        "olh-bucket-negative": (
+            lambda: FlatRangeQuery(64, 1.1, oracle="olh"),
+            lambda payload: replace(payload, buckets=_first_set(payload.buckets, -1)),
+            r"buckets must lie in \[0, ",
+        ),
+        "olh-bucket-huge": (
+            lambda: FlatRangeQuery(64, 1.1, oracle="olh"),
+            lambda payload: replace(payload, buckets=_first_set(payload.buckets, 10**6)),
+            r"buckets must lie in \[0, ",
+        ),
+        "flat-hrr-value": (
+            lambda: FlatRangeQuery(64, 1.1, oracle="hrr"),
+            lambda payload: replace(payload, values=_first_set(payload.values, 3)),
+            r"values must be -1 or \+1",
+        ),
+        "haar-hrr-value": (
+            lambda: HaarHRR(64, 1.1),
+            lambda payload: replace(payload, values=_first_set(payload.values, 3)),
+            r"values must be -1 or \+1",
+        ),
+        "haar-hrr-index": (
+            lambda: HaarHRR(64, 1.1),
+            lambda payload: replace(payload, indices=_first_set(payload.indices, 10**6)),
+            r"indices must lie in \[0, ",
+        ),
+        "hh-grr-item": (
+            lambda: HierarchicalHistogram(64, 1.1, branching=4, oracle="grr"),
+            lambda payload: _first_set(payload, 10**6),
+            r"items must lie in \[0, 64\)",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(VALUE_MISFITS))
+    def test_value_outside_the_oracle_domain_refuses_the_report(self, case):
+        make, misfit, match = self.VALUE_MISFITS[case]
+        protocol = make()
+        server, before = self._primed(protocol)
+        report = protocol.client().encode_batch(np.arange(64), rng=2)
+        last = max(report.level_payloads)
+        payloads = {**report.level_payloads, last: misfit(report.level_payloads[last])}
+        mixed = LevelReport(report.family, payloads, report.level_user_counts, report.n_users)
+        with pytest.raises(ProtocolUsageError, match=match):
+            server.ingest(mixed)
+        assert server.to_bytes() == before
+
     def test_misfit_last_level_refuses_the_report_before_its_first_levels(self):
         protocol = HierarchicalHistogram(64, 1.1, branching=4, oracle="olh")
         server, before = self._primed(protocol)
@@ -318,6 +367,13 @@ class TestIngestIsAtomic:
 def _flat_report(oracle: str) -> LevelReport:
     """A valid 64-user flat report under ``oracle`` (domain 64)."""
     return FlatRangeQuery(64, 1.1, oracle=oracle).client().encode_batch(np.arange(64), rng=3)
+
+
+def _first_set(column: np.ndarray, value) -> np.ndarray:
+    """A copy of ``column`` whose first entry is ``value``."""
+    column = np.array(column, copy=True)
+    column[0] = value
+    return column
 
 
 def _refit(report: LevelReport, payload) -> LevelReport:
