@@ -10,7 +10,8 @@ costs so the service-shaped deployment can be sized:
   shard);
 * **checkpoint/restore latency** -- a full ``checkpoint()`` of every
   in-RAM epoch into a fresh epoch store, and ``Engine.restore(dir)`` plus
-  a decode of every epoch's state;
+  a ``load_state`` of every epoch (a one-segment vector gather; SHE
+  decodes its packed state);
 * **window materialisation** -- how fast ``engine.estimator(window=...)``
   lazily merges a window of epochs and finalizes (windows/sec);
 * **windowed-query throughput** -- end-to-end queries/sec for a random
@@ -94,7 +95,7 @@ def _checkpoint_into_fresh_store(engine: Engine, store_dir: str) -> float:
 
 
 def _restore_every_epoch(store_dir: str) -> Engine:
-    """``Engine.restore`` plus a full decode of every stored epoch's state."""
+    """``Engine.restore`` plus a full load of every stored epoch's state."""
     restored = Engine.restore(store_dir)
     for epoch in restored.epochs:
         restored.store.load_state(epoch)

@@ -225,7 +225,7 @@ from repro.hierarchy import HierarchicalHistogram
 from repro.multidim import HierarchicalGrid2D
 from repro.wavelet import HaarHRR
 
-__version__ = "1.11.0"
+__version__ = "1.12.0"
 
 #: Protocol registry used by the experiment harness and the CLI.  Classes
 #: may expose a ``from_registry(domain_size, epsilon, **kwargs)`` adapter

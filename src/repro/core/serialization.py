@@ -430,9 +430,9 @@ def scan_wal_segment(data) -> Tuple[dict, List[Tuple[dict, bytes]], Optional[int
 def pack_epoch_segment(
     epoch: int,
     spec_hash: str,
-    state_blob: bytes,
     *,
-    n_reports: int = 0,
+    n_reports: int,
+    state_blob: Optional[bytes] = None,
     pushdown: Optional[dict] = None,
     aggregate: Optional[dict] = None,
 ) -> bytes:
@@ -440,91 +440,105 @@ def pack_epoch_segment(
 
     ``MAGIC_SEG | u64 header length | JSON header | body | u32 crc32``
     where the CRC covers every byte before it, so torn tails and bit
-    flips are detected before any content is trusted.  The body holds
-    the epoch's packed v1 accumulator ``state_blob`` followed by the
-    optional *pushdown* region: the raw little-endian int64 sufficient
-    statistic vectors of each oracle child, 8-byte aligned so a reader
-    can view them zero-copy straight out of a memory map.  All offsets
-    in the header are relative to the body start; the header JSON is
-    space-padded so the body itself starts 8-byte aligned.
+    flips are detected before any content is trusted.  The body holds the
+    epoch's counts exactly once, in one of two regions:
 
-    ``pushdown`` (optional) is a plain-data description of the state::
+    * ``pushdown``: the raw little-endian int64 sufficient-statistic
+      vectors of each oracle child, 8-byte aligned so a reader can view
+      them zero-copy straight out of a memory map.  ``pushdown`` is a
+      plain-data description of the state::
 
-        {"label": ..., "config": {...}, "n_users": N,
-         "children": [{"oracle_kind": ..., "config": {...},
-                       "n_reports": N, "vectors": {name: int64 array}}]}
+          {"label": ..., "config": {...}, "n_users": N,
+           "children": [{"oracle_kind": ..., "config": {...},
+                         "n_reports": N, "vectors": {name: int64 array}}]}
 
-    Summing the pushdown vectors of many segments elementwise is exactly
-    the accumulator merge (integer addition is associative and
-    commutative), which is what makes store-backed windowed queries
-    bit-identical to the in-RAM merge path.
+      Summing the vectors of many segments elementwise is exactly the
+      accumulator merge (integer addition is associative and
+      commutative), which is what makes store-backed windowed queries
+      bit-identical to the in-RAM merge path.
+    * ``state_blob``: a packed v1 accumulator state, for states no
+      vector sum reproduces (SHE's float partials).
+
+    Exactly one of the two must be given.  Offsets in the header are
+    relative to the body start; the header JSON is space-padded so the
+    body itself starts 8-byte aligned.
 
     ``aggregate`` (optional) marks the segment as a *pre-merged
     aggregate* over ``{"level": L, "start": S, "count": 2**L}``
     consecutive epochs rather than a single sealed epoch; ``epoch`` is
     then the block start ``S``.  Aggregates reuse the exact same framing
-    so every reader (CRC check, state decode, pushdown views) applies
-    unchanged.
+    so every reader (CRC check, pushdown views) applies unchanged.
     """
-    body = bytearray(state_blob)
+    if (state_blob is None) == (pushdown is None):
+        raise ValueError(
+            "an epoch segment holds exactly one of a packed state and "
+            "pushdown vectors"
+        )
     header: dict = {
         "seg_kind": EPOCH_SEGMENT_KIND,
         "format": EPOCH_SEGMENT_FORMAT,
         "epoch": int(epoch),
         "spec_hash": str(spec_hash),
         "n_reports": int(n_reports),
-        "state": {"offset": 0, "length": len(body)},
     }
     if aggregate is not None:
         header["aggregate"] = {
             key: int(aggregate[key]) for key in ("level", "start", "count")
         }
-    if pushdown is not None:
-        body += bytes(_pad_to(len(body)))
-        children = []
-        for child in pushdown.get("children", []):
-            vectors = []
-            for name, vector in child["vectors"].items():
-                vector = np.ascontiguousarray(vector, dtype="<i8")
-                vectors.append(
-                    {"name": str(name), "shape": list(vector.shape), "offset": len(body)}
-                )
-                body += vector.tobytes()
-            children.append(
-                {
-                    "oracle_kind": child["oracle_kind"],
-                    "config": child["config"],
-                    "n_reports": int(child["n_reports"]),
-                    "vectors": vectors,
-                }
+    if state_blob is not None:
+        header["state"] = {"offset": 0, "length": len(state_blob)}
+        return _write_frame(MAGIC_SEG, header, state_blob, align=_SEG_ALIGN, crc=True)
+    body = bytearray()
+    children = []
+    for child in pushdown.get("children", []):
+        vectors = []
+        for name, vector in child["vectors"].items():
+            vector = np.ascontiguousarray(vector, dtype="<i8")
+            vectors.append(
+                {"name": str(name), "shape": list(vector.shape), "offset": len(body)}
             )
-        header["pushdown"] = {
-            "label": pushdown["label"],
-            "config": pushdown["config"],
-            "n_users": int(pushdown["n_users"]),
-            "children": children,
-        }
+            body += vector.tobytes()
+        children.append(
+            {
+                "oracle_kind": child["oracle_kind"],
+                "config": child["config"],
+                "n_reports": int(child["n_reports"]),
+                "vectors": vectors,
+            }
+        )
+    header["pushdown"] = {
+        "label": pushdown["label"],
+        "config": pushdown["config"],
+        "n_users": int(pushdown["n_users"]),
+        "children": children,
+    }
     return _write_frame(MAGIC_SEG, header, body, align=_SEG_ALIGN, crc=True)
 
 
 def _segment_fields(header: dict, body_size: int) -> Optional[str]:
     """Kind, format and byte layout of an epoch segment header.
 
-    Every region the header describes must lie inside the body, so the
-    zero-copy views of :func:`segment_state_bytes` and
-    :func:`segment_pushdown_children` need no further checks.
+    A segment holds a ``state`` region, a ``pushdown`` region, or both
+    (repro 1.11.0 wrote both), and every region the header describes
+    must lie inside the body, so the zero-copy views of
+    :func:`segment_state_bytes` and :func:`segment_pushdown_children`
+    need no further checks.
     """
-    state = header.get("state")
     problem = _field_error(
         header, "epoch", seg_kind=EPOCH_SEGMENT_KIND, format=EPOCH_SEGMENT_FORMAT
-    ) or _field_error(state, "offset", "length")
+    )
+    if not problem and not {"state", "pushdown"} & header.keys():
+        problem = "an epoch segment needs a state or a pushdown region"
+    if not problem and "state" in header:
+        problem = _field_error(header["state"], "offset", "length")
     if not problem and "aggregate" in header:
         problem = _field_error(header["aggregate"], "level", "start", "count")
     if not problem and "pushdown" in header:
         problem = _pushdown_error(header["pushdown"])
     if problem:
         return problem
-    regions = [(state, state["length"])] + [
+    regions = [(header["state"], header["state"]["length"])] if "state" in header else []
+    regions += [
         (vector, 8 * math.prod(vector["shape"]))
         for child in header.get("pushdown", {"children": []})["children"]
         for vector in child["vectors"]
@@ -581,7 +595,12 @@ def read_epoch_segment(data) -> Tuple[dict, int]:
 
 
 def segment_state_bytes(data, header: dict, body_offset: int) -> bytes:
-    """The packed v1 accumulator state embedded in a validated segment."""
+    """The packed v1 accumulator state embedded in a validated segment.
+
+    Raises if the segment carries no state region.
+    """
+    if "state" not in header:
+        raise SerializationError("epoch segment carries no packed state")
     start = body_offset + header["state"]["offset"]
     return bytes(memoryview(data)[start : start + header["state"]["length"]])
 

@@ -25,9 +25,10 @@ client/server objects into managed, durable, epoch-partitioned state:
   memory-mapped segment file and evicts it, :meth:`Engine.checkpoint` is
   *incremental* -- only dirty epochs are rewritten, manifest fsync'd
   last -- and :meth:`Engine.restore` maps segments lazily, so RSS scales
-  with the queried window instead of the total epoch count.  Windowed
-  queries over sealed epochs sum the segments' pre-aggregated integer
-  vectors (query pushdown), bit-identically to the in-RAM merge path.
+  with the queried window instead of the total epoch count.  The store
+  answers the sealed part of every window itself, summing the segments'
+  integer vectors (query pushdown) bit-identically to the in-RAM merge
+  path.
 
 Example::
 
@@ -391,9 +392,7 @@ class Engine:
 
     def _load_sealed(self, epoch: int) -> ProtocolServer:
         """Materialize one sealed epoch back into RAM (clean until mutated)."""
-        state = self._store.load_state(epoch)
-        server = self._protocol.server(state=state)
-        server.state.meta.setdefault("epoch", epoch)
+        server = self._protocol.server(state=self._store.load_state(epoch))
         self._servers[epoch] = server
         return server
 
@@ -497,15 +496,13 @@ class Engine:
         of how its epochs were sharded.  The returned state is independent
         of the live shards and records the window in ``meta["epochs"]``.
 
-        On a store-backed engine the sealed part of the window is
-        answered by *query pushdown* when every selected segment carries
-        pre-aggregated vectors: the store plans the window as a cover of
-        power-of-two aggregate segments plus leaves (O(log k) nodes for
-        a contiguous window) and sums the mapped int64 statistics
-        elementwise -- exactly the accumulator merge -- so no sealed
-        epoch is ever fully decoded.  Segments without a pushdown region
-        (e.g. SHE's exact-summation states) fall back to full
-        load-and-merge; either way the result is bit-identical to an
+        On a store-backed engine the sealed part of the window is one
+        :meth:`~repro.engine.store.EpochStore.pushdown_state` call: the
+        store plans the window as a cover of power-of-two aggregate
+        segments plus leaves (O(log k) nodes for a contiguous window) and
+        sums the mapped int64 statistics elementwise -- exactly the
+        accumulator merge -- or, for packed states (SHE), loads and
+        merges them.  Either way the result is bit-identical to an
         all-live merge, and no sealed epoch is re-materialized into the
         engine's epoch map.
         """
@@ -515,13 +512,7 @@ class Engine:
     def _merge_window(self, selected: List[int]) -> CompositeAccumulator:
         """Merge resolved epoch keys into one state; the caller holds the lock."""
         live, sealed = split_window(selected, self._servers)
-        merged: Optional[CompositeAccumulator] = None
-        if sealed:
-            merged = self._store.pushdown_state(sealed)
-            if merged is None:
-                for epoch in sealed:
-                    state = self._store.load_state(epoch)
-                    merged = state if merged is None else merged.merge(state)
+        merged = self._store.pushdown_state(sealed) if sealed else None
         for epoch in live:
             if merged is None:
                 merged = self._servers[epoch].snapshot()
@@ -661,7 +652,10 @@ class Engine:
         fsync'd last.  Clean sealed epochs are never touched, and a fully
         clean store (nothing dirty, nothing built) skips the manifest
         rewrite entirely, which is what makes the checkpoint cost
-        O(dirty) instead of O(total).  Requires an attached store.
+        O(dirty) instead of O(total).  Last, every store file the durable
+        manifest does not reference -- what an earlier crash left behind
+        -- is unlinked (:meth:`~repro.engine.store.EpochStore.discard_orphans`).
+        Requires an attached store.
         """
         with self._lock:
             self._require_store("checkpoint")
@@ -671,6 +665,7 @@ class Engine:
             self._store.build_aggregates()
             if self._store.manifest_dirty:
                 self._store.save_manifest()
+            self._store.discard_orphans()
             self._dirty.clear()
         return self
 

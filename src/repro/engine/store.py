@@ -6,40 +6,48 @@ memory-bound if every epoch stayed in RAM (RSS growing with *total*
 epochs, not the queried window) and checkpoint-bound if every
 checkpoint rewrote every epoch.  :class:`EpochStore` fixes both:
 
-* **One segment per epoch.**  Each sealed epoch lives in its own
-  CRC-framed file (``epoch-%08d.seg``, see
-  :func:`~repro.core.serialization.pack_epoch_segment`) holding the
-  epoch's packed accumulator state plus an optional *pushdown* region.
+* **One segment per epoch, its counts held once.**  Each sealed epoch
+  lives in its own CRC-framed file (``epoch-%08d.seg``, see
+  :func:`~repro.core.serialization.pack_epoch_segment`).  A state whose
+  children are all plain integer
+  :class:`~repro.frequency_oracles.base.OracleAccumulator` vectors is
+  stored as those raw int64 vectors, 8-byte aligned (the *pushdown*
+  region); any other state (SHE's exact-summation float partials, which
+  no vector sum reproduces) is stored as its packed accumulator state.
   Segments are written once (tmp + rename + fsync) and never mutated.
 * **A versioned manifest.**  ``MANIFEST.json`` records the store format,
   the protocol spec and its hash, and one entry per epoch (file name,
   report count, byte size, pushdown availability, dirty bit).  The
   manifest is always rewritten *after* the segments it references and
   fsync'd, so a crash mid-checkpoint leaves the previous consistent
-  manifest in place.
+  manifest in place.  Format-1 manifests (repro 1.11.0) are read too:
+  their segments hold both regions and are read through their vectors.
 * **Crash invariant.**  A file the on-disk manifest references is never
   overwritten or unlinked before a manifest without it is durable.  A
   rewrite of such a file goes to a fresh name (``epoch-%08d.1.seg``, the
   smallest free ``.N``), and the replaced file is unlinked only after the
   next manifest save.  Readers follow each entry's ``file``, so the
-  name of a segment never matters.
-* **Query pushdown.**  For states whose children are all plain integer
-  :class:`~repro.frequency_oracles.base.OracleAccumulator` vectors, the
-  segment stores those int64 vectors raw and 8-byte aligned.  A windowed
-  query then sums the mapped vectors of the selected segments
-  elementwise -- exactly the accumulator merge, because integer addition
-  is associative and commutative -- without decoding a single packed state,
-  so ``estimator(window=last(k))`` over sealed epochs is bit-identical
-  to the in-RAM merge path at a fraction of the work.  States with
-  non-integer children (SHE's exact-summation partials) fall back to a
-  full load-and-merge, which is still exact.
+  name of a segment never matters.  What a crash leaves unreferenced
+  (a fresh segment whose manifest save never landed, a staging file, a
+  replaced segment whose unlink never ran) is swept by
+  :meth:`EpochStore.discard_orphans`, which ``Engine.checkpoint()``
+  runs last -- never at open, since a reader may open the store while
+  its writer sits between a segment rename and the manifest save.
+* **Query pushdown.**  A windowed query sums the mapped vectors of the
+  selected segments elementwise -- exactly the accumulator merge,
+  because integer addition is associative and commutative -- without
+  decoding a single packed state, so ``estimator(window=last(k))`` over
+  sealed epochs is bit-identical to the in-RAM merge path at a fraction
+  of the work.  Segments holding a packed state are decoded and merged
+  instead, which is still exact; :meth:`EpochStore.pushdown_state`
+  answers every sealed window either way.
 * **Aggregate segments.**  Sealed segments are immutable, so their sums
   can be materialized once and reused: level-``L`` aggregate segments
-  (``agg-L%d-%08d.seg``, same REPROSEG framing, tracked in the manifest)
-  hold the elementwise int64 sum of the ``2**L`` consecutive epochs
-  ``[S, S + 2**L)`` for aligned starts (``S % 2**L == 0``).  They are
-  built incrementally as blocks complete (at seal time and on
-  ``checkpoint()``) and the window planner
+  (``agg-L%d-%08d.seg``, same REPROSEG framing, vectors only, tracked in
+  the manifest) hold the elementwise int64 sum of the ``2**L``
+  consecutive epochs ``[S, S + 2**L)`` for aligned starts
+  (``S % 2**L == 0``).  They are built incrementally as blocks complete
+  (at seal time and on ``checkpoint()``) and the window planner
   (:func:`repro.engine.windows.plan_cover`) covers a contiguous window
   with O(log k) aggregate + leaf nodes instead of k leaves.  Aggregates
   are *derived* data -- rebuildable from the leaves at any time -- so
@@ -56,6 +64,7 @@ and file involved.
 
 from __future__ import annotations
 
+import fnmatch
 import hashlib
 import json
 import mmap
@@ -84,16 +93,27 @@ from repro.frequency_oracles.base import OracleAccumulator
 #: ``manifest_kind`` tag of an epoch-store manifest.
 MANIFEST_KIND = "epoch-store"
 
-#: Layout version of the manifest contents.
-MANIFEST_FORMAT = 1
+#: Layout version of the manifest contents this build writes.  Format 2
+#: stores each epoch's counts once (vectors, or a packed state for SHE);
+#: format 1 (repro 1.11.0) segments hold both and are still read, so an
+#: older build refuses a format-2 store at its manifest instead of
+#: calling one of its segments corrupt.
+MANIFEST_FORMAT = 2
+
+#: Manifest formats this build reads.
+_READABLE_MANIFEST_FORMATS = (1, MANIFEST_FORMAT)
 
 #: File name of the store manifest inside the store directory.
 MANIFEST_NAME = "MANIFEST.json"
 
-#: Deepest aggregate level maintained by default: 2**10 = 1024 epochs per
+#: Deepest aggregate level the store maintains: 2**10 = 1024 epochs per
 #: top block, so a month of hourly epochs collapses into a handful of
 #: nodes while the per-seal bookkeeping stays trivial.
-DEFAULT_MAX_AGGREGATE_LEVEL = 10
+MAX_AGGREGATE_LEVEL = 10
+
+#: Every file name the store writes, staging files included; the orphan
+#: sweep removes only these.
+_STORE_FILE_PATTERNS = ("epoch-*.seg", "agg-L*-*.seg", "*.tmp.*")
 
 #: Magic of the monolithic engine checkpoint that repro 1.10.0 and
 #: earlier wrote; recognised only to refuse it with a migration path.
@@ -145,8 +165,8 @@ def _pushdown_description(state: CompositeAccumulator) -> Optional[dict]:
     Only states whose children are all *plain* integer oracle
     accumulators are eligible: a subclass (e.g. SHE's float-partial
     exact summation) has statistics a raw int64 vector sum cannot
-    reproduce, so those segments simply omit the region and queries fall
-    back to full state decoding.
+    reproduce, so those segments hold the packed state instead and
+    queries load and merge it.
     """
     if not isinstance(state, CompositeAccumulator):
         return None
@@ -186,8 +206,6 @@ class EpochStore:
         spec: Optional[dict] = None,
         *,
         create: bool = True,
-        kernel_backend: Optional[object] = None,
-        max_aggregate_level: int = DEFAULT_MAX_AGGREGATE_LEVEL,
     ) -> None:
         directory = str(directory)
         if os.path.isfile(directory):
@@ -201,12 +219,11 @@ class EpochStore:
         self._aggregates: Dict[Tuple[int, int], dict] = {}
         self._agg_maps: Dict[Tuple[int, int], Tuple[mmap.mmap, dict, int]] = {}
         self._aggregates_written = 0
-        self._max_aggregate_level = max(0, int(max_aggregate_level))
         self._manifest_dirty = False
         # File names MANIFEST.json on disk references: never overwritten,
         # and unlinked only once a manifest without them is durable.
         self._durable: set = set()
-        self._kernels = resolve_backend(kernel_backend)
+        self._kernels = resolve_backend()
         manifest_path = self.manifest_path
         if os.path.exists(manifest_path):
             self._load_manifest(manifest_path)
@@ -299,10 +316,10 @@ class EpochStore:
                 f"{manifest.get('manifest_kind') if isinstance(manifest, dict) else None!r} "
                 f"is not {MANIFEST_KIND!r}"
             )
-        if int(manifest.get("format", 0)) != MANIFEST_FORMAT:
+        if manifest.get("format") not in _READABLE_MANIFEST_FORMATS:
             raise SerializationError(
                 f"epoch store manifest format {manifest.get('format')!r} is "
-                f"not supported by this build (expected {MANIFEST_FORMAT})"
+                f"not supported by this build (expected 1 or {MANIFEST_FORMAT})"
             )
         spec = manifest.get("protocol")
         if not isinstance(spec, dict):
@@ -436,6 +453,24 @@ class EpochStore:
         except OSError:
             pass
 
+    def discard_orphans(self) -> None:
+        """Unlink every store file that no manifest references.
+
+        A crash between a segment rename and the manifest save leaves a
+        ``stem.N.seg`` or a ``*.tmp.<pid>`` staging file, and a crash
+        after the save leaves the segment it replaced; nothing else ever
+        removes them.  Only the names this store writes are considered.
+        Run it right after a manifest save (``Engine.checkpoint()`` does)
+        and never at open: a reader may open the store while its writer
+        sits between a segment rename and the manifest save.
+        """
+        keep = self._durable | self._referenced_files()
+        for name in sorted(os.listdir(self.directory)):
+            if name not in keep and any(
+                fnmatch.fnmatchcase(name, pattern) for pattern in _STORE_FILE_PATTERNS
+            ):
+                self._discard_file(name)
+
     @property
     def manifest_dirty(self) -> bool:
         """Whether the in-memory manifest has outrun MANIFEST.json.
@@ -474,7 +509,7 @@ class EpochStore:
         return sum(int(entry.get("size", 0)) for entry in self._entries.values())
 
     def supports_pushdown(self, epoch: int) -> bool:
-        """Whether ``epoch``'s segment carries a pushdown region."""
+        """Whether ``epoch``'s segment holds vectors (else a packed state)."""
         return bool(self._entry(epoch).get("pushdown", False))
 
     def _entry(self, epoch: int) -> dict:
@@ -495,7 +530,8 @@ class EpochStore:
     def write_segment(self, epoch: int, state: CompositeAccumulator) -> str:
         """Persist one epoch's accumulator as its own durable segment.
 
-        The segment is staged in a temporary sibling, fsync'd and
+        The segment holds the state's pushdown vectors or, when it has
+        none (SHE), its packed bytes.  It is staged in a temporary sibling, fsync'd and
         renamed to a name the on-disk manifest does not reference, so a
         crash mid-write never damages the segment that manifest reads.
         The in-memory manifest entry is updated (clean) but *not* saved
@@ -507,22 +543,12 @@ class EpochStore:
         blob = pack_epoch_segment(
             epoch,
             self._spec_hash,
-            state.to_bytes(),
             n_reports=state.n_reports,
+            state_blob=None if pushdown is not None else state.to_bytes(),
             pushdown=pushdown,
         )
         name = self._fresh_name(f"epoch-{epoch:08d}")
-        path = os.path.join(self.directory, name)
-        temp_path = f"{path}.tmp.{os.getpid()}"
-        try:
-            with open(temp_path, "wb") as handle:
-                handle.write(blob)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(temp_path, path)
-        finally:
-            if os.path.exists(temp_path):  # pragma: no cover - crash cleanup
-                os.unlink(temp_path)
+        path = self._write_file(name, blob, durable=True)
         self._drop_map(epoch)
         previous = self._entries.get(epoch)
         if previous is not None and previous["file"] != name:
@@ -539,6 +565,25 @@ class EpochStore:
         # A rewritten leaf invalidates every aggregate that folded the old
         # contents in; they are rebuilt lazily once the block is clean.
         self._invalidate_aggregates(epoch)
+        return path
+
+    def _write_file(self, name: str, blob: bytes, *, durable: bool) -> str:
+        """Stage ``blob`` in a temporary sibling and rename it to ``name``.
+
+        ``durable`` fsyncs the staged bytes before the rename.
+        """
+        path = os.path.join(self.directory, name)
+        temp_path = f"{path}.tmp.{os.getpid()}"
+        try:
+            with open(temp_path, "wb") as handle:
+                handle.write(blob)
+                if durable:
+                    handle.flush()
+                    os.fsync(handle.fileno())
+            os.replace(temp_path, path)
+        finally:
+            if os.path.exists(temp_path):  # pragma: no cover - crash cleanup
+                os.unlink(temp_path)
         return path
 
     def mark_dirty(self, epoch: int) -> None:
@@ -569,11 +614,6 @@ class EpochStore:
         """
         return self._aggregates_written
 
-    @property
-    def max_aggregate_level(self) -> int:
-        """Deepest aggregate level this store maintains (0 disables)."""
-        return self._max_aggregate_level
-
     def aggregate_keys(self) -> List[Tuple[int, int]]:
         """Present aggregates as sorted ``(level, start)`` pairs."""
         return sorted(self._aggregates)
@@ -594,7 +634,7 @@ class EpochStore:
         return {
             "segments": len(self._aggregates),
             "bytes": self.aggregate_bytes(),
-            "max_level": self._max_aggregate_level,
+            "max_level": MAX_AGGREGATE_LEVEL,
             "levels": {key: levels[key] for key in sorted(levels, key=int)},
         }
 
@@ -632,8 +672,6 @@ class EpochStore:
         level-(L-1) halves rather than 2**L leaves.  Returns the number
         of aggregates written.
         """
-        if self._max_aggregate_level < 1:
-            return 0
         if epochs is None:
             candidates = [
                 epoch for epoch in self._entries if self._aggregate_eligible(epoch)
@@ -641,7 +679,7 @@ class EpochStore:
         else:
             candidates = [int(epoch) for epoch in epochs]
         built = 0
-        for level in range(1, self._max_aggregate_level + 1):
+        for level in range(1, MAX_AGGREGATE_LEVEL + 1):
             size = 1 << level
             starts = sorted({(epoch // size) * size for epoch in candidates})
             for start in starts:
@@ -676,29 +714,15 @@ class EpochStore:
         """
         size = 1 << level
         state = self.pushdown_state(range(start, start + size))
-        if state is None:  # pragma: no cover - guarded by eligibility checks
-            raise SerializationError(
-                f"aggregate block L{level} @ {start} has no pushdown-capable "
-                "cover"
-            )
         blob = pack_epoch_segment(
             start,
             self._spec_hash,
-            state.to_bytes(),
             n_reports=state.n_reports,
             pushdown=_pushdown_description(state),
             aggregate={"level": level, "start": start, "count": size},
         )
         name = self._fresh_name(f"agg-L{level}-{start:08d}")
-        path = os.path.join(self.directory, name)
-        temp_path = f"{path}.tmp.{os.getpid()}"
-        try:
-            with open(temp_path, "wb") as handle:
-                handle.write(blob)
-            os.replace(temp_path, path)
-        finally:
-            if os.path.exists(temp_path):  # pragma: no cover - crash cleanup
-                os.unlink(temp_path)
+        path = self._write_file(name, blob, durable=False)
         key = (level, start)
         self._drop_agg_map(key)
         self._aggregates[key] = {
@@ -743,58 +767,19 @@ class EpochStore:
         """Memory-map and validate one aggregate segment (cached)."""
         key = (int(level), int(start))
         cached = self._agg_maps.get(key)
-        if cached is not None:
-            return cached
-        entry = self._aggregates.get(key)
-        if entry is None:
-            raise SerializationError(
-                f"aggregate L{key[0]} @ {key[1]} is not in the store at "
-                f"{self.directory}"
+        if cached is None:
+            entry = self._aggregates.get(key)
+            if entry is None:
+                raise SerializationError(
+                    f"aggregate L{key[0]} @ {key[1]} is not in the store at "
+                    f"{self.directory}"
+                )
+            cached = self._agg_maps[key] = self._open_segment(
+                os.path.join(self.directory, str(entry["file"])),
+                f"aggregate segment L{key[0]} @ {key[1]}",
+                {"aggregate": {"level": key[0], "start": key[1], "count": 1 << key[0]}},
             )
-        path = os.path.join(self.directory, str(entry["file"]))
-        try:
-            handle = open(path, "rb")
-        except OSError as exc:
-            raise SerializationError(
-                f"aggregate segment {path} is missing: {exc}"
-            ) from exc
-        with handle:
-            try:
-                mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-            except (OSError, ValueError) as exc:
-                raise SerializationError(
-                    f"could not map aggregate segment {path}: {exc}"
-                ) from exc
-        try:
-            header, body_offset = read_epoch_segment(mapped)
-            described = header.get("aggregate")
-            if (
-                not isinstance(described, dict)
-                or int(described.get("level", -1)) != key[0]
-                or int(described.get("start", ~key[1])) != key[1]
-                or int(described.get("count", -1)) != 1 << key[0]
-            ):
-                raise SerializationError(
-                    f"aggregate segment {path} describes block "
-                    f"{described!r}, not L{key[0]} @ {key[1]}"
-                )
-            if header.get("spec_hash") != self._spec_hash:
-                raise SerializationError(
-                    f"aggregate segment {path} was written for a different "
-                    f"protocol configuration: segment spec hash "
-                    f"{header.get('spec_hash')!r} != manifest spec hash "
-                    f"{self._spec_hash!r}"
-                )
-        except SerializationError as exc:
-            self._close_map(mapped)
-            raise SerializationError(
-                f"corrupt aggregate segment at {path}: {exc}"
-            ) from exc
-        except BaseException:  # pragma: no cover - resource hygiene
-            self._close_map(mapped)
-            raise
-        self._agg_maps[key] = (mapped, header, body_offset)
-        return self._agg_maps[key]
+        return cached
 
     def plan_window(
         self, epochs: Sequence[int], *, use_aggregates: bool = True
@@ -803,7 +788,7 @@ class EpochStore:
         keys = [int(epoch) for epoch in epochs]
         if not use_aggregates or not self._aggregates:
             return [(PLAN_EPOCH, epoch) for epoch in keys]
-        return plan_cover(keys, self.has_aggregate, self._max_aggregate_level)
+        return plan_cover(keys, self.has_aggregate, MAX_AGGREGATE_LEVEL)
 
     def _drop_map(self, epoch: int) -> None:
         cached = self._maps.pop(int(epoch), None)
@@ -818,82 +803,93 @@ class EpochStore:
         except BufferError:  # pragma: no cover - depends on caller's refs
             pass
 
-    def _map_segment(self, epoch: int) -> Tuple[mmap.mmap, dict, int]:
-        """Memory-map and validate one segment (cached after first use).
+    def _open_segment(
+        self, path: str, what: str, stamp: dict
+    ) -> Tuple[mmap.mmap, dict, int]:
+        """Memory-map one segment file and validate it, exactly once.
 
-        Validation -- magic, CRC over the whole file, spec hash, epoch
-        stamp -- happens exactly once per mapping; every later zero-copy
-        view rides on it.
+        Validation -- magic, CRC over the whole file, layout, the
+        ``stamp`` (header fields that must hold exactly these values),
+        spec hash -- happens here; every later zero-copy view rides on
+        it.  Every error names ``what`` (the epoch or block) and the
+        file, and the map is closed before it propagates.
         """
-        epoch = int(epoch)
-        cached = self._maps.get(epoch)
-        if cached is not None:
-            return cached
-        path = self.segment_path(epoch)
         try:
             handle = open(path, "rb")
         except OSError as exc:
             raise SerializationError(
-                f"segment file for epoch {epoch} is missing from the store "
-                f"at {self.directory}: {exc}"
+                f"{what} is missing from the store at {self.directory}: {exc}"
             ) from exc
         with handle:
             try:
                 mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
             except (OSError, ValueError) as exc:
                 raise SerializationError(
-                    f"could not map segment {path} for epoch {epoch}: {exc}"
+                    f"could not map {what} at {path}: {exc}"
                 ) from exc
         try:
             header, body_offset = read_epoch_segment(mapped)
-            if int(header.get("epoch", -1)) != epoch:
-                raise SerializationError(
-                    f"segment {path} is stamped for epoch "
-                    f"{header.get('epoch')!r}, not epoch {epoch}"
-                )
+            for field, value in stamp.items():
+                if header.get(field) != value:
+                    raise SerializationError(
+                        f"it is stamped {field} {header.get(field)!r}, not {value!r}"
+                    )
             if header.get("spec_hash") != self._spec_hash:
                 raise SerializationError(
-                    f"segment {path} for epoch {epoch} was written for a "
-                    f"different protocol configuration: segment spec hash "
-                    f"{header.get('spec_hash')!r} != manifest spec hash "
-                    f"{self._spec_hash!r}"
+                    "it was written for a different protocol configuration: "
+                    f"segment spec hash {header.get('spec_hash')!r} != "
+                    f"manifest spec hash {self._spec_hash!r}"
                 )
         except SerializationError as exc:
             self._close_map(mapped)
-            raise SerializationError(
-                f"corrupt segment for epoch {epoch} at {path}: {exc}"
-            ) from exc
+            raise SerializationError(f"corrupt {what} at {path}: {exc}") from exc
         except BaseException:  # pragma: no cover - resource hygiene
             self._close_map(mapped)
             raise
-        self._maps[epoch] = (mapped, header, body_offset)
-        return self._maps[epoch]
+        return mapped, header, body_offset
 
-    def read_state_bytes(self, epoch: int) -> bytes:
-        """The packed v1 accumulator bytes of one sealed epoch."""
-        mapped, header, body_offset = self._map_segment(epoch)
-        return segment_state_bytes(mapped, header, body_offset)
+    def _map_segment(self, epoch: int) -> Tuple[mmap.mmap, dict, int]:
+        """Memory-map and validate one epoch's segment (cached)."""
+        epoch = int(epoch)
+        cached = self._maps.get(epoch)
+        if cached is None:
+            cached = self._maps[epoch] = self._open_segment(
+                self.segment_path(epoch), f"segment for epoch {epoch}", {"epoch": epoch}
+            )
+        return cached
 
     def load_state(self, epoch: int) -> CompositeAccumulator:
-        """Decode one sealed epoch's full accumulator state."""
+        """One sealed epoch's full accumulator state, as a fresh copy.
+
+        A segment with vectors is gathered as a one-node plan (fresh,
+        writable int64 arrays); a packed state (SHE) is decoded.  The
+        state's ``meta`` carries its epoch key either way.
+        """
         epoch = int(epoch)
-        try:
-            state = AccumulatorState.from_bytes(self.read_state_bytes(epoch))
-        except SerializationError as exc:
-            raise SerializationError(
-                f"corrupt accumulator state in segment for epoch {epoch}: {exc}"
-            ) from exc
-        if not isinstance(state, CompositeAccumulator):
-            raise SerializationError(
-                f"segment for epoch {epoch} does not hold a composite "
-                f"accumulator (got {type(state).__name__})"
-            )
+        if self.supports_pushdown(epoch):
+            state = self._gather_plan([(PLAN_EPOCH, epoch)])
+        else:
+            mapped, header, body_offset = self._map_segment(epoch)
+            try:
+                state = AccumulatorState.from_bytes(
+                    segment_state_bytes(mapped, header, body_offset)
+                )
+            except SerializationError as exc:
+                raise SerializationError(
+                    f"corrupt accumulator state in segment for epoch {epoch}: {exc}"
+                ) from exc
+            if not isinstance(state, CompositeAccumulator):
+                raise SerializationError(
+                    f"segment for epoch {epoch} does not hold a composite "
+                    f"accumulator (got {type(state).__name__})"
+                )
+        state.meta.setdefault("epoch", epoch)
         return state
 
     def pushdown_state(
         self, epochs: Sequence[int], *, use_aggregates: bool = True
     ) -> Optional[CompositeAccumulator]:
-        """The exact merged state of ``epochs`` via pre-aggregated vectors.
+        """The exact merged state of ``epochs``, ``None`` for no epochs.
 
         Plans the window as a cover of aggregate blocks plus leaf
         segments (:meth:`plan_window`), then sums the mapped int64
@@ -903,17 +899,22 @@ class EpochStore:
         associative and commutative -- and rebuilds one
         :class:`~repro.core.session.CompositeAccumulator` from the
         totals.  A contiguous window backed by a full hierarchy reads
-        O(log k) segments instead of k.  Returns ``None`` when any
-        selected segment lacks a pushdown region (the caller falls back
-        to full load-and-merge).  An unreadable *aggregate* is dropped
-        and the window re-planned from its leaves -- aggregates are
-        derived data, so their corruption is repaired, not raised.
+        O(log k) segments instead of k.  When any selected segment holds
+        a packed state instead of vectors (SHE), every selected epoch is
+        loaded and merged, which is still exact.  An unreadable
+        *aggregate* is dropped and the window re-planned from its leaves
+        -- aggregates are derived data, so their corruption is repaired,
+        not raised.
         """
         epochs = [int(epoch) for epoch in epochs]
         if not epochs:
             return None
         if not all(self.supports_pushdown(epoch) for epoch in epochs):
-            return None
+            merged: Optional[CompositeAccumulator] = None
+            for epoch in epochs:
+                state = self.load_state(epoch)
+                merged = state if merged is None else merged.merge(state)
+            return merged
         while True:
             plan = self.plan_window(epochs, use_aggregates=use_aggregates)
             try:

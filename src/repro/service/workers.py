@@ -22,9 +22,9 @@ wire format: one opcode byte followed by a payload (a framed batch, a
 packed accumulator state, or a JSON document).
 
 Supervision: workers are processes and processes die.  The pool detects
-a dead shard (liveness checks, health pings with a timeout, dead-pipe
-errors during ingest), reaps the corpse so repeated runs never leak
-zombies, and respawns a replacement at the same index under bounded
+a dead shard (its process is no longer ``alive``, or an ingest, drain or
+stats call hits a dead pipe), reaps the corpse so repeated runs never
+leak zombies, and respawns a replacement at the same index under bounded
 exponential backoff -- routing simply skips dead or saturated workers
 in the meantime instead of failing the whole service.  A respawned
 worker starts with an *empty* accumulator; re-ingesting the batches the
@@ -211,21 +211,6 @@ class ShardWorker:
                 f"worker {self.index} replied {reply[:1]!r} to a stats probe"
             )
         return json.loads(reply[1:].decode("utf-8"))
-
-    async def ping(self, timeout: float = 5.0) -> bool:
-        """Health probe: a stats round trip bounded by ``timeout`` seconds.
-
-        ``False`` means dead *or hung*: on a timeout the worker is
-        terminated (closing the pipe also unblocks the executor thread
-        stuck on the receive) so the pool can respawn it.
-        """
-        try:
-            await asyncio.wait_for(self.stats(), timeout)
-        except (asyncio.TimeoutError, WorkerCrashError, RuntimeError):
-            self.failed = True
-            self.terminate()
-            return False
-        return True
 
     async def quit(self) -> None:
         """Ask the worker to exit and wait for its acknowledgement."""
@@ -447,18 +432,6 @@ class WorkerPool:
         """Reset restart backoff streaks: surviving an epoch is health."""
         self._restart_streak = {}
         self._backoff_until = {}
-
-    async def ping_all(self, timeout: float = 5.0) -> Dict[int, bool]:
-        """Health-probe every worker; hung workers are terminated."""
-        self._require_started()
-        alive = [worker for worker in self._workers if worker.alive]
-        results = await asyncio.gather(
-            *(worker.ping(timeout) for worker in alive)
-        )
-        health = {worker.index: ok for worker, ok in zip(alive, results)}
-        for worker in self._workers:
-            health.setdefault(worker.index, False)
-        return health
 
     # ------------------------------------------------------------------ #
     # epoch close / stats / shutdown

@@ -74,17 +74,32 @@ def wal_blob(batch_blob) -> bytes:
     return pack_wal_segment_header(epoch=2) + b"".join(records)
 
 
-@pytest.fixture(scope="module")
-def segment_blob(tmp_path_factory) -> bytes:
-    """A sealed epoch segment with a pushdown region, as the store writes it."""
-    store_dir = tmp_path_factory.mktemp("store")
-    engine = Engine.open("hh", domain_size=16, epsilon=1.1, branching=4, store_dir=str(store_dir))
+def _sealed_segment(store_dir, method, **kwargs) -> bytes:
+    """Epoch 0's segment file, as the store writes it."""
+    engine = Engine.open(method, domain_size=16, epsilon=1.1, store_dir=str(store_dir), **kwargs)
     engine.session(epoch=0).absorb(np.arange(16), rng=0)
     engine.seal_epoch(0)
     with open(engine.store.segment_path(0), "rb") as handle:
         segment = handle.read()
     engine.store.close()
-    assert "pushdown" in read_epoch_segment(segment)[0]
+    return segment
+
+
+@pytest.fixture(scope="module")
+def segment_blob(tmp_path_factory) -> bytes:
+    """A sealed hh epoch segment: pushdown vectors and no packed state."""
+    segment = _sealed_segment(tmp_path_factory.mktemp("store"), "hh", branching=4)
+    header = read_epoch_segment(segment)[0]
+    assert "pushdown" in header and "state" not in header
+    return segment
+
+
+@pytest.fixture(scope="module")
+def state_segment_blob(tmp_path_factory) -> bytes:
+    """A sealed SHE epoch segment: a packed state and no vectors."""
+    segment = _sealed_segment(tmp_path_factory.mktemp("store"), "flat", oracle="she")
+    header = read_epoch_segment(segment)[0]
+    assert "state" in header and "pushdown" not in header
     return segment
 
 
@@ -225,10 +240,12 @@ def _decode_wal(blob: bytes) -> None:
 
 
 def _decode_segment(blob: bytes) -> None:
-    """The store's attach-and-read path, state and zero-copy pushdown views."""
+    """The store's attach-and-read path: whichever region the segment holds."""
     header, body_offset = read_epoch_segment(blob)
-    AccumulatorState.from_bytes(segment_state_bytes(blob, header, body_offset))
-    segment_pushdown_children(blob, header, body_offset)
+    if "state" in header:
+        AccumulatorState.from_bytes(segment_state_bytes(blob, header, body_offset))
+    if "pushdown" in header:
+        segment_pushdown_children(blob, header, body_offset)
 
 
 # format -> (fixture, decode path, magic, trailing CRC)
@@ -236,6 +253,7 @@ CONTAINERS = {
     "REPROBAT": ("batch_blob", _decode_batch, MAGIC_BATCH, False),
     "REPROWAL": ("wal_blob", _decode_wal, MAGIC_WAL, False),
     "REPROSEG": ("segment_blob", _decode_segment, MAGIC_SEG, True),
+    "REPROSEG-state": ("state_segment_blob", _decode_segment, MAGIC_SEG, True),
 }
 
 
@@ -437,12 +455,17 @@ class TestFuzzedEnvelopes:
         "REPROSEG": [
             (("format",), "x"),
             (("format",), [1]),
-            (("state",), [1]),
-            (("state", "offset"), None),
+            (("pushdown",), _DELETE),
             (("pushdown", "children"), [7]),
             (VECTOR + ("shape",), "ab"),
             (VECTOR + ("shape",), [[1]]),
             (VECTOR + ("offset",), 1 << 40),
+        ],
+        "REPROSEG-state": [
+            (("state",), _DELETE),
+            (("state",), [1]),
+            (("state", "offset"), None),
+            (("state", "length"), 1 << 40),
         ],
     }
 
@@ -480,12 +503,10 @@ def _writer_outputs() -> dict:
         "batch": pack_report_batch(protocol.spec(), [report, report.to_bytes()]),
         "wal": pack_wal_segment_header(epoch=3)
         + pack_wal_record({"key": "k", "worker": 1, "n_users": 32}, report.to_bytes()),
-        "segment": pack_epoch_segment(4, "cafe", state, n_reports=32),
-        "segment_pushdown": pack_epoch_segment(
-            4, "cafe", state, n_reports=32, pushdown=pushdown
-        ),
+        "segment": pack_epoch_segment(4, "cafe", n_reports=32, state_blob=state),
+        "segment_pushdown": pack_epoch_segment(4, "cafe", n_reports=32, pushdown=pushdown),
         "segment_aggregate": pack_epoch_segment(
-            4, "cafe", state, n_reports=64, pushdown=pushdown,
+            4, "cafe", n_reports=64, pushdown=pushdown,
             aggregate={"level": 1, "start": 4, "count": 2},
         ),
     }
@@ -505,8 +526,8 @@ class TestWriterBytesArePinned:
         "batch": "c43fb3a45497e335afbc2a301fa10aa22ae771665135e89fbd04e99326ed30ad",
         "wal": "5d5c91accdd7dfebf38ca38a27d125e25dd6a458016f9f279c7f523d778ee671",
         "segment": "9cffdfd0108ca81b0d386ea30a9481af83754f53a1f0666e251ffc78e382fff3",
-        "segment_pushdown": "1df4a8f024be230c0fbe2dbac9c0948ea2762cb4b3ee46610f8ca215eb1cd222",
-        "segment_aggregate": "46ecc39fdf6e948639c6e01541a907656f075ae5c4536ec72093078ae66726ca",
+        "segment_pushdown": "457a45d2eb4b7b3b916754a4c817793d782d25cb0927730180d26bbed520847b",
+        "segment_aggregate": "5f64609917821908ec472988b541a57059fb7994bc5b00bc5939848bb9cc0bd7",
     }
 
     def test_writer_outputs_are_byte_identical(self):

@@ -6,6 +6,10 @@ Three guarantees anchor the store layer:
   windows answered via segment pushdown or load-and-merge) reproduces
   the in-RAM engine exactly for all 14 golden configurations, and a
   restart (``Engine.restore(store_dir)``) changes nothing.
+* **One copy of the counts**: every segment holds exactly one region --
+  int64 vectors, or a packed state for SHE -- and the two-region stores
+  repro 1.11.0 wrote (``tests/data/store_1_11_0``) still open, answer
+  bit-identically and take new epochs.
 * **Incrementality**: ``checkpoint()`` rewrites only dirty epochs'
   segments; clean segments stay byte-identical on disk.
 * **Fail-loud durability**: torn segment tails, spec mismatches,
@@ -15,11 +19,13 @@ Three guarantees anchor the store layer:
   corrupting estimates.
 * **Crash safety**: a crash at any file operation of a seal, a rewrite
   or an ``absorb_shard`` leaves a store that restores to the state before
-  or after the operation, never a mix.
+  or after the operation, never a mix, and whose next ``checkpoint()``
+  leaves only the files its manifest names.
 """
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -46,6 +52,10 @@ from repro.engine import store as store_module
 #: A two-epoch hh envelope written by repro 1.10.0's ``Engine.checkpoint(path)``.
 ENVELOPE = os.path.join(os.path.dirname(__file__), "data", "engine_checkpoint_1_10_0.ckpt")
 
+#: Stores repro 1.11.0 wrote (hh B=4 and Haar, D=16, epochs 0-3, with
+#: their L1 and L2 aggregates), plus that build's answers over them.
+STORES_1_11_0 = os.path.join(os.path.dirname(__file__), "data", "store_1_11_0")
+
 
 def _check(case, actual, expected):
     if np.array_equal(actual, expected):
@@ -67,46 +77,65 @@ class TestSegmentCodec:
         )
         return engine.session(epoch=0).server.state.to_bytes()
 
+    PUSHDOWN = {
+        "label": "composite",
+        "config": {"k": 1},
+        "n_users": 100,
+        "children": [
+            {
+                "oracle_kind": "oue",
+                "config": {"epsilon": 1.2},
+                "n_reports": 100,
+                "vectors": {
+                    "counts": np.arange(12, dtype=np.int64).reshape(3, 4),
+                    "totals": np.array([7], np.int64),
+                },
+            }
+        ],
+    }
+
     def test_round_trip_without_pushdown(self):
         blob = self._state_blob()
-        segment = pack_epoch_segment(3, "cafe", blob, n_reports=100)
+        segment = pack_epoch_segment(3, "cafe", n_reports=100, state_blob=blob)
         header, body_offset = read_epoch_segment(segment)
         assert header["epoch"] == 3
         assert header["spec_hash"] == "cafe"
         assert header["n_reports"] == 100
         assert segment_state_bytes(segment, header, body_offset) == blob
         assert "pushdown" not in header
+        with pytest.raises(SerializationError, match="no pushdown region"):
+            segment_pushdown_children(segment, header, body_offset)
 
     def test_round_trip_with_pushdown_vectors(self):
+        for aggregate in (None, {"level": 1, "start": 4, "count": 2}):
+            segment = pack_epoch_segment(
+                4, "cafe", n_reports=100, pushdown=self.PUSHDOWN, aggregate=aggregate
+            )
+            header, body_offset = read_epoch_segment(segment)
+            assert "state" not in header
+            assert header.get("aggregate") == aggregate
+            with pytest.raises(SerializationError, match="no packed state"):
+                segment_state_bytes(segment, header, body_offset)
+            children = segment_pushdown_children(segment, header, body_offset)
+            assert len(children) == 1
+            assert children[0]["oracle_kind"] == "oue"
+            assert np.array_equal(
+                children[0]["vectors"]["counts"], np.arange(12).reshape(3, 4)
+            )
+            assert np.array_equal(children[0]["vectors"]["totals"], [7])
+            # Vectors are mmap-friendly: 8-byte aligned within the file.
+            for child in header["pushdown"]["children"]:
+                for entry in child["vectors"]:
+                    assert (body_offset + entry["offset"]) % 8 == 0
+
+    def test_writer_refuses_both_regions_and_neither(self):
         blob = self._state_blob()
-        vector = np.arange(12, dtype=np.int64).reshape(3, 4)
-        pushdown = {
-            "label": "composite",
-            "config": {"k": 1},
-            "n_users": 100,
-            "children": [
-                {
-                    "oracle_kind": "oue",
-                    "config": {"epsilon": 1.2},
-                    "n_reports": 100,
-                    "vectors": {"counts": vector, "totals": np.array([7], np.int64)},
-                }
-            ],
-        }
-        segment = pack_epoch_segment(0, "cafe", blob, pushdown=pushdown)
-        header, body_offset = read_epoch_segment(segment)
-        children = segment_pushdown_children(segment, header, body_offset)
-        assert len(children) == 1
-        assert children[0]["oracle_kind"] == "oue"
-        assert np.array_equal(children[0]["vectors"]["counts"], vector)
-        assert np.array_equal(children[0]["vectors"]["totals"], [7])
-        # Vectors are mmap-friendly: 8-byte aligned within the file.
-        for child in header["pushdown"]["children"]:
-            for entry in child["vectors"]:
-                assert (body_offset + entry["offset"]) % 8 == 0
+        for regions in ({"state_blob": blob, "pushdown": self.PUSHDOWN}, {}):
+            with pytest.raises(ValueError, match="exactly one"):
+                pack_epoch_segment(0, "cafe", n_reports=100, **regions)
 
     def test_torn_tail_is_rejected(self):
-        segment = pack_epoch_segment(0, "cafe", self._state_blob())
+        segment = pack_epoch_segment(0, "cafe", n_reports=100, state_blob=self._state_blob())
         for cut in (len(MAGIC_SEG) + 2, len(segment) // 2, len(segment) - 1):
             with pytest.raises(SerializationError, match="torn"):
                 read_epoch_segment(segment[:cut])
@@ -114,7 +143,9 @@ class TestSegmentCodec:
             read_epoch_segment(segment[:1])
 
     def test_bit_flip_is_rejected(self):
-        segment = bytearray(pack_epoch_segment(0, "cafe", self._state_blob()))
+        segment = bytearray(
+            pack_epoch_segment(0, "cafe", n_reports=100, pushdown=self.PUSHDOWN)
+        )
         segment[len(segment) // 2] ^= 0x40
         with pytest.raises(SerializationError, match="CRC"):
             read_epoch_segment(bytes(segment))
@@ -169,6 +200,24 @@ class TestGoldenBitIdentity:
         )
 
 
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_every_segment_holds_one_region(case, tmp_path):
+    """Leaves and aggregates hold vectors, or (SHE only) a packed state."""
+    _, _, stored = _paired_engines(CASES[case], tmp_path, n_epochs=4, n_users=50)
+    store = stored.store
+    she = "she" in case
+    assert store.aggregate_keys() == ([] if she else [(1, 0), (1, 2), (2, 0)])
+    files = [store.segment_path(epoch) for epoch in store.epochs()]
+    files += [
+        os.path.join(store.directory, entry["file"]) for entry in store.aggregate_entries()
+    ]
+    for path in files:
+        with open(path, "rb") as handle:
+            header = read_epoch_segment(handle.read())[0]
+        regions = {"state", "pushdown"} & header.keys()
+        assert regions == ({"state"} if she else {"pushdown"}), path
+
+
 @pytest.mark.parametrize("handle", sorted(HANDLES))
 class TestHandlesRoundTrip:
     """Registry handles (incl. grid2d) through seal -> restore -> query."""
@@ -201,11 +250,17 @@ class TestPushdownPlan:
         assert state.n_reports == 600
 
     def test_she_falls_back_to_load_and_merge(self, tmp_path):
-        """SHE keeps float partials: no pushdown, but still bit-identical."""
-        factory = lambda: make_protocol("flat", 16, 1.1, oracle="she")
+        """SHE keeps float partials: no vectors, but still bit-identical."""
+
+        def factory():
+            return make_protocol("flat", 16, 1.1, oracle="she")
+
         _, in_ram, stored = _paired_engines(factory, tmp_path)
         assert not any(stored.store.supports_pushdown(e) for e in stored.sealed_epochs)
-        assert stored.store.pushdown_state(stored.sealed_epochs) is None
+        merged = stored.store.pushdown_state(stored.sealed_epochs)
+        expected = in_ram.window_state("all")
+        merged.meta = expected.meta = {}
+        assert merged.to_bytes() == expected.to_bytes()
         assert np.array_equal(
             stored.estimator("all").estimated_frequencies(),
             in_ram.estimator("all").estimated_frequencies(),
@@ -319,7 +374,7 @@ class TestCorruption:
         with pytest.raises(SerializationError, match="epoch 0"):
             restored.estimator([0])
         with pytest.raises(SerializationError, match="epoch 0"):
-            restored.store.read_state_bytes(0)
+            restored.store.load_state(0)
 
     def test_spec_hash_mismatch(self, tmp_path):
         store_dir = self._store_dir(tmp_path)
@@ -379,6 +434,119 @@ class TestCorruption:
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(SerializationError, match="MANIFEST"):
             EpochStore(str(tmp_path / "nothing"), create=False)
+
+    @pytest.mark.parametrize("fmt", [0, 3, "2"])
+    def test_unknown_manifest_format_is_refused(self, tmp_path, fmt):
+        store_dir = self._store_dir(tmp_path)
+        manifest_path = os.path.join(store_dir, "MANIFEST.json")
+        with open(manifest_path) as fh:
+            manifest = json.load(fh)
+        assert manifest["format"] == 2
+        manifest["format"] = fmt
+        with open(manifest_path, "w") as fh:
+            json.dump(manifest, fh)
+        with pytest.raises(SerializationError, match=f"manifest format {fmt!r} is not supported"):
+            Engine.restore(store_dir)
+
+
+# --------------------------------------------------------------------- #
+# stores written by repro 1.11.0: both regions per segment, format 1
+# --------------------------------------------------------------------- #
+WINDOWS_1_11_0 = {"last:2": last(2), "all": "all", "0,2,3": [0, 2, 3]}
+
+
+def _manifest(store_dir):
+    with open(os.path.join(store_dir, "MANIFEST.json")) as handle:
+        return json.load(handle)
+
+
+def _packed_states(store_dir):
+    """Each epoch's packed state, read straight from its two-region segment."""
+    states = {}
+    for key, entry in _manifest(store_dir)["epochs"].items():
+        with open(os.path.join(store_dir, entry["file"]), "rb") as handle:
+            blob = handle.read()
+        header, body_offset = read_epoch_segment(blob)
+        assert {"state", "pushdown"} <= header.keys()
+        states[int(key)] = segment_state_bytes(blob, header, body_offset)
+    return states
+
+
+def _answers(estimator, ranges):
+    return {
+        "frequencies": [float(v).hex() for v in estimator.estimated_frequencies()],
+        "ranges": [float(estimator.range_query(r)).hex() for r in ranges],
+    }
+
+
+@pytest.mark.parametrize("name", ["hh", "haar"])
+class TestStoresOfRepro1_11_0:
+    """This build reads, answers over and extends a 1.11.0 store in place."""
+
+    def _copy(self, name, tmp_path):
+        return str(shutil.copytree(os.path.join(STORES_1_11_0, name), tmp_path / name))
+
+    def test_load_state_equals_the_packed_state(self, name, tmp_path):
+        store_dir = self._copy(name, tmp_path)
+        assert _manifest(store_dir)["format"] == 1
+        packed = _packed_states(store_dir)
+        store = Engine.restore(store_dir).store
+        assert store.epochs() == sorted(packed) == [0, 1, 2, 3]
+        assert store.aggregate_keys() == [(1, 0), (1, 2), (2, 0)]
+        for epoch, blob in packed.items():
+            assert store.load_state(epoch).to_bytes() == blob
+
+    def test_windows_answer_bit_identically(self, name, tmp_path):
+        with open(os.path.join(STORES_1_11_0, "answers.json")) as handle:
+            recorded = json.load(handle)
+        ranges = [tuple(r) for r in recorded["ranges"]]
+        store_dir = self._copy(name, tmp_path)
+        engine = Engine.restore(store_dir)
+        in_ram = Engine.open(engine.spec())
+        for epoch, blob in _packed_states(store_dir).items():
+            in_ram.adopt_state(blob, epoch=epoch)
+        for label, window in WINDOWS_1_11_0.items():
+            answers = _answers(engine.estimator(window), ranges)
+            # Vectors and packed states give the same bits in this build...
+            assert answers == _answers(in_ram.estimator(window), ranges), label
+            # ...and the bits 1.11.0 answered (HRR may drift by 1 ulp-ish
+            # across numpy builds, as in the decomposition goldens).
+            for key, values in recorded["answers"][name][label].items():
+                actual = np.array([float.fromhex(v) for v in answers[key]])
+                expected = np.array([float.fromhex(v) for v in values])
+                _check(name, actual, expected)
+
+    def test_a_new_epoch_seals_into_the_old_store(self, name, tmp_path):
+        store_dir = self._copy(name, tmp_path)
+        packed = _packed_states(store_dir)
+        old = {
+            entry["file"]: open(os.path.join(store_dir, entry["file"]), "rb").read()
+            for entry in _manifest(store_dir)["epochs"].values()
+        }
+        engine = Engine.restore(store_dir)
+        in_ram = Engine.open(engine.spec())
+        for epoch, blob in packed.items():
+            in_ram.adopt_state(blob, epoch=epoch)
+        for target in (engine, in_ram):
+            target.session(epoch=4).absorb(np.arange(16), rng=np.random.default_rng(4))
+        engine.seal_epoch(4)
+        engine.checkpoint()
+        manifest = _manifest(store_dir)
+        assert manifest["format"] == store_module.MANIFEST_FORMAT == 2
+        assert sorted(manifest["epochs"]) == ["0", "1", "2", "3", "4"]
+        with open(os.path.join(store_dir, manifest["epochs"]["4"]["file"]), "rb") as fh:
+            header = read_epoch_segment(fh.read())[0]
+        assert "pushdown" in header and "state" not in header
+        for file_name, blob in old.items():
+            with open(os.path.join(store_dir, file_name), "rb") as fh:
+                assert fh.read() == blob, file_name
+        restored = Engine.restore(store_dir)
+        assert restored.n_reports() == 4 * 60 + 16
+        for window in ("all", last(2), [1, 4]):
+            assert np.array_equal(
+                restored.estimator(window).estimated_frequencies(),
+                in_ram.estimator(window).estimated_frequencies(),
+            )
 
 
 # --------------------------------------------------------------------- #
@@ -506,6 +674,7 @@ CRASH_OPERATIONS = {
 
 def _inconsistency(store_dir, expected):
     """What is wrong with the store a crash left behind, or ``None``."""
+    left_behind = sorted(os.listdir(store_dir))
     try:
         restored = Engine.restore(store_dir)
         counts = restored.epoch_report_counts()
@@ -523,8 +692,16 @@ def _inconsistency(store_dir, expected):
                 naive = restored.store.pushdown_state(window, use_aggregates=False)
                 if planned.to_bytes() != naive.to_bytes():
                     return f"window {window}: the aggregates disagree with the leaves"
+        if sorted(os.listdir(store_dir)) != left_behind:
+            return "restoring and reading the store added or removed files"
         restored.checkpoint()
         restored.store.close()
+        manifest = _manifest(store_dir)
+        named = {entry["file"] for entry in manifest["epochs"].values()}
+        named.update(entry["file"] for entry in manifest.get("aggregates", {}).values())
+        stray = set(os.listdir(store_dir)) - named - {"MANIFEST.json"}
+        if stray:
+            return f"the next checkpoint left files its manifest does not name: {sorted(stray)}"
         if Engine.restore(store_dir).epoch_report_counts() != counts:
             return "the next checkpoint changed the counts"
     except SerializationError as exc:

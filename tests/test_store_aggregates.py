@@ -12,8 +12,9 @@ under test:
   power-of-two blocks plus leaf epochs, covering each selected epoch
   exactly once and never touching an unselected one.
 * **Graceful degradation**: non-contiguous windows fall back to leaf
-  segments; SHE (no int pushdown) never builds aggregates; a corrupt
-  aggregate is discarded and the window replanned from leaves.
+  segments; SHE (a packed state, no int vectors) never builds
+  aggregates; a corrupt aggregate is discarded and the window replanned
+  from leaves.
 * **column_sums**: the blocked summation kernel is exact under every
   backend.
 """
@@ -46,16 +47,19 @@ needs_numba = pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
 
 
 def _sealed_engine(tmp_path, n_epochs, protocol_factory=None, users=48):
+    """``n_epochs`` epochs sealed into a store, or kept in RAM (``tmp_path=None``)."""
     factory = protocol_factory or (
         lambda: make_protocol("hh", 16, 1.2, branching=4)
     )
     protocol = factory()
-    engine = Engine.open(factory(), store_dir=str(tmp_path / "store"))
+    store_dir = None if tmp_path is None else str(tmp_path / "store")
+    engine = Engine.open(factory(), store_dir=store_dir)
     for epoch in range(n_epochs):
         engine.session(epoch=epoch).absorb(
             _items_for(protocol, users, epoch), rng=np.random.default_rng(epoch)
         )
-        engine.seal_epoch(epoch)
+        if store_dir is not None:
+            engine.seal_epoch(epoch)
     return engine
 
 
@@ -180,14 +184,17 @@ class TestAggregateWindows:
             _states_equal(planned, naive)
 
     def test_she_never_builds_aggregates(self, tmp_path):
-        """SHE keeps float partials: no pushdown, hence no aggregates."""
-        engine = _sealed_engine(
-            tmp_path, 8,
-            protocol_factory=lambda: make_protocol("flat", 16, 1.1, oracle="she"),
-        )
+        """SHE keeps float partials: no vectors, hence no aggregates."""
+        def factory():
+            return make_protocol("flat", 16, 1.1, oracle="she")
+
+        engine = _sealed_engine(tmp_path, 8, protocol_factory=factory)
         store = engine.store
         assert store.aggregate_keys() == []
-        assert store.pushdown_state(list(range(8))) is None
+        merged = store.pushdown_state(list(range(8)))
+        expected = _sealed_engine(None, 8, protocol_factory=factory).window_state("all")
+        merged.meta = expected.meta = {}
+        assert merged.to_bytes() == expected.to_bytes()
         assert engine.estimator("all") is not None
 
     def test_seal_builds_and_restore_reloads(self, tmp_path):
