@@ -17,8 +17,8 @@ costs so the service-shaped deployment can be sized:
 * **windowed-query throughput** -- end-to-end queries/sec for a random
   range workload answered through a freshly materialised window.
 
-Results are written to ``BENCH_engine.json`` at the repo root so the
-performance trajectory is tracked in-tree.
+Results are written in the one benchmark shape ``benchmarks/gate.py``
+checks; ``BENCH_engine.json`` at the repo root is the committed baseline.
 
 Run with:  python benchmarks/bench_engine.py [--preset smoke|default]
 """
@@ -121,7 +121,7 @@ def run(preset: str, output: Path) -> dict:
         "last_2": last(2),
         f"last_{max(2, epochs // 2)}": last(max(2, epochs // 2)),
     }
-    results = []
+    metrics = {}
     for label, window in windows.items():
         materialize_seconds = _time_best(
             lambda window=window: engine.estimator(window), repeats
@@ -132,17 +132,14 @@ def run(preset: str, output: Path) -> dict:
             estimator.range_queries(workload)
 
         query_seconds = _time_best(query_window, repeats)
-        results.append(
-            {
-                "window": label,
-                "epochs_in_window": len(engine.epochs)
-                if window == "all"
-                else min(window.k, len(engine.epochs)),
-                "materialize_ms": materialize_seconds * 1e3,
-                "windows_per_sec": 1.0 / materialize_seconds,
-                "queries_per_sec": len(workload) / query_seconds,
-            }
-        )
+        metrics[f"{label}.windows_per_sec"] = {
+            "value": 1.0 / materialize_seconds, "unit": "windows/s",
+            "better": "higher", "bound": 0.3,
+        }
+        metrics[f"{label}.queries_per_sec"] = {
+            "value": len(workload) / query_seconds, "unit": "queries/s",
+            "better": "higher", "bound": 0.3,
+        }
         print(
             f"  window {label:>8}: materialise {materialize_seconds * 1e3:8.2f} ms, "
             f"{len(workload) / query_seconds:12,.0f} queries/sec end-to-end"
@@ -167,8 +164,9 @@ def run(preset: str, output: Path) -> dict:
         shutil.rmtree(workdir, ignore_errors=True)
 
     document = {
-        "version": __version__,
+        "bench": "engine",
         "preset": preset,
+        "version": __version__,
         "python": platform.python_version(),
         "numpy": np.__version__,
         "config": {
@@ -177,14 +175,19 @@ def run(preset: str, output: Path) -> dict:
             "users_per_epoch": users,
             "epsilon": EPSILON,
             "workload_queries": config["workload"],
+            "repeats": repeats,
         },
-        "checkpoint": {
-            "bytes": size,
-            "bytes_per_epoch": size / epochs,
-            "checkpoint_ms": checkpoint_seconds * 1e3,
-            "restore_ms": restore_seconds * 1e3,
+        "metrics": {
+            **metrics,
+            "checkpoint.bytes": {"value": size, "unit": "B", "better": "lower"},
+            "checkpoint.checkpoint_ms": {
+                "value": checkpoint_seconds * 1e3, "unit": "ms", "better": "lower",
+            },
+            "checkpoint.restore_ms": {
+                "value": restore_seconds * 1e3, "unit": "ms", "better": "lower",
+                "bound": 0.3,
+            },
         },
-        "results": results,
     }
     output.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
     print(

@@ -17,8 +17,9 @@ realistic estimate shapes:
   the node-by-leaf design matrix, so it is deliberately *not* an O(D * h)
   kernel -- the two-stage pipeline is the large-domain equivalent).
 
-Results are written to ``BENCH_postprocess.json`` at the repo root so the
-performance trajectory is tracked in-tree.
+Results are written in the one benchmark shape ``benchmarks/gate.py``
+checks; ``BENCH_postprocess.json`` at the repo root is the committed
+baseline.
 
 Run with:  python benchmarks/bench_postprocess.py [--preset smoke|default]
 """
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import platform
 import time
 from pathlib import Path
@@ -117,18 +119,17 @@ def run(preset: str, output: Path) -> dict:
     rng = np.random.default_rng(7)
 
     print(f"timing post-processors at D={domain} (preset {preset!r})")
-    results = []
+    metrics = {}
 
     def record(processor: str, kind: str, size: int, func: Callable[[], object]) -> None:
         seconds = _time_best(func, repeats)
-        results.append(
-            {
-                "processor": processor,
-                "kind": kind,
-                "domain_size": size,
-                "ms": seconds * 1e3,
-            }
-        )
+        # Every kernel must stay O(ms): no per-node Python loops.
+        metrics[f"{processor}.ms"] = {
+            "value": seconds * 1e3,
+            "unit": "ms",
+            "better": "lower",
+            "limit": 1000.0,
+        }
         print(f"  {processor:>16} ({kind:>11}, D={size:>6}): {seconds * 1e3:8.3f} ms")
 
     frequencies = _noisy_frequencies(domain, rng)
@@ -180,9 +181,15 @@ def run(preset: str, output: Path) -> dict:
         lambda: grid_consistency.apply(grids, grid_context),
     )
 
+    # Individual kernels are sub-millisecond and jittery, so the relative
+    # gate is on their geometric mean: one noisy sample cannot fail it.
+    logs = [math.log(metric["value"]) for metric in metrics.values()]
+    geomean = math.exp(sum(logs) / len(logs))
+    print(f"  geometric mean: {geomean:.3f} ms")
     document = {
-        "version": __version__,
+        "bench": "postprocess",
         "preset": preset,
+        "version": __version__,
         "python": platform.python_version(),
         "numpy": np.__version__,
         "config": {
@@ -191,7 +198,10 @@ def run(preset: str, output: Path) -> dict:
             "least_squares_domain": LEAST_SQUARES_DOMAIN,
             "repeats": repeats,
         },
-        "results": results,
+        "metrics": {
+            **metrics,
+            "geomean.ms": {"value": geomean, "unit": "ms", "better": "lower", "bound": 0.3},
+        },
     }
     output.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
     print(f"wrote {output}")

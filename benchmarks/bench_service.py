@@ -25,8 +25,8 @@ deployment-facing numbers the engine benchmark cannot see:
   before any number is recorded (a fast benchmark that answers wrongly
   is worthless).
 
-Results are written to ``BENCH_service.json`` at the repo root so the
-performance trajectory is tracked in-tree.
+Results are written in the one benchmark shape ``benchmarks/gate.py``
+checks; ``BENCH_service.json`` at the repo root is the committed baseline.
 
 Run with:  python benchmarks/bench_service.py [--preset smoke|default]
 """
@@ -241,8 +241,9 @@ def run(preset: str, output: Path) -> dict:
     total_elapsed = sum(result.elapsed_s for result in epoch_results)
     sustained = (users_per_epoch * epochs) / total_elapsed
     document = {
-        "version": __version__,
+        "bench": "service",
         "preset": preset,
+        "version": __version__,
         "python": platform.python_version(),
         "numpy": np.__version__,
         "config": {
@@ -252,34 +253,38 @@ def run(preset: str, output: Path) -> dict:
             "batch_size": config["batch_size"],
             "workers": config["workers"],
             "concurrency": config["concurrency"],
+            "replay_users": replay_users,
         },
-        "ingest": {
-            "reports_per_s": sustained,
-            "per_epoch_reports_per_s": [r.reports_per_s for r in epoch_results],
-            "latency_p50_ms": percentile(all_latencies, 50.0),
-            "latency_p99_ms": percentile(all_latencies, 99.0),
-            "latency_max_ms": max(all_latencies) if all_latencies else 0.0,
+        "metrics": {
+            "ingest.reports_per_s": {
+                "value": sustained, "unit": "reports/s", "better": "higher", "bound": 0.3,
+            },
+            "ingest.latency_p50_ms": {
+                "value": percentile(all_latencies, 50.0), "unit": "ms", "better": "lower",
+            },
+            "ingest.latency_p99_ms": {
+                "value": percentile(all_latencies, 99.0), "unit": "ms", "better": "lower",
+            },
+            "recovery.from_store_ms": {
+                "value": recovery_seconds * 1e3, "unit": "ms", "better": "lower",
+            },
+            "recovery.store_bytes": {"value": store_bytes, "unit": "B", "better": "lower"},
+            "wal.ingest_reports_per_s": {
+                "value": wal_result.reports_per_s, "unit": "reports/s", "better": "higher",
+            },
+            "wal.overhead_ratio": {
+                "value": overhead, "unit": "x", "better": "lower", "limit": 2.0,
+            },
+            "wal.replay_ms": {
+                "value": replay_ms, "unit": "ms", "better": "lower", "limit": 2000.0,
+            },
+            "bit_identical_to_single_process": {"value": True},
         },
-        "recovery": {
-            "from_store_ms": recovery_seconds * 1e3,
-            "store_bytes": store_bytes,
-            "epochs_restored": epochs,
-        },
-        "wal": {
-            "ingest_reports_per_s": wal_result.reports_per_s,
-            "overhead_ratio": overhead,
-            "replay_reports": replay_users,
-            "replay_ms": replay_ms,
-            "replay_reports_per_s": replay_users / (replay_ms / 1e3)
-            if replay_ms > 0
-            else 0.0,
-        },
-        "bit_identical_to_single_process": True,
     }
     output.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
     print(
         f"sustained {sustained:,.0f} reports/sec, "
-        f"p99 {document['ingest']['latency_p99_ms']:.2f} ms"
+        f"p99 {document['metrics']['ingest.latency_p99_ms']['value']:.2f} ms"
     )
     print(f"wrote {output}")
     return document

@@ -4,16 +4,17 @@
 Runs ``bench_streaming.py`` under pytest-benchmark in a subprocess (so the
 kernel backend can be pinned through ``REPRO_KERNEL_BACKEND`` without
 mutating this interpreter) and distills the raw benchmark JSON into the
-compact, diff-able document committed as ``BENCH_streaming.json``:
+one benchmark shape ``benchmarks/gate.py`` checks, committed as
+``BENCH_streaming.json``:
 
-* ``ingest``: server-side fold throughput (reports/sec) per protocol;
-* ``encode``: client-side privatization throughput (reports/sec) per
-  protocol, timed apart from ingest;
-* ``merge_ms``: shard-merge latency by shard count;
-* ``kernel_backend``: which backend produced the numbers -- the committed
-  baseline is always the ``numpy`` reference backend, and the CI accel job
-  re-runs with ``--backend numba`` to measure the JIT speedup on the same
-  machine.
+* ``ingest.<protocol>``: server-side fold throughput (reports/sec);
+* ``encode.<protocol>``: client-side privatization throughput
+  (reports/sec), timed apart from ingest;
+* ``merge_ms.<shards>``: shard-merge latency by shard count;
+* ``config.kernel_backend``: which backend produced the numbers -- the
+  committed baseline is always the ``numpy`` reference backend, and the CI
+  accel job re-runs with ``--backend numba`` to measure the JIT speedup on
+  the same machine.
 
 Run with:  python benchmarks/streaming_baseline.py [--backend numpy|numba]
 """
@@ -67,11 +68,13 @@ def run_benchmarks(backend: str | None, pytest_args: list[str]) -> dict:
         return json.loads(raw_path.read_text())
 
 
+def _rate(reports_per_sec: float) -> dict:
+    return {"value": reports_per_sec, "unit": "reports/s", "better": "higher", "bound": 0.3}
+
+
 def distill(raw: dict) -> dict:
-    """Reduce pytest-benchmark output to the committed baseline schema."""
-    ingest: dict = {}
-    encode: dict = {}
-    merge_ms: dict = {}
+    """Reduce pytest-benchmark output to the one benchmark shape."""
+    metrics: dict = {}
     backends = set()
     for entry in raw.get("benchmarks", []):
         name = entry["name"]
@@ -80,26 +83,28 @@ def distill(raw: dict) -> dict:
             backends.add(extra["kernel_backend"])
         if name.startswith("test_bench_ingest_"):
             key = _PROTOCOL_KEYS[name[len("test_bench_ingest_"):]]
-            ingest[key] = extra["reports_per_sec"]
+            metrics[f"ingest.{key}"] = _rate(extra["reports_per_sec"])
         elif name.startswith("test_bench_encode_"):
             key = _PROTOCOL_KEYS[name[len("test_bench_encode_"):]]
-            encode[key] = extra["encode_reports_per_sec"]
+            metrics[f"encode.{key}"] = _rate(extra["encode_reports_per_sec"])
         elif name.startswith("test_bench_merge_vs_shard_count"):
-            merge_ms[str(extra["n_shards"])] = round(
-                entry["stats"]["mean"] * 1e3, 3
-            )
+            metrics[f"merge_ms.{extra['n_shards']}"] = {
+                "value": entry["stats"]["mean"] * 1e3, "unit": "ms", "better": "lower",
+            }
     if len(backends) > 1:
         raise SystemExit(f"benchmarks ran under mixed backends: {sorted(backends)}")
+    import numpy
+
     from repro import __version__
 
     return {
-        "schema": 2,
+        "bench": "streaming",
+        "preset": "default",
         "version": __version__,
         "python": platform.python_version(),
-        "kernel_backend": backends.pop() if backends else "numpy",
-        "ingest": ingest,
-        "encode": encode,
-        "merge_ms": merge_ms,
+        "numpy": numpy.__version__,
+        "config": {"kernel_backend": backends.pop() if backends else "numpy"},
+        "metrics": metrics,
     }
 
 
@@ -119,10 +124,9 @@ def main() -> int:
     args = parser.parse_args()
     document = distill(run_benchmarks(args.backend, args.pytest_args))
     args.output.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
-    for kind in ("ingest", "encode"):
-        for key, rate in sorted(document[kind].items()):
-            print(f"{kind:>6} {key:<10} {rate:>12,.0f} reports/sec")
-    print(f"backend={document['kernel_backend']}  wrote {args.output}")
+    for name, metric in sorted(document["metrics"].items()):
+        print(f"{name:<16} {metric['value']:>14,.3f} {metric['unit']}")
+    print(f"backend={document['config']['kernel_backend']}  wrote {args.output}")
     return 0
 
 

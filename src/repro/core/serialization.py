@@ -391,36 +391,58 @@ def pack_wal_record(meta: dict, blob: bytes) -> bytes:
     return _CRC.pack(zlib.crc32(payload)) + _LENGTH.pack(len(payload)) + payload
 
 
+def _read_wal_record(data: bytes, offset: int) -> Tuple[Optional[Tuple[dict, bytes]], int]:
+    """``(record, end)`` for the record at ``offset``.
+
+    ``record`` is its ``(meta, blob)`` pair, or ``None`` unless the record
+    is whole, passes its CRC and decodes; ``end`` is where the record's
+    declared length ends (past the end of ``data`` for a short tail).
+    """
+    payload_start = offset + _CRC.size + _LENGTH.size
+    if payload_start > len(data):
+        return None, len(data)
+    (crc,) = _CRC.unpack_from(data, offset)
+    (payload_length,) = _LENGTH.unpack_from(data, offset + _CRC.size)
+    end = payload_start + payload_length
+    payload = data[payload_start:end]
+    if end > len(data) or zlib.crc32(payload) != crc:
+        return None, end
+    try:
+        _, meta, blob_offset = _read_frame(payload, (b"",), "a WAL record")
+    except SerializationError:
+        return None, end
+    return (meta, payload[blob_offset:]), end
+
+
 def scan_wal_segment(data) -> Tuple[dict, List[Tuple[dict, bytes]], Optional[int]]:
     """Decode every intact record of a WAL segment, tolerating a torn tail.
 
     Returns ``(header, records, torn_offset)``: ``records`` is the list
     of ``(meta, blob)`` pairs that passed their CRC, in append order, and
     ``torn_offset`` is the byte offset of the first truncated/corrupt
-    record (``None`` for a clean segment).  Everything *after* a bad
-    record is discarded -- the log is append-only, so a damaged record
-    means the process died mid-append and nothing beyond it was ever
-    acknowledged.
+    record (``None`` for a clean segment).  Everything from a bad record
+    on is a torn tail -- the log is append-only, so a record the process
+    died while appending was never acknowledged -- unless the bad
+    record's declared length ends inside the file and an intact record
+    starts right there: that is damage in the middle of the log, with
+    acknowledged records after it, and raises :class:`SerializationError`
+    naming both offsets.  A corrupt *length* field cannot point at the
+    next record, so it still reads as a torn tail.
     """
     header, offset = read_wal_segment_header(data)
     data = bytes(data)
     records: List[Tuple[dict, bytes]] = []
     while offset < len(data):
-        start = offset
-        if len(data) - offset < _CRC.size + _LENGTH.size:
-            return header, records, start
-        (crc,) = _CRC.unpack_from(data, offset)
-        (payload_length,) = _LENGTH.unpack_from(data, offset + _CRC.size)
-        offset += _CRC.size + _LENGTH.size
-        payload = data[offset : offset + payload_length]
-        offset += payload_length
-        if len(payload) != payload_length or zlib.crc32(payload) != crc:
-            return header, records, start
-        try:
-            _, meta, blob_offset = _read_frame(payload, (b"",), "a WAL record")
-        except SerializationError:
-            return header, records, start
-        records.append((meta, payload[blob_offset:]))
+        record, end = _read_wal_record(data, offset)
+        if record is None:
+            if end < len(data) and _read_wal_record(data, end)[0] is not None:
+                raise SerializationError(
+                    f"WAL record at offset {offset} is corrupt, but an intact "
+                    f"record follows it at offset {end}"
+                )
+            return header, records, offset
+        records.append(record)
+        offset = end
     return header, records, None
 
 

@@ -261,9 +261,16 @@ class FrequencyOracle(abc.ABC):
         :meth:`aggregate`.
         """
 
-    @abc.abstractmethod
     def aggregate(self, reports: Any, n_users: Optional[int] = None) -> np.ndarray:
-        """Aggregate reports into unbiased fractional frequency estimates."""
+        """Aggregate reports into unbiased fractional frequency estimates.
+
+        Checks the payload once (:meth:`check_payload`), then folds it into
+        a fresh accumulator and finalizes that.
+        """
+        n = self._batch_size(reports, n_users)
+        self.check_payload(reports, n)
+        accumulator = self.accumulate(self.make_accumulator(), reports, n_users=n)
+        return self.finalize(accumulator)
 
     def estimate(self, items: np.ndarray, rng: RngLike = None) -> np.ndarray:
         """Run the full oracle on raw items and return frequency estimates."""
@@ -307,7 +314,11 @@ class FrequencyOracle(abc.ABC):
         reports: Any,
         n_users: Optional[int] = None,
     ) -> OracleAccumulator:
-        """Fold a batch of reports into ``accumulator`` and return it."""
+        """Fold a batch of reports into ``accumulator`` and return it.
+
+        Folds only: callers check the payload first (:meth:`aggregate`, or
+        the server's per-level check before it absorbs anything).
+        """
 
     @abc.abstractmethod
     def finalize(self, accumulator: OracleAccumulator) -> np.ndarray:
@@ -411,16 +422,6 @@ def check_report_range(name: str, column: str, values: np.ndarray, bound: int) -
     values = np.asarray(values)
     if not np.all((values >= 0) & (values < bound)):
         raise ValueError(f"{name} report {column} must lie in [0, {bound})")
-
-
-def validate_unary_reports(reports: np.ndarray, domain_size: int) -> np.ndarray:
-    """Shape-check one ``(N, D)`` unary report matrix and return it."""
-    reports = np.asarray(reports)
-    if reports.ndim != 2 or reports.shape[1] != domain_size:
-        raise ValueError(
-            f"reports must have shape (N, {domain_size}), got {reports.shape}"
-        )
-    return reports
 
 
 def standard_oracle_variance(epsilon: float) -> float:

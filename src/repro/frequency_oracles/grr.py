@@ -70,12 +70,6 @@ class GeneralizedRandomizedResponse(FrequencyOracle):
         # item by skipping over the true value, then applies the keep mask.
         return self._kernels.grr_perturb(items, keep, noise)
 
-    def aggregate(
-        self, reports: np.ndarray, n_users: Optional[int] = None
-    ) -> np.ndarray:
-        accumulator = self.accumulate(self.make_accumulator(), reports, n_users=n_users)
-        return self.finalize(accumulator)
-
     def make_accumulator(self) -> OracleAccumulator:
         return OracleAccumulator(
             self.name,
@@ -174,12 +168,6 @@ class BinaryRandomizedResponse(FrequencyOracle):
         items = self.domain.validate_items(np.asarray(items))
         keep = rng.random(len(items)) < self._p
         return np.where(keep, items, 1 - items).astype(np.int64)
-
-    def aggregate(
-        self, reports: np.ndarray, n_users: Optional[int] = None
-    ) -> np.ndarray:
-        accumulator = self.accumulate(self.make_accumulator(), reports, n_users=n_users)
-        return self.finalize(accumulator)
 
     def make_accumulator(self) -> OracleAccumulator:
         return OracleAccumulator(

@@ -30,7 +30,6 @@ from repro.frequency_oracles.base import (
     ExactSumAccumulator,
     FrequencyOracle,
     OracleAccumulator,
-    validate_unary_reports,
 )
 
 
@@ -68,12 +67,6 @@ class SummationHistogramEncoding(FrequencyOracle):
         reports[np.arange(n), items] += 1.0
         return reports
 
-    def aggregate(
-        self, reports: np.ndarray, n_users: Optional[int] = None
-    ) -> np.ndarray:
-        accumulator = self.accumulate(self.make_accumulator(), reports, n_users=n_users)
-        return self.finalize(accumulator)
-
     def make_accumulator(self) -> ExactSumAccumulator:
         # Laplace reports are real-valued, and float sums are not exactly
         # associative; the exact accumulator keeps one column sum per
@@ -91,10 +84,6 @@ class SummationHistogramEncoding(FrequencyOracle):
     ) -> OracleAccumulator:
         self._check_accumulator(accumulator)
         reports = np.asarray(reports, dtype=np.float64)
-        if reports.ndim != 2 or reports.shape[1] != self.domain_size:
-            raise ValueError(
-                f"reports must have shape (N, {self.domain_size}), got {reports.shape}"
-            )
         if len(reports):
             accumulator.add_batch_sums(reports.sum(axis=0))
         accumulator.add_reports(self._batch_size(reports, n_users))
@@ -174,12 +163,6 @@ class ThresholdHistogramEncoding(FrequencyOracle):
         noisy[np.arange(n), items] += 1.0
         return noisy > self._theta
 
-    def aggregate(
-        self, reports: np.ndarray, n_users: Optional[int] = None
-    ) -> np.ndarray:
-        accumulator = self.accumulate(self.make_accumulator(), reports, n_users=n_users)
-        return self.finalize(accumulator)
-
     def make_accumulator(self) -> OracleAccumulator:
         return OracleAccumulator(
             self.name,
@@ -194,7 +177,6 @@ class ThresholdHistogramEncoding(FrequencyOracle):
         n_users: Optional[int] = None,
     ) -> OracleAccumulator:
         self._check_accumulator(accumulator)
-        reports = validate_unary_reports(reports, self.domain_size)
         accumulator.vectors["hit_sums"] += self._kernels.unary_sums(reports)
         accumulator.add_reports(self._batch_size(reports, n_users))
         return accumulator

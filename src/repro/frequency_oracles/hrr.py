@@ -114,42 +114,6 @@ class HadamardRandomizedResponse(FrequencyOracle):
         reported = self._kernels.hrr_encode(items, signs, indices, keep)
         return HadamardReports(indices=indices, values=reported, padded_size=self._padded)
 
-    def aggregate(
-        self, reports: HadamardReports, n_users: Optional[int] = None
-    ) -> np.ndarray:
-        coefficients = self.aggregate_coefficients(reports, n_users=n_users)
-        # Invert the unnormalised transform: x = (1/Dpad) H T.
-        estimates = fwht(coefficients) / self._padded
-        return estimates[: self.domain_size]
-
-    def aggregate_coefficients(
-        self, reports: HadamardReports, n_users: Optional[int] = None
-    ) -> np.ndarray:
-        """Unbiased estimates of the unnormalised Hadamard transform.
-
-        Returns the length-``padded_size`` vector ``T_hat`` estimating
-        ``H @ f`` where ``f`` is the fractional frequency vector (padded
-        with zeros).  Exposed separately because HaarHRR consumes the
-        coefficients directly.
-        """
-        if reports.padded_size != self._padded:
-            raise ValueError(
-                "reports were produced for a different transform length "
-                f"({reports.padded_size} != {self._padded})"
-            )
-        n = int(n_users) if n_users is not None else len(reports)
-        if n <= 0:
-            raise ValueError("cannot aggregate zero reports")
-        debiased = np.asarray(reports.values, dtype=np.float64) / (2.0 * self._p - 1.0)
-        sums = np.bincount(
-            np.asarray(reports.indices, dtype=np.int64),
-            weights=debiased,
-            minlength=self._padded,
-        )
-        # Each user sampled one of Dpad coefficients uniformly, so the sum
-        # for coefficient j estimates (1/Dpad) * sum_i H[v_i, j]; rescale.
-        return sums * (self._padded / n)
-
     # ------------------------------------------------------------------ #
     # streaming aggregation
     # ------------------------------------------------------------------ #
@@ -193,12 +157,10 @@ class HadamardRandomizedResponse(FrequencyOracle):
         once, which keeps sharded aggregation exactly order-independent.
         """
         self._check_accumulator(accumulator)
-        n = self._batch_size(reports, n_users)
-        self.check_payload(reports, n)
         accumulator.vectors["value_sums"] += self._kernels.hrr_value_sums(
             reports.indices, reports.values, self._padded
         )
-        accumulator.add_reports(n)
+        accumulator.add_reports(self._batch_size(reports, n_users))
         return accumulator
 
     def finalize(self, accumulator: OracleAccumulator) -> np.ndarray:

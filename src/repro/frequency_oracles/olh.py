@@ -153,12 +153,6 @@ class OptimalLocalHashing(FrequencyOracle):
             num_buckets=self._g,
         )
 
-    def aggregate(
-        self, reports: LocalHashReports, n_users: Optional[int] = None
-    ) -> np.ndarray:
-        accumulator = self.accumulate(self.make_accumulator(), reports, n_users=n_users)
-        return self.finalize(accumulator)
-
     def _accumulator_config(self) -> dict:
         config = super()._accumulator_config()
         config["num_buckets"] = self._g
@@ -191,8 +185,6 @@ class OptimalLocalHashing(FrequencyOracle):
         n_users: Optional[int] = None,
     ) -> OracleAccumulator:
         self._check_accumulator(accumulator)
-        n = self._batch_size(reports, n_users)
-        self.check_payload(reports, n)
         # The O(N * D) decode runs in the resolved kernel backend (chunked
         # numpy with a reused work buffer, or a fused compiled loop).  The
         # decoded support counts are the (integer) sufficient statistic, so
@@ -206,7 +198,7 @@ class OptimalLocalHashing(FrequencyOracle):
             self._chunk,
         )
         accumulator.vectors["support"] += support
-        accumulator.add_reports(n)
+        accumulator.add_reports(self._batch_size(reports, n_users))
         return accumulator
 
     def finalize(self, accumulator: OracleAccumulator) -> np.ndarray:

@@ -32,7 +32,6 @@ from repro.frequency_oracles.base import (
     FrequencyOracle,
     OracleAccumulator,
     standard_oracle_variance,
-    validate_unary_reports,
 )
 
 
@@ -83,12 +82,6 @@ class OptimizedUnaryEncoding(FrequencyOracle):
             uniforms, self._p_zero, items, true_uniforms, self._p_one
         ).view(np.bool_)
 
-    def aggregate(
-        self, reports: np.ndarray, n_users: Optional[int] = None
-    ) -> np.ndarray:
-        accumulator = self.accumulate(self.make_accumulator(), reports, n_users=n_users)
-        return self.finalize(accumulator)
-
     def make_accumulator(self) -> OracleAccumulator:
         return OracleAccumulator(
             self.name,
@@ -103,7 +96,6 @@ class OptimizedUnaryEncoding(FrequencyOracle):
         n_users: Optional[int] = None,
     ) -> OracleAccumulator:
         self._check_accumulator(accumulator)
-        reports = validate_unary_reports(reports, self.domain_size)
         accumulator.vectors["bit_sums"] += self._kernels.unary_sums(reports)
         accumulator.add_reports(self._batch_size(reports, n_users))
         return accumulator

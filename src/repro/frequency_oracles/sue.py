@@ -25,7 +25,6 @@ from repro.core.rng import RngLike, ensure_rng
 from repro.frequency_oracles.base import (
     FrequencyOracle,
     OracleAccumulator,
-    validate_unary_reports,
 )
 
 
@@ -67,12 +66,6 @@ class SymmetricUnaryEncoding(FrequencyOracle):
             uniforms, self._q, items, true_uniforms, self._p
         ).view(np.bool_)
 
-    def aggregate(
-        self, reports: np.ndarray, n_users: Optional[int] = None
-    ) -> np.ndarray:
-        accumulator = self.accumulate(self.make_accumulator(), reports, n_users=n_users)
-        return self.finalize(accumulator)
-
     def make_accumulator(self) -> OracleAccumulator:
         return OracleAccumulator(
             self.name,
@@ -87,7 +80,6 @@ class SymmetricUnaryEncoding(FrequencyOracle):
         n_users: Optional[int] = None,
     ) -> OracleAccumulator:
         self._check_accumulator(accumulator)
-        reports = validate_unary_reports(reports, self.domain_size)
         accumulator.vectors["bit_sums"] += self._kernels.unary_sums(reports)
         accumulator.add_reports(self._batch_size(reports, n_users))
         return accumulator

@@ -13,7 +13,7 @@ from repro.experiments.ablations import (
     run_prefix_vs_range,
     run_sampling_vs_splitting,
 )
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.config import ExperimentConfig, get_config
 from repro.experiments.figure4 import best_method_per_cell, format_figure4, run_figure4
 from repro.experiments.figure5 import (
     format_epsilon_sweep,
@@ -148,6 +148,48 @@ class TestAblations:
         rows = run_prefix_vs_range(TINY, rng=13)
         assert any(row.label.endswith("prefix") for row in rows)
         assert any(row.label.endswith("range") for row in rows)
+
+
+class TestSmokePresetClaims:
+    """The paper's coarse claims at the ``smoke`` preset and its own seed."""
+
+    SMOKE = get_config("smoke")
+
+    def test_prefix_errors_are_small(self):
+        cells = run_figure6(self.SMOKE)
+        assert max(cell.result.mse_mean for cell in cells) < 0.5
+
+    def test_local_wavelet_within_a_small_factor_of_the_hierarchy(self):
+        for row in run_figure7(self.SMOKE):
+            assert row.central_hh16_mse < row.local_hh4_mse
+            assert row.local_ratio_haar_vs_hh < 10.0
+
+    def test_errors_stay_small_for_every_centre(self):
+        cells = run_figure8(self.SMOKE)
+        assert max(cell.result.mse_mean for cell in cells) < 0.5
+        assert max_relative_spread(cells) < 20.0
+
+    def test_consistency_is_not_much_worse_than_raw(self):
+        rows = run_consistency_ablation(self.SMOKE)
+        by_key = {(row.domain_size, row.label): row.mse for row in rows}
+        pairs = [
+            (mse, by_key[(domain, label.replace("CI", "", 1))])
+            for (domain, label), mse in by_key.items()
+            if "CI" in label and (domain, label.replace("CI", "", 1)) in by_key
+        ]
+        assert pairs
+        assert all(ci < raw * 1.2 for ci, raw in pairs)
+
+    def test_prefixes_are_not_much_harder_than_ranges(self):
+        rows = run_prefix_vs_range(self.SMOKE)
+        by_label = {(row.domain_size, row.label): row.mse for row in rows}
+        pairs = [
+            (mse, by_label[(domain, label.replace("-prefix", "-range"))])
+            for (domain, label), mse in by_label.items()
+            if label.endswith("-prefix")
+        ]
+        assert pairs
+        assert all(prefix < ranged * 1.8 for prefix, ranged in pairs)
 
 
 class TestCli:

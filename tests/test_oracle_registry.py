@@ -1,8 +1,11 @@
 """Tests for the frequency-oracle registry and the protocol registry."""
 
+import numpy as np
 import pytest
 
 from repro import PROTOCOL_REGISTRY, make_protocol
+from repro.analysis.metrics import mean_squared_error
+from repro.data import cauchy_population
 from repro.flat import FlatRangeQuery
 from repro.frequency_oracles import (
     ORACLE_REGISTRY,
@@ -81,3 +84,29 @@ class TestProtocolRegistry:
         assert protocol.branching == 8
         assert protocol.oracle_name == "hrr"
         assert protocol.consistency is False
+
+
+class TestOracleAccuracyOrdering:
+    def test_optimal_oracles_are_comparable_and_beat_sue_and_grr(self):
+        """Section 3.2: OUE, OLH and HRR share the optimal variance.
+
+        Point-query MSE over five aggregate simulations at D=256,
+        N=100,000: the three are within a small factor of each other, and
+        SUE and GRR (on this large domain) are worse than the best of them.
+        """
+        population = cauchy_population(256, 100_000, rng=0)
+        counts, truth = population.counts(), population.frequencies()
+        mses = {}
+        for name in ("oue", "olh", "hrr", "sue", "grr"):
+            oracle = make_oracle(name, 256, 1.1)
+            mses[name] = np.mean([
+                mean_squared_error(
+                    oracle.estimate_from_counts(counts, rng=np.random.default_rng(seed)),
+                    truth,
+                )
+                for seed in range(5)
+            ])
+        optimal = [mses["oue"], mses["olh"], mses["hrr"]]
+        assert max(optimal) / min(optimal) < 3.0
+        assert mses["sue"] > min(optimal)
+        assert mses["grr"] > min(optimal)

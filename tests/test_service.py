@@ -33,6 +33,7 @@ from repro.core.serialization import (
     SerializationError,
     pack_blob,
     pack_report_batch,
+    read_wal_segment_header,
     report_batch_header,
     unpack_blob,
     unpack_report_batch,
@@ -917,7 +918,9 @@ class TestFaultTolerance:
             assert closed["closed"] and closed["reports"] == 90
             assert_matches_reference(handle.url, reference)
 
-    @pytest.mark.parametrize("damage", ["overwritten_header", "closed_segment"])
+    @pytest.mark.parametrize(
+        "damage", ["overwritten_header", "closed_segment", "corrupt_middle_record"]
+    )
     def test_unreadable_wal_segment_refuses_the_start(self, tmp_path, damage):
         blobs, _ = make_blobs(SPEC, 90, seed=31, chunks=3)
         store_dir, wal_dir = str(tmp_path / "store"), str(tmp_path / "wal")
@@ -933,11 +936,24 @@ class TestFaultTolerance:
         if damage == "overwritten_header":
             with open(segment, "r+b") as fh:
                 fh.write(b"X")
+        elif damage == "corrupt_middle_record":
+            # One flipped payload byte in the second of three records: the
+            # acknowledged third record follows it, so this is no torn tail.
+            with open(segment, "rb") as fh:
+                data = bytearray(fh.read())
+            _, first = read_wal_segment_header(bytes(data))
+            second = first + 12 + struct.unpack_from("<Q", data, first + 4)[0]
+            third = second + 12 + struct.unpack_from("<Q", data, second + 4)[0]
+            data[third - 1] ^= 0xFF
+            with open(segment, "wb") as fh:
+                fh.write(data)
         else:
             # what a storeless service of an earlier version left at /close
             segment = segment[: -len(".open")] + ".closed"
             os.replace(service.wal.segment_path(0), segment)
         name = os.path.basename(segment)
+        with open(segment, "rb") as fh:
+            damaged = fh.read()
 
         restored = AggregationService(
             SPEC, num_workers=2, store_dir=store_dir, wal_dir=wal_dir
@@ -950,7 +966,8 @@ class TestFaultTolerance:
                 "--method", "flat", "--store-dir", store_dir,
                 "--wal-dir", wal_dir,
             ])
-        assert os.path.exists(segment)  # refused, never skipped or deleted
+        with open(segment, "rb") as fh:  # refused, never skipped or cut
+            assert fh.read() == damaged
 
     @pytest.mark.chaos
     @pytest.mark.parametrize("close_before_crash", [False, True])

@@ -67,6 +67,34 @@ class TestWalFraming:
         assert records == []
         assert torn_offset == len(header)
 
+    @staticmethod
+    def _three_records():
+        header = pack_wal_segment_header(epoch=0)
+        records = [
+            bytearray(pack_wal_record({"key": f"k{i}", "worker": i}, b"data"))
+            for i in range(3)
+        ]
+        return header, records
+
+    def test_corrupt_record_with_intact_records_after_it_is_refused(self):
+        # Damage inside the log is not a torn tail: k2 was acknowledged,
+        # and reading the file as torn at k1 would truncate it away.
+        header, records = self._three_records()
+        records[1][-1] ^= 0xFF
+        bad = len(header) + len(records[0])
+        after = bad + len(records[1])
+        with pytest.raises(SerializationError, match=f"offset {bad}.*offset {after}"):
+            scan_wal_segment(header + b"".join(records))
+
+    def test_corrupt_length_field_reads_as_a_torn_tail(self):
+        # A damaged length cannot point at the next record, so nothing
+        # marks the records after it as intact: the scan stops there.
+        header, records = self._three_records()
+        records[1][4] ^= 0x01  # low byte of the u64 payload length
+        _, parsed, torn_offset = scan_wal_segment(header + b"".join(records))
+        assert [meta["key"] for meta, _ in parsed] == ["k0"]
+        assert torn_offset == len(header) + len(records[0])
+
 
 class TestIngestWalLifecycle:
     def test_append_flush_scan_round_trip(self, tmp_path):
