@@ -20,7 +20,7 @@ costs so the service-shaped deployment can be sized:
 Results are written in the one benchmark shape ``benchmarks/gate.py``
 checks; ``BENCH_engine.json`` at the repo root is the committed baseline.
 
-Run with:  python benchmarks/bench_engine.py [--preset smoke|default]
+Run with:  python benchmarks/bench_engine.py [--preset smoke|default] --output RUN.json
 """
 
 from __future__ import annotations
@@ -39,9 +39,6 @@ import numpy as np
 from repro import __version__
 from repro.engine import Engine, last
 from repro.queries.workload import random_range_workload
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-DEFAULT_OUTPUT = REPO_ROOT / "BENCH_engine.json"
 
 PRESETS = {
     "smoke": {
@@ -202,7 +199,7 @@ def run(preset: str, output: Path) -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--preset", choices=sorted(PRESETS), default="default")
-    parser.add_argument("--output", type=Path, default=DEFAULT_OUTPUT)
+    parser.add_argument("--output", type=Path, required=True)
     args = parser.parse_args()
     run(args.preset, args.output)
     return 0

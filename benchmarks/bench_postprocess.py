@@ -21,7 +21,7 @@ Results are written in the one benchmark shape ``benchmarks/gate.py``
 checks; ``BENCH_postprocess.json`` at the repo root is the committed
 baseline.
 
-Run with:  python benchmarks/bench_postprocess.py [--preset smoke|default]
+Run with:  python benchmarks/bench_postprocess.py [--preset smoke|default] --output RUN.json
 """
 
 from __future__ import annotations
@@ -47,9 +47,6 @@ from repro.core.postprocess import (
 )
 from repro.hierarchy.tree import DomainTree
 from repro.wavelet.haar import HaarCoefficients
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-DEFAULT_OUTPUT = REPO_ROOT / "BENCH_postprocess.json"
 
 PRESETS = {
     "smoke": {"domain": 2**10, "grid_axis": 2**5, "repeats": 3},
@@ -211,7 +208,7 @@ def run(preset: str, output: Path) -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--preset", choices=sorted(PRESETS), default="default")
-    parser.add_argument("--output", type=Path, default=DEFAULT_OUTPUT)
+    parser.add_argument("--output", type=Path, required=True)
     args = parser.parse_args()
     run(args.preset, args.output)
     return 0

@@ -15,7 +15,7 @@ domain size, answers random range workloads of growing size both ways --
 ``benchmarks/gate.py`` checks; ``BENCH_queries.json`` at the repo root is
 the committed baseline.
 
-Run with:  python benchmarks/bench_queries.py [--preset smoke|default]
+Run with:  python benchmarks/bench_queries.py [--preset smoke|default] --output RUN.json
 """
 
 from __future__ import annotations
@@ -35,9 +35,6 @@ from repro.flat import FlatRangeQuery
 from repro.hierarchy import HierarchicalHistogram
 from repro.queries.workload import random_range_workload
 from repro.wavelet import HaarHRR
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-DEFAULT_OUTPUT = REPO_ROOT / "BENCH_queries.json"
 
 PRESETS = {
     # (domain sizes, workload sizes, per-query cap): the per-query loops are
@@ -212,7 +209,7 @@ def bench_quantiles(preset: dict, rng: np.random.Generator) -> Dict[str, dict]:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--preset", choices=sorted(PRESETS), default="default")
-    parser.add_argument("--output", type=Path, default=DEFAULT_OUTPUT)
+    parser.add_argument("--output", type=Path, required=True)
     args = parser.parse_args()
     preset = PRESETS[args.preset]
     rng = np.random.default_rng(0)

@@ -28,7 +28,7 @@ deployment-facing numbers the engine benchmark cannot see:
 Results are written in the one benchmark shape ``benchmarks/gate.py``
 checks; ``BENCH_service.json`` at the repo root is the committed baseline.
 
-Run with:  python benchmarks/bench_service.py [--preset smoke|default]
+Run with:  python benchmarks/bench_service.py [--preset smoke|default] --output RUN.json
 """
 
 from __future__ import annotations
@@ -51,9 +51,6 @@ from repro.service import (
     request_json,
     run_loadgen,
 )
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-DEFAULT_OUTPUT = REPO_ROOT / "BENCH_service.json"
 
 PRESETS = {
     "smoke": {
@@ -293,7 +290,7 @@ def run(preset: str, output: Path) -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--preset", choices=sorted(PRESETS), default="default")
-    parser.add_argument("--output", type=Path, default=DEFAULT_OUTPUT)
+    parser.add_argument("--output", type=Path, required=True)
     args = parser.parse_args()
     run(args.preset, args.output)
     return 0

@@ -27,7 +27,7 @@ that trade against the in-RAM engine:
 Results are written in the one benchmark shape ``benchmarks/gate.py``
 checks; ``BENCH_store.json`` at the repo root is the committed baseline.
 
-Run with:  python benchmarks/bench_store.py [--preset smoke|default]
+Run with:  python benchmarks/bench_store.py [--preset smoke|default] --output RUN.json
 """
 
 from __future__ import annotations
@@ -49,9 +49,6 @@ from repro import __version__
 from repro.core.serialization import pack_blob, pack_child
 from repro.engine import Engine, last
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-DEFAULT_OUTPUT = REPO_ROOT / "BENCH_store.json"
-
 PRESETS = {
     "smoke": {
         "domain": 2**8,
@@ -60,6 +57,7 @@ PRESETS = {
         "window": 7,
         "window_wide": 16,
         "repeats": 3,
+        "sample_seconds": 0.0,
     },
     "default": {
         "domain": 2**8,
@@ -68,24 +66,34 @@ PRESETS = {
         "window": 7,
         "window_wide": 64,
         "repeats": 5,
+        "sample_seconds": 1.0,
     },
 }
 
 EPSILON = 1.1
 
-#: Timed incremental checkpoints.  One takes tens of milliseconds, and on a
-#: shared machine a best of five can land entirely in a slow second; sixty
-#: span a few seconds.
+#: Timed checkpoint pairs, one monolithic and one incremental each.  An
+#: incremental checkpoint takes tens of milliseconds, and on a shared machine
+#: a best of five can land entirely in a slow second; sixty pairs span
+#: several seconds.
 CHECKPOINT_REPEATS = 60
 
 
-def _time_best(func: Callable[[], object], repeats: int) -> float:
-    """Best-of-``repeats`` wall time of ``func`` in seconds."""
+def _time_best(func: Callable[[], object], repeats: int, seconds: float = 0.0) -> float:
+    """Best wall time of ``func`` in seconds, over ``repeats`` calls and ``seconds``.
+
+    A shared machine has slow spells of a second or two in which every call
+    runs about half as fast, so a sub-millisecond query timed over a few
+    milliseconds can land entirely inside one.
+    """
     best = float("inf")
-    for _ in range(repeats):
+    deadline = time.perf_counter() + seconds
+    calls = 0
+    while calls < repeats or time.perf_counter() < deadline:
         start = time.perf_counter()
         func()
         best = min(best, time.perf_counter() - start)
+        calls += 1
     return best
 
 
@@ -140,6 +148,7 @@ def run(preset: str, output: Path) -> dict:
     window = config["window"]
     window_wide = config["window_wide"]
     repeats = config["repeats"]
+    sample_seconds = config["sample_seconds"]
 
     workdir = Path(tempfile.mkdtemp(prefix="bench_store_"))
     store_dir = str(workdir / "store")
@@ -177,8 +186,12 @@ def run(preset: str, output: Path) -> dict:
         bit_identical = bool(np.array_equal(store_answer, ram_answer))
         assert bit_identical, "store-backed window drifted from the in-RAM merge"
 
-        store_seconds = _time_best(lambda: engine.estimator(last(window)), repeats)
-        ram_seconds = _time_best(lambda: in_ram.estimator("all"), repeats)
+        store_seconds = _time_best(
+            lambda: engine.estimator(last(window)), repeats, sample_seconds
+        )
+        ram_seconds = _time_best(
+            lambda: in_ram.estimator("all"), repeats, sample_seconds
+        )
         ratio = store_seconds / ram_seconds
         print(
             f"  window last:{window}: store {store_seconds * 1e3:.2f} ms vs "
@@ -200,11 +213,12 @@ def run(preset: str, output: Path) -> dict:
         )
         assert wide_identical, "aggregate plan drifted from the per-epoch sum"
         planned_seconds = _time_best(
-            lambda: store.pushdown_state(wide_keys), repeats
+            lambda: store.pushdown_state(wide_keys), repeats, sample_seconds
         )
         naive_seconds = _time_best(
             lambda: store.pushdown_state(wide_keys, use_aggregates=False),
             repeats,
+            sample_seconds,
         )
         wide_speedup = naive_seconds / planned_seconds
         aggregate_stats = store.aggregate_stats()
@@ -224,26 +238,26 @@ def run(preset: str, output: Path) -> dict:
                 _epoch_items(domain, users, epoch),
                 rng=np.random.default_rng(10_000 + epoch),
             )
-        mono_path = str(workdir / "mono.ckpt")
-        monolithic_seconds = _time_best(
-            lambda: _monolithic_checkpoint(full, mono_path), repeats
-        )
-
         # ~1% of the history dirty: the incremental checkpoint rewrites
         # exactly those segments, the monolithic one rewrites everything.
+        # The two alternate in one loop, so a slow spell of the machine
+        # reaches both sides of the speedup alike.
+        mono_path = str(workdir / "mono.ckpt")
         dirty = max(1, epochs // 100)
-        incremental_seconds = float("inf")
+        monolithic_seconds = incremental_seconds = float("inf")
         for repeat in range(CHECKPOINT_REPEATS):
+            monolithic_seconds = min(
+                monolithic_seconds,
+                _time_best(lambda: _monolithic_checkpoint(full, mono_path), 1),
+            )
             for epoch in range(dirty):
                 engine.session(epoch=epoch).absorb(
                     np.arange(domain) % domain,
                     rng=np.random.default_rng(777 + repeat),
                 )
             written_before = engine.store.segments_written
-            start = time.perf_counter()
-            engine.checkpoint()
             incremental_seconds = min(
-                incremental_seconds, time.perf_counter() - start
+                incremental_seconds, _time_best(engine.checkpoint, 1)
             )
             assert engine.store.segments_written - written_before == dirty
             for epoch in range(dirty):
@@ -282,6 +296,7 @@ def run(preset: str, output: Path) -> dict:
                 "epsilon": EPSILON,
                 "dirty_epochs": dirty,
                 "repeats": repeats,
+                "sample_seconds": sample_seconds,
                 "checkpoint_repeats": CHECKPOINT_REPEATS,
             },
             "metrics": {
@@ -351,7 +366,7 @@ def run(preset: str, output: Path) -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--preset", choices=sorted(PRESETS), default="default")
-    parser.add_argument("--output", type=Path, default=DEFAULT_OUTPUT)
+    parser.add_argument("--output", type=Path, required=True)
     args = parser.parse_args()
     run(args.preset, args.output)
     return 0

@@ -16,7 +16,7 @@ one benchmark shape ``benchmarks/gate.py`` checks, committed as
   accel job re-runs with ``--backend numba`` to measure the JIT speedup on
   the same machine.
 
-Run with:  python benchmarks/streaming_baseline.py [--backend numpy|numba]
+Run with:  python benchmarks/streaming_baseline.py [--backend numpy|numba] --output RUN.json
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BENCH_FILE = Path(__file__).resolve().parent / "bench_streaming.py"
-DEFAULT_OUTPUT = REPO_ROOT / "BENCH_streaming.json"
 
 #: Maps ``test_bench_<kind>_<key>`` suffixes to the document keys.
 _PROTOCOL_KEYS = {
@@ -115,7 +114,7 @@ def main() -> int:
         default=None,
         help="kernel backend to pin via REPRO_KERNEL_BACKEND (default: inherit)",
     )
-    parser.add_argument("--output", type=Path, default=DEFAULT_OUTPUT)
+    parser.add_argument("--output", type=Path, required=True)
     parser.add_argument(
         "pytest_args",
         nargs="*",

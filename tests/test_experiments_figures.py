@@ -2,10 +2,12 @@
 
 These run the actual experiment code end-to-end at a deliberately tiny scale
 and check that the outputs have the right structure and obey the paper's
-coarse qualitative claims where those are robust even at small scale.
+coarse qualitative claims where those are robust even at small scale.  Each
+claim also runs at the ``smoke`` preset with that preset's own seed.
 """
 
 import numpy as np
+import pytest
 
 from repro.experiments.ablations import (
     format_ablation,
@@ -46,6 +48,15 @@ TINY = ExperimentConfig(
     seed=7,
 )
 
+SMOKE = get_config("smoke")
+
+
+def tiny_and_smoke(tiny_seed):
+    """Run a claim on ``TINY`` with ``tiny_seed`` and on ``SMOKE`` with its own seed."""
+    return pytest.mark.parametrize(
+        ("config", "rng"), [(TINY, tiny_seed), (SMOKE, None)], ids=["tiny", "smoke"]
+    )
+
 
 class TestFigure4:
     def test_runs_and_formats(self):
@@ -57,11 +68,12 @@ class TestFigure4:
         text = format_figure4(cells)
         assert "Figure 4" in text and "HaarHRR" in text
 
-    def test_flat_not_best_for_long_ranges(self):
-        cells = run_figure4(TINY, rng=2)
-        best = best_method_per_cell(cells)
-        long_range = max(length for (_, length) in best)
-        assert best[(64, long_range)] != "FlatOUE"
+    @tiny_and_smoke(2)
+    def test_flat_not_best_for_long_ranges(self, config, rng):
+        best = best_method_per_cell(run_figure4(config, rng=rng))
+        for domain in config.domain_sizes:
+            long_range = max(length for (d, length) in best if d == domain)
+            assert best[(domain, long_range)] != "FlatOUE"
 
 
 class TestFigures5And6:
@@ -72,12 +84,18 @@ class TestFigures5And6:
         text = format_epsilon_sweep(cells, "Figure 5")
         assert "MSE x1000" in text
 
-    def test_error_decreases_with_epsilon(self):
-        cells = run_figure5(TINY, rng=4)
-        for method in ("HHc4", "HaarHRR"):
-            low = next(c for c in cells if c.method == method and c.epsilon == 0.4)
-            high = next(c for c in cells if c.method == method and c.epsilon == 1.1)
-            assert high.result.mse_mean < low.result.mse_mean
+    @tiny_and_smoke(4)
+    def test_error_decreases_with_epsilon(self, config, rng):
+        cells = run_figure5(config, rng=rng)
+        for domain in config.domain_sizes:
+            for method in ("HHc2", "HHc4", "HHc16", "HaarHRR"):
+                series = sorted(
+                    (c.epsilon, c.result.mse_mean)
+                    for c in cells
+                    if c.domain_size == domain and c.method == method
+                )
+                assert len(series) == len(config.epsilons)
+                assert series[-1][1] < series[0][1]
 
     def test_winner_map_covers_all_cells(self):
         cells = run_figure5(TINY, rng=5)
@@ -95,6 +113,11 @@ class TestFigures5And6:
         assert "prefix/range" in format_prefix_improvement(ratios)
         assert "Figure 6" in format_figure6(prefix_cells)
 
+    @tiny_and_smoke(6)
+    def test_prefix_errors_are_small(self, config, rng):
+        cells = run_figure6(config, rng=rng)
+        assert max(cell.result.mse_mean for cell in cells) < 0.5
+
 
 class TestFigure7:
     def test_rows_and_ratios(self):
@@ -106,82 +129,68 @@ class TestFigure7:
             assert row.local_ratio_haar_vs_hh > 0
         assert "Figure 7" in format_figure7(rows)
 
-    def test_centralized_error_below_local(self):
-        rows = run_figure7(TINY, rng=8)
-        for row in rows:
+    @tiny_and_smoke(8)
+    def test_centralized_error_below_local(self, config, rng):
+        # Centralized error is far below local error (1/N^2 vs 1/N scaling),
+        # and the local wavelet/hierarchical gap is well below a factor of 10.
+        for row in run_figure7(config, rng=rng):
             assert row.central_hh16_mse < row.local_hh4_mse
+            assert row.local_ratio_haar_vs_hh < 10.0
 
 
 class TestFigure8:
-    def test_structure_and_stability(self):
-        cells = run_figure8(TINY, rng=9)
+    @pytest.mark.parametrize(
+        ("config", "rng", "spread"),
+        [(TINY, 9, 5.0), (SMOKE, None, 20.0)],
+        ids=["tiny", "smoke"],
+    )
+    def test_structure_and_stability(self, config, rng, spread):
+        cells = run_figure8(config, rng=rng)
         assert {cell.method for cell in cells} == {"HHc4", "HaarHRR"}
-        assert {cell.center_fraction for cell in cells} == {0.2, 0.6}
-        assert max_relative_spread(cells) < 5.0
+        assert {cell.center_fraction for cell in cells} == set(config.center_fractions)
+        # Absolute errors stay small for every centre, with a moderate spread.
+        assert max(cell.result.mse_mean for cell in cells) < 0.5
+        assert max_relative_spread(cells) < spread
         assert "Figure 8" in format_figure8(cells)
 
 
 class TestFigure9:
-    def test_quantile_errors_small(self):
-        cells = run_figure9(TINY, rng=10)
+    @tiny_and_smoke(10)
+    def test_quantile_errors_small(self, config, rng):
+        cells = run_figure9(config, rng=rng)
         assert {cell.method for cell in cells} == {"HHc2", "HaarHRR"}
+        assert len({(c.center_fraction, c.method, c.phi) for c in cells}) == len(cells)
         assert len(cells) == 2 * 2 * 9
         assert max_quantile_error(cells) < 0.25
         assert "Figure 9" in format_figure9(cells)
 
 
 class TestAblations:
-    def test_sampling_beats_splitting(self):
-        rows = run_sampling_vs_splitting(TINY, rng=11)
-        sample = next(r for r in rows if r.label.endswith("sample"))
-        split = next(r for r in rows if r.label.endswith("split"))
-        assert sample.mse < split.mse
+    @tiny_and_smoke(11)
+    def test_sampling_beats_splitting(self, config, rng):
+        rows = run_sampling_vs_splitting(config, rng=rng)
+        for domain in config.domain_sizes:
+            mse = {r.label: r.mse for r in rows if r.domain_size == domain}
+            assert mse["HHc4-sample"] < mse["HHc4-split"]
 
-    def test_consistency_rows_present(self):
-        rows = run_consistency_ablation(TINY, rng=12)
-        labels = {row.label for row in rows}
-        assert any("CI" in label for label in labels)
-        assert any("CI" not in label for label in labels)
+    @tiny_and_smoke(12)
+    def test_consistency_rows_present(self, config, rng):
+        rows = run_consistency_ablation(config, rng=rng)
         assert "variant" in format_ablation(rows, "A2")
-
-    def test_prefix_vs_range_rows(self):
-        rows = run_prefix_vs_range(TINY, rng=13)
-        assert any(row.label.endswith("prefix") for row in rows)
-        assert any(row.label.endswith("range") for row in rows)
-
-
-class TestSmokePresetClaims:
-    """The paper's coarse claims at the ``smoke`` preset and its own seed."""
-
-    SMOKE = get_config("smoke")
-
-    def test_prefix_errors_are_small(self):
-        cells = run_figure6(self.SMOKE)
-        assert max(cell.result.mse_mean for cell in cells) < 0.5
-
-    def test_local_wavelet_within_a_small_factor_of_the_hierarchy(self):
-        for row in run_figure7(self.SMOKE):
-            assert row.central_hh16_mse < row.local_hh4_mse
-            assert row.local_ratio_haar_vs_hh < 10.0
-
-    def test_errors_stay_small_for_every_centre(self):
-        cells = run_figure8(self.SMOKE)
-        assert max(cell.result.mse_mean for cell in cells) < 0.5
-        assert max_relative_spread(cells) < 20.0
-
-    def test_consistency_is_not_much_worse_than_raw(self):
-        rows = run_consistency_ablation(self.SMOKE)
+        # Constrained inference is never much worse than the raw estimate.
         by_key = {(row.domain_size, row.label): row.mse for row in rows}
         pairs = [
             (mse, by_key[(domain, label.replace("CI", "", 1))])
             for (domain, label), mse in by_key.items()
-            if "CI" in label and (domain, label.replace("CI", "", 1)) in by_key
+            if "CI" in label
         ]
         assert pairs
         assert all(ci < raw * 1.2 for ci, raw in pairs)
 
-    def test_prefixes_are_not_much_harder_than_ranges(self):
-        rows = run_prefix_vs_range(self.SMOKE)
+    @tiny_and_smoke(13)
+    def test_prefix_vs_range_rows(self, config, rng):
+        rows = run_prefix_vs_range(config, rng=rng)
+        # Prefixes are not much harder than arbitrary ranges.
         by_label = {(row.domain_size, row.label): row.mse for row in rows}
         pairs = [
             (mse, by_label[(domain, label.replace("-prefix", "-range"))])
