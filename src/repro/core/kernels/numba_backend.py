@@ -11,7 +11,9 @@ same sequential order as ``np.bincount``).  That holds because:
 
 * all randomness is pre-drawn by the caller -- these are pure loops;
 * the integer arithmetic (``(a*x + b) % P % g`` with ``a, x < 2**31``)
-  never leaves int64, so compiled and vectorised evaluation agree exactly;
+  never leaves int64, so compiled and vectorised evaluation agree exactly
+  (the OLH decode reduces mod P by Mersenne folding and mod g through a
+  float reciprocal plus one integer correction, exact below 2**31);
 * float comparisons against the same pre-drawn uniforms are deterministic.
 
 The big wins over numpy are *fusion* (one pass instead of one temporary
@@ -87,13 +89,30 @@ def olh_encode(multipliers, offsets, items, num_buckets, keep, noise):
 def _olh_support(multipliers, offsets, buckets, domain_size, num_buckets):
     support = np.zeros(domain_size, dtype=np.int64)
     n = buckets.shape[0]
+    inverse = 1.0 / num_buckets
     # Parallel over the domain: every item x owns support[x], so the
     # prange iterations touch disjoint memory and the result does not
     # depend on the thread schedule.
     for x in prange(domain_size):
         hits = 0
         for i in range(n):
-            if ((multipliers[i] * x + offsets[i]) % HASH_PRIME) % num_buckets == buckets[i]:
+            # No division per cell.  a x + b < 2**63; 2**31 = 1 mod P, so
+            # two Mersenne folds leave at most P + 2, and one subtraction
+            # of P leaves the residue.  Every integer stays int64, so
+            # numba never promotes to float.
+            value = multipliers[i] * x + offsets[i]
+            value = (value & HASH_PRIME) + (value >> 31)
+            value = (value & HASH_PRIME) + (value >> 31)
+            if value >= HASH_PRIME:
+                value -= HASH_PRIME
+            # value < 2**31, so the float quotient is at most one below
+            # value // g, and one correction step makes it exact.
+            rest = value - np.int64(value * inverse) * num_buckets
+            if rest >= num_buckets:
+                rest -= num_buckets
+            elif rest < 0:
+                rest += num_buckets
+            if rest == buckets[i]:
                 hits += 1
         support[x] = hits
     return support

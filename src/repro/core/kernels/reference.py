@@ -2,8 +2,10 @@
 
 This module is the single source of truth for kernel *semantics*: every
 function here is the vectorised numpy code that previously lived inline in
-``repro.frequency_oracles`` -- relocated, not rewritten -- so the numpy
-backend reproduces the pre-kernel outputs bit-for-bit.  Alternative
+``repro.frequency_oracles``, so the numpy backend reproduces the
+pre-kernel outputs bit-for-bit.  All but ``olh_support`` were relocated
+verbatim; ``olh_support`` was rewritten division-free and is pinned to
+the direct int64 formula by an always-run hypothesis test.  Alternative
 backends (:mod:`repro.core.kernels.numba_backend`) must match these
 functions exactly on integer outputs and to <= 1e-12 on HRR's float path;
 ``tests/test_kernels.py`` sweeps that equivalence with hypothesis.
@@ -24,8 +26,17 @@ Kernel contracts
     perturbation over the ``g`` buckets.
 ``olh_support(multipliers, offsets, buckets, domain_size, num_buckets,
 chunk)``
-    The ``O(N * D)`` OLH decode: for every domain item, the number of
-    users whose reported bucket equals the item's hash.
+    The ``O(N * D)`` OLH decode: for every domain item ``x``, the number
+    of users ``i`` with ``((a_i x + b_i) mod P) mod g == y_i``.  Inputs
+    are int64 arrays; the count is exact for the hash family's
+    parameters, ``a`` in ``[1, P)`` and ``b`` in ``[0, P)`` (what
+    ``OptimalLocalHashing.check_payload`` admits), and any bucket.  The
+    numpy kernel holds no int64 cell: per user it tabulates ``a 32 j``
+    and ``a k + b`` mod P (``k < 32``; ``k < D`` for a smaller domain),
+    adds the two for ``x = 32 j + k`` in uint32,
+    then reduces mod P with a wrapping subtraction and mod g with numpy's
+    SIMD floor division by a scalar -- no ``%`` per cell.  ``chunk`` caps
+    the users per block.
 ``unary_perturb(uniforms, p_zero, items, true_uniforms, p_one)``
     OUE/SUE/THE bit perturbation: an ``(N, D)`` 0/1 uint8 matrix where
     bit ``j`` of row ``i`` is ``uniforms[i, j] < p_zero`` except the true
@@ -85,6 +96,19 @@ def olh_encode(
     return np.where(keep, true_buckets, noise).astype(np.int64)
 
 
+#: Items per ``olh_support`` low table (fewer when ``D`` is smaller):
+#: item ``x = 32 j + k`` hashes to ``high[j] + low[k]`` with ``high[j] =
+#: a 32 j mod P`` and ``low[k] = (a k + b) mod P``, so each user costs
+#: ``ceil(D / 32) + 32`` int64 products and each of its cells one uint32
+#: addition.
+OLH_LOW_ITEMS = 32
+
+#: uint32 cells per ``olh_support`` block (256 KiB): small enough that a
+#: block stays in cache through its passes, large enough that the Python
+#: loop overhead vanishes.
+OLH_BLOCK_CELLS = 1 << 16
+
+
 def olh_support(
     multipliers: np.ndarray,
     offsets: np.ndarray,
@@ -94,22 +118,50 @@ def olh_support(
     chunk: int,
 ) -> np.ndarray:
     num_reports = len(buckets)
-    domain_items = np.arange(domain_size, dtype=np.int64)
     support = np.zeros(domain_size, dtype=np.int64)
-    # O(N * D) decoding, chunked over users to bound memory.  One
-    # (chunk, D) work buffer is reused across iterations with in-place
-    # arithmetic -- same hash ((a * x + b) mod P) mod g, a fraction of the
-    # allocation churn.
-    chunk = min(int(chunk), max(num_reports, 1))
-    work = np.empty((chunk, domain_size), dtype=np.int64)
-    for start in range(0, num_reports, chunk):
-        stop = min(start + chunk, num_reports)
-        rows = work[: stop - start]
-        np.multiply(multipliers[start:stop, None], domain_items[None, :], out=rows)
-        rows += offsets[start:stop, None]
-        rows %= HASH_PRIME
-        rows %= num_buckets
-        support += np.count_nonzero(rows == buckets[start:stop, None], axis=0)
+    if num_reports == 0 or domain_size == 0:
+        return support
+    low_size = min(OLH_LOW_ITEMS, domain_size)
+    width = -(-domain_size // low_size) * low_size
+    low_items = np.arange(low_size, dtype=np.int64)
+    high_items = np.arange(0, width, low_size, dtype=np.int64)
+    rows = max(1, min(int(chunk), num_reports, OLH_BLOCK_CELLS // width))
+    # uint8 is numpy's fastest column sum, and exact up to 255 rows.
+    count_dtype = np.uint8 if rows <= 255 else np.int32
+    cells = np.empty((rows, width), dtype=np.uint32)
+    spare = np.empty((rows, width), dtype=np.uint32)
+    hits = np.empty((rows, width), dtype=np.bool_)
+    prime = np.uint32(HASH_PRIME)
+    # A hash value below P is its own residue mod any g >= P.
+    modulus = np.uint32(num_buckets) if num_buckets < HASH_PRIME else None
+    # A bucket outside [0, P) matches no hash value; P stands in for it.
+    buckets = np.where((buckets >= 0) & (buckets < HASH_PRIME), buckets, HASH_PRIME)
+    targets = buckets.astype(np.uint32)[:, None]
+    for start in range(0, num_reports, rows):
+        stop = min(start + rows, num_reports)
+        count = stop - start
+        multiplier = multipliers[start:stop, None]
+        low = (multiplier * low_items + offsets[start:stop, None]) % HASH_PRIME
+        high = (multiplier * high_items) % HASH_PRIME
+        # Both tables lie in [0, P), so each cell sums below 2**32 ...
+        block = cells[:count]
+        np.add(
+            high.astype(np.uint32)[:, :, None],
+            low.astype(np.uint32)[:, None, :],
+            out=block.reshape(count, -1, low_size),
+        )
+        # ... and min(w, w - P) is w mod P: w - P wraps past w when w < P.
+        other = spare[:count]
+        np.subtract(block, prime, out=other)
+        np.minimum(block, other, out=block)
+        if modulus is not None:
+            # w - g * (w // g): uint32 floor division by a scalar is SIMD, % is not.
+            np.floor_divide(block, modulus, out=other)
+            other *= modulus
+            block -= other
+        matched = hits[:count]
+        np.equal(block, targets[start:stop], out=matched)
+        support += np.add.reduce(matched[:, :domain_size], axis=0, dtype=count_dtype)
     return support
 
 

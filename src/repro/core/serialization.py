@@ -18,7 +18,10 @@ JSON headers carry small metadata (Python's ``json`` keeps integers exact
 at arbitrary precision, which the exact accumulators rely on); bulk
 numeric payloads are standard ``.npy`` blocks or raw little-endian int64
 vectors, so decoding never needs pickle and the formats are stable across
-Python/numpy versions.
+Python/numpy versions.  :func:`unpack_blob` reads only the one ``.npy``
+header shape :func:`pack_blob` writes and returns read-only
+``np.frombuffer`` views into the bytes it was given; decoders that later
+write into an array copy it.
 
 Malformed input of any kind -- wrong magic, truncation, garbage JSON,
 corrupt array blocks, header fields of the wrong type -- raises
@@ -31,6 +34,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import re
 import struct
 import zlib
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
@@ -68,6 +72,29 @@ EPOCH_SEGMENT_FORMAT = 1
 _LENGTH = struct.Struct("<Q")
 _CRC = struct.Struct("<I")
 _SEG_ALIGN = 8
+
+#: Magic and version (1.0) of every ``.npy`` block :func:`pack_blob` writes.
+_NPY_MAGIC = b"\x93NUMPY\x01\x00"
+_NPY_HEADER_LENGTH = struct.Struct("<H")
+
+#: The dtypes :func:`pack_blob` writes and :func:`unpack_blob` reads, by
+#: ``.npy`` descr: bool and little-endian integers and floats.
+_NPY_DTYPES = {
+    descr: np.dtype(descr)
+    for descr in (
+        "|b1", "|i1", "|u1", "<i2", "<u2", "<i4", "<u4", "<i8", "<u8", "<f4", "<f8",
+    )
+}
+
+_NPY_DIM = rb"(?:0|[1-9][0-9]*)"
+
+#: The ``.npy`` v1.0 header ``np.lib.format.write_array`` gives a
+#: C-ordered array: the dict repr, space-padded, ending in a newline.
+_NPY_HEADER = re.compile(
+    rb"\{'descr': '(?P<descr>[^']*)', 'fortran_order': False, 'shape': \((?P<shape>"
+    rb"|" + _NPY_DIM + rb",|" + _NPY_DIM + rb"(?:, " + _NPY_DIM + rb")+"
+    rb")\), \} *\n"
+)
 
 
 class SerializationError(ValueError):
@@ -191,15 +218,20 @@ def pack_blob(header: dict, arrays: Mapping[str, np.ndarray] = ()) -> bytes:
 
     ``header`` must be JSON serializable (Python's ``json`` keeps integer
     values exact at arbitrary precision, which the exact accumulators rely
-    on).  ``arrays`` values are written as raw ``.npy`` blocks; object
-    dtypes are rejected.
+    on).  ``arrays`` values are written as raw ``.npy`` blocks; a dtype
+    :func:`unpack_blob` does not read (object, string, big-endian, ...)
+    raises :class:`SerializationError`.
     """
     arrays = dict(arrays or {})
     body = io.BytesIO()
-    for array in arrays.values():
-        np.lib.format.write_array(
-            body, np.ascontiguousarray(array), allow_pickle=False
-        )
+    for name, array in arrays.items():
+        array = np.ascontiguousarray(array)
+        if array.dtype.str not in _NPY_DTYPES:
+            raise SerializationError(
+                f"cannot pack array {name!r} of dtype {array.dtype}; expected "
+                f"one of {sorted(_NPY_DTYPES)}"
+            )
+        np.lib.format.write_array(body, array, allow_pickle=False)
     document = {"header": header, "arrays": list(arrays)}
     return _write_frame(MAGIC, document, body.getvalue())
 
@@ -227,20 +259,61 @@ def peek_header(data: bytes) -> dict:
     return _read_blob(data)[1].get("header", {})
 
 
-def unpack_blob(data: bytes) -> Tuple[dict, Dict[str, np.ndarray]]:
-    """Inverse of :func:`pack_blob`: return ``(header, arrays)``."""
-    _, document, body_offset = _read_blob(data)
-    body = io.BytesIO(bytes(data)[body_offset:])
+def unpack_blob(data) -> Tuple[dict, Dict[str, np.ndarray]]:
+    """Inverse of :func:`pack_blob`: return ``(header, arrays)``.
+
+    ``data`` is bytes or any byte buffer.  Each array is a read-only
+    ``np.frombuffer`` view into it -- no copy -- and keeps it alive, so a
+    decoder that writes into an array copies it first.
+    """
+    _, document, offset = _read_blob(data)
     arrays: Dict[str, np.ndarray] = {}
-    for name in document.get("arrays", []):
-        block_offset = body_offset + body.tell()
-        try:
-            arrays[name] = np.lib.format.read_array(body, allow_pickle=False)
-        except Exception as exc:  # numpy raises several internal types here
-            raise SerializationError(
-                f"corrupt array block {name!r} at offset {block_offset}: {exc}"
-            ) from exc
+    with memoryview(data).cast("B") as view:
+        for name in document.get("arrays", []):
+            arrays[name], offset = _read_npy_block(data, view, offset, name)
     return document.get("header", {}), arrays
+
+
+def _read_npy_block(data, view: memoryview, offset: int, name: str):
+    """The array of the ``.npy`` block at ``offset`` and the offset past it.
+
+    Only the header :func:`pack_blob` writes is read: ``.npy`` v1.0, a
+    dtype of :data:`_NPY_DTYPES`, C order, space padding and a closing
+    newline.  Anything else raises :class:`SerializationError` naming
+    the block and its offset.
+    """
+
+    def corrupt(problem: str) -> SerializationError:
+        return SerializationError(f"corrupt array block {name!r} at offset {offset}: {problem}")
+
+    start = offset + len(_NPY_MAGIC) + _NPY_HEADER_LENGTH.size
+    if start > len(view):
+        raise corrupt(f"truncated: {len(view) - offset} bytes cannot hold a .npy prefix")
+    if view[offset : offset + len(_NPY_MAGIC)] != _NPY_MAGIC:
+        raise corrupt(f"{bytes(view[offset : offset + len(_NPY_MAGIC)])!r} is not .npy v1.0")
+    (length,) = _NPY_HEADER_LENGTH.unpack_from(view, start - _NPY_HEADER_LENGTH.size)
+    if length > len(view) - start:
+        raise corrupt(f"truncated: a {length}-byte .npy header in {len(view) - start} bytes")
+    text = bytes(view[start : start + length])
+    header = _NPY_HEADER.fullmatch(text)
+    descr = header["descr"].decode("latin-1") if header else None
+    if descr not in _NPY_DTYPES:
+        raise corrupt(f".npy header {text!r} is not one pack_blob writes")
+    dtype = _NPY_DTYPES[descr]
+    shape = tuple(int(dim) for dim in header["shape"].split(b",") if dim)
+    count = math.prod(shape)
+    body = start + length
+    if count * dtype.itemsize > len(view) - body:
+        raise corrupt(
+            f"truncated: shape {shape} of {dtype} needs {count * dtype.itemsize} "
+            f"bytes, {len(view) - body} remain"
+        )
+    try:
+        array = np.frombuffer(data, dtype=dtype, count=count, offset=body).reshape(shape)
+    except ValueError as exc:  # e.g. a zero-size shape numpy cannot index
+        raise corrupt(str(exc)) from exc
+    array.flags.writeable = False  # a bytearray's views would write through
+    return array, body + count * dtype.itemsize
 
 
 # --------------------------------------------------------------------- #
@@ -309,40 +382,40 @@ def report_batch_header(data) -> dict:
     return _read_batch(data)[1]
 
 
-def unpack_report_batch(data) -> Tuple[dict, List[bytes]]:
+def unpack_report_batch(data) -> Tuple[dict, List[memoryview]]:
     """Inverse of :func:`pack_report_batch`: return ``(header, frames)``.
 
-    ``frames`` is the list of packed report byte strings, in batch order;
-    decode each with ``Report.from_bytes``.  Truncated frames, a frame
-    count that disagrees with the header, or trailing garbage after the
-    last frame all raise :class:`SerializationError` with the offending
-    byte offset.
+    ``frames`` holds one zero-copy ``memoryview`` of each packed report,
+    in batch order; decode each with ``Report.from_bytes``.  Truncated
+    frames, a frame count that disagrees with the header, or trailing
+    garbage after the last frame all raise :class:`SerializationError`
+    with the offending byte offset.
     """
     _, header, offset = _read_batch(data)
-    data = bytes(data)
+    view = memoryview(data).cast("B")
     count = header["count"]
-    frames: List[bytes] = []
+    frames: List[memoryview] = []
     for index in range(count):
-        if len(data) - offset < _LENGTH.size:
+        if len(view) - offset < _LENGTH.size:
             raise SerializationError(
                 f"truncated report batch at offset {offset}: need "
                 f"{_LENGTH.size} bytes for the length of frame "
-                f"{index}/{count}, have {len(data) - offset}"
+                f"{index}/{count}, have {len(view) - offset}"
             )
-        (frame_length,) = _LENGTH.unpack_from(data, offset)
+        (frame_length,) = _LENGTH.unpack_from(view, offset)
         offset += _LENGTH.size
-        if frame_length > len(data) - offset:
+        if frame_length > len(view) - offset:
             raise SerializationError(
                 f"truncated report batch at offset {offset}: frame "
                 f"{index}/{count} declares {frame_length} bytes but only "
-                f"{len(data) - offset} remain"
+                f"{len(view) - offset} remain"
             )
-        frames.append(data[offset : offset + frame_length])
+        frames.append(view[offset : offset + frame_length])
         offset += frame_length
-    if offset != len(data):
+    if offset != len(view):
         raise SerializationError(
             f"trailing garbage after frame {count - 1}/{count}: "
-            f"{len(data) - offset} unexpected bytes at offset {offset}"
+            f"{len(view) - offset} unexpected bytes at offset {offset}"
         )
     return header, frames
 

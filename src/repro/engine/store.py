@@ -32,7 +32,10 @@ checkpoint rewrote every epoch.  :class:`EpochStore` fixes both:
   replaced segment whose unlink never ran) is swept by
   :meth:`EpochStore.discard_orphans`, which ``Engine.checkpoint()``
   runs last -- never at open, since a reader may open the store while
-  its writer sits between a segment rename and the manifest save.
+  its writer sits between a segment rename and the manifest save.  The
+  first sweep of a store object lists the directory; later ones visit
+  only the names that object may have left unreferenced since, so a
+  checkpoint stays O(dirty).
 * **Query pushdown.**  A windowed query sums the mapped vectors of the
   selected segments elementwise -- exactly the accumulator merge,
   because integer addition is associative and commutative -- without
@@ -223,6 +226,12 @@ class EpochStore:
         # File names MANIFEST.json on disk references: never overwritten,
         # and unlinked only once a manifest without them is durable.
         self._durable: set = set()
+        # Names this object may have left on disk unreferenced: files
+        # written since the last manifest save, staging files and files
+        # whose unlink failed.  After the first (full) orphan sweep, the
+        # only names a sweep visits.
+        self._suspects: set = set()
+        self._swept = False
         self._kernels = resolve_backend()
         manifest_path = self.manifest_path
         if os.path.exists(manifest_path):
@@ -417,11 +426,13 @@ class EpochStore:
             os.replace(temp_path, self.manifest_path)
         finally:
             if os.path.exists(temp_path):  # pragma: no cover - crash cleanup
+                self._suspects.add(os.path.basename(temp_path))
                 os.unlink(temp_path)
         _fsync_directory(self.directory)
         self._manifest_dirty = False
         referenced = self._referenced_files()
         stale, self._durable = self._durable - referenced, referenced
+        self._suspects -= referenced
         for name in sorted(stale):
             self._discard_file(name)
 
@@ -450,8 +461,12 @@ class EpochStore:
             return
         try:
             os.unlink(os.path.join(self.directory, name))
-        except OSError:
+        except FileNotFoundError:
             pass
+        except OSError:
+            self._suspects.add(name)  # the next sweep retries it
+            return
+        self._suspects.discard(name)
 
     def discard_orphans(self) -> None:
         """Unlink every store file that no manifest references.
@@ -463,9 +478,19 @@ class EpochStore:
         Run it right after a manifest save (``Engine.checkpoint()`` does)
         and never at open: a reader may open the store while its writer
         sits between a segment rename and the manifest save.
+
+        The first call on a store object lists the whole directory, for
+        what earlier processes left; later calls visit only the names
+        this object may have left unreferenced since (files written but
+        not yet in a saved manifest, staging files, failed unlinks), so
+        their cost follows the checkpoint's writes, not the store's size.
         """
+        names = self._suspects if self._swept else os.listdir(self.directory)
+        self._suspects, self._swept = set(), True
+        if not names:  # the usual case once swept: nothing to look up
+            return
         keep = self._durable | self._referenced_files()
-        for name in sorted(os.listdir(self.directory)):
+        for name in sorted(names):
             if name not in keep and any(
                 fnmatch.fnmatchcase(name, pattern) for pattern in _STORE_FILE_PATTERNS
             ):
@@ -583,7 +608,9 @@ class EpochStore:
             os.replace(temp_path, path)
         finally:
             if os.path.exists(temp_path):  # pragma: no cover - crash cleanup
+                self._suspects.add(os.path.basename(temp_path))
                 os.unlink(temp_path)
+        self._suspects.add(name)  # unreferenced until a manifest names it
         return path
 
     def mark_dirty(self, epoch: int) -> None:

@@ -101,10 +101,11 @@ class OracleAccumulator(AccumulatorState):
 
     @classmethod
     def _decode(cls, header: dict, arrays: Dict[str, np.ndarray]) -> "OracleAccumulator":
+        # Decoded arrays are read-only views of the blob; merge adds in place.
         return cls(
             oracle_kind=header["oracle_kind"],
             config=header["config"],
-            vectors=arrays,
+            vectors={name: np.array(vector, dtype=np.int64) for name, vector in arrays.items()},
             n_reports=int(header["n_reports"]),
         )
 
@@ -417,11 +418,13 @@ def check_report_columns(name: str, n_users: int, **columns: np.ndarray) -> None
             )
 
 
-def check_report_range(name: str, column: str, values: np.ndarray, bound: int) -> None:
-    """Raise ``ValueError`` unless every entry of ``values`` lies in ``[0, bound)``."""
+def check_report_range(
+    name: str, column: str, values: np.ndarray, bound: int, low: int = 0
+) -> None:
+    """Raise ``ValueError`` unless every entry of ``values`` lies in ``[low, bound)``."""
     values = np.asarray(values)
-    if not np.all((values >= 0) & (values < bound)):
-        raise ValueError(f"{name} report {column} must lie in [0, {bound})")
+    if not np.all((values >= low) & (values < bound)):
+        raise ValueError(f"{name} report {column} must lie in [{low}, {bound})")
 
 
 def standard_oracle_variance(epsilon: float) -> float:

@@ -177,6 +177,10 @@ class OptimalLocalHashing(FrequencyOracle):
             offsets=reports.offsets, buckets=reports.buckets,
         )
         check_report_range(self.name, "buckets", reports.buckets, self._g)
+        # The hash family's own parameter ranges (_sample_hash_functions):
+        # the support kernel is exact on exactly this domain.
+        check_report_range(self.name, "multipliers", reports.multipliers, _HASH_PRIME, 1)
+        check_report_range(self.name, "offsets", reports.offsets, _HASH_PRIME)
 
     def accumulate(
         self,

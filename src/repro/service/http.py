@@ -186,8 +186,14 @@ def json_response(
     keep_alive: bool = True,
     extra_headers: Optional[Dict[str, str]] = None,
 ) -> bytes:
-    """Render a JSON document as a complete response."""
-    body = (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    """Render a JSON document as a complete response.
+
+    Compact separators keep ``json`` on its C encoder (``indent=`` falls
+    back to the pure-Python one, about twice as slow on a query answer).
+    """
+    body = (
+        json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    ).encode("utf-8")
     return render_response(
         status, body, keep_alive=keep_alive, extra_headers=extra_headers
     )

@@ -92,7 +92,8 @@ def shard_worker_main(conn: Connection, spec: dict) -> None:
             message = conn.recv_bytes()
         except (EOFError, OSError):
             break
-        opcode, payload = message[:1], message[1:]
+        # A view, not a slice: the reports decode straight out of message.
+        opcode, payload = message[:1], memoryview(message)[1:]
         if opcode == OP_INGEST:
             try:
                 _, frames = unpack_report_batch(payload)

@@ -14,6 +14,10 @@ Three layers of guarantees:
 * **Narrow unary sums** (always run): the numpy ``unary_sums`` int32
   accumulator for ``bool``/``uint8`` matrices equals an int64 sum, and
   wider integer inputs take the int64 fallback.
+* **Exact OLH support** (always run): the division-free numpy
+  ``olh_support`` equals a direct int64 count of
+  ``((a x + b) mod P) mod g == y`` over generated shapes, bucket counts,
+  chunks and the hash family's extreme parameters.
 * **numpy/numba equivalence** (skipped when numba is absent): a hypothesis
   sweep driving every kernel with generated populations across seeds,
   dtypes and chunk sizes, asserting bit-identical outputs, plus a rerun of
@@ -258,6 +262,75 @@ class TestNarrowUnarySums:
         reports = np.full((4, 3), entry, dtype=dtype)
         np.testing.assert_array_equal(
             reference.unary_sums(reports), np.full(3, 4 * entry, dtype=np.int64)
+        )
+
+
+def _direct_support(multipliers, offsets, buckets, domain_size, num_buckets):
+    """OLH support by definition: an int64 count of ``((a x + b) mod P) mod g == y``."""
+    items = np.arange(domain_size, dtype=np.int64)
+    hashes = (multipliers[:, None] * items + offsets[:, None]) % reference.HASH_PRIME
+    return np.count_nonzero(hashes % num_buckets == buckets[:, None], axis=0).astype(np.int64)
+
+
+class TestOlhSupportIsExact:
+    PRIME = reference.HASH_PRIME
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n=st.integers(min_value=0, max_value=400),
+        domain=st.integers(min_value=1, max_value=3000),
+        buckets=st.integers(min_value=2, max_value=2**16),
+        chunk=st.integers(min_value=1, max_value=5000),
+        multiplier=st.sampled_from([1, PRIME - 1]),
+        offset=st.sampled_from([0, PRIME - 1]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_direct_int64_count(
+        self, seed, n, domain, buckets, chunk, multiplier, offset
+    ):
+        rng = np.random.default_rng(seed)
+        multipliers = rng.integers(1, self.PRIME, size=n)
+        offsets = rng.integers(0, self.PRIME, size=n)
+        # Every third user takes the extreme parameters.
+        multipliers[::3], offsets[::3] = multiplier, offset
+        # Half the users report their item's true bucket, as honest OLH
+        # users mostly do, so matches are common even when g is large.
+        items = rng.integers(0, domain, size=n)
+        true = (multipliers * items + offsets) % self.PRIME % buckets
+        reported = np.where(rng.random(n) < 0.5, true, rng.integers(0, buckets, size=n))
+        support = reference.olh_support(multipliers, offsets, reported, domain, buckets, chunk)
+        assert support.dtype == np.int64
+        np.testing.assert_array_equal(
+            support, _direct_support(multipliers, offsets, reported, domain, buckets)
+        )
+
+    def test_more_than_255_hits_per_item_in_one_block(self):
+        # A small domain packs a thousand users into one block, past
+        # what a uint8 count holds.
+        rng = np.random.default_rng(5)
+        multipliers = rng.integers(1, self.PRIME, size=1000)
+        offsets = rng.integers(0, self.PRIME, size=1000)
+        reported = (multipliers * 3 + offsets) % self.PRIME % 2
+        support = reference.olh_support(multipliers, offsets, reported, 4, 2, 5000)
+        assert support[3] == 1000
+        np.testing.assert_array_equal(
+            support, _direct_support(multipliers, offsets, reported, 4, 2)
+        )
+
+    @pytest.mark.parametrize("buckets", [2, PRIME - 1, PRIME, 2**40])
+    def test_any_bucket_count_and_reported_bucket(self, buckets):
+        # g at or past P leaves the hash unreduced; reported buckets no
+        # hash can take match nothing, even those that wrap to a user's
+        # true bucket in 32 bits.
+        rng = np.random.default_rng(4)
+        multipliers = rng.integers(1, self.PRIME, size=300)
+        offsets = rng.integers(0, self.PRIME, size=300)
+        items = rng.integers(0, 700, size=300)
+        reported = (multipliers * items + offsets) % self.PRIME % buckets
+        reported[:3] = reported[0] - 2**32, self.PRIME, reported[2] + 2**32
+        np.testing.assert_array_equal(
+            reference.olh_support(multipliers, offsets, reported, 700, buckets, 64),
+            _direct_support(multipliers, offsets, reported, 700, buckets),
         )
 
 

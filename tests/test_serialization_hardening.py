@@ -11,6 +11,7 @@ every decode stage.
 import copy
 import functools
 import hashlib
+import io
 import json
 import operator
 import struct
@@ -18,6 +19,9 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro import FlatRangeQuery, HaarHRR, HierarchicalHistogram
 from repro.core.serialization import (
@@ -36,6 +40,7 @@ from repro.core.serialization import (
     scan_wal_segment,
     segment_pushdown_children,
     segment_state_bytes,
+    _NPY_DTYPES,
     unpack_blob,
     unpack_report_batch,
 )
@@ -212,6 +217,101 @@ class TestMalformedInput:
         for cut in sorted(boundaries):
             with pytest.raises(SerializationError):
                 AccumulatorState.from_bytes(server_blob[:cut])
+
+
+# --------------------------------------------------------------------- #
+# the strict .npy block reader
+# --------------------------------------------------------------------- #
+#: Arrays of every dtype ``pack_blob`` writes, in C order (the codecs'
+#: arrays all are: ``pack_blob`` writes ``np.ascontiguousarray`` views).
+PACKABLE_ARRAYS = hnp.arrays(
+    dtype=st.sampled_from(sorted(_NPY_DTYPES.values(), key=str)),
+    shape=hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=6),
+)
+
+
+def _npy_header(**fields) -> bytes:
+    """A ``.npy`` v1.0 header exactly as numpy's writer formats ``fields``."""
+    stream = io.BytesIO()
+    np.lib.format.write_array_header_1_0(stream, fields)
+    return stream.getvalue()
+
+
+def _raw_npy_header(text: bytes) -> bytes:
+    """A ``.npy`` v1.0 prefix around an arbitrary header text."""
+    return b"\x93NUMPY\x01\x00" + struct.pack("<H", len(text)) + text
+
+
+class TestStrictBlockReader:
+    """``unpack_blob`` reads only the ``.npy`` header ``pack_blob`` writes."""
+
+    @given(arrays=st.lists(PACKABLE_ARRAYS, max_size=3), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_round_trip_and_every_truncation(self, arrays, data):
+        named = {f"a{index}": array for index, array in enumerate(arrays)}
+        blob = pack_blob({"k": 1}, named)
+        header, decoded = unpack_blob(blob)
+        assert header == {"k": 1} and list(decoded) == list(named)
+        for name, array in named.items():
+            assert decoded[name].dtype == array.dtype
+            assert decoded[name].shape == array.shape
+            assert decoded[name].tobytes() == array.tobytes()  # NaN payloads too
+            assert not decoded[name].flags.writeable  # a view of blob
+        # Decoding a view of a larger buffer reads the same arrays.
+        _, from_view = unpack_blob(memoryview(b"xx" + blob)[2:])
+        assert all(from_view[name].tobytes() == named[name].tobytes() for name in named)
+        cut = data.draw(st.integers(min_value=0, max_value=len(blob) - 1), label="cut")
+        with pytest.raises(SerializationError, match="offset"):
+            unpack_blob(blob[:cut])
+
+    #: The header text pack_blob writes for a 3 x 2 int64 block, unpadded.
+    OWN_HEADER = b"{'descr': '<i8', 'fortran_order': False, 'shape': (3, 2), }"
+
+    # Headers of a 3 x 2 int64 block that pack_blob never writes.
+    FOREIGN_HEADERS = {
+        "fortran order": _npy_header(descr="<i8", fortran_order=True, shape=(3, 2)),
+        "big endian": _npy_header(descr=">i8", fortran_order=False, shape=(3, 2)),
+        "unicode": _npy_header(descr="<U2", fortran_order=False, shape=(3, 2)),
+        "complex": _npy_header(descr="<c8", fortran_order=False, shape=(3, 2)),
+        "void": _npy_header(descr="|V8", fortran_order=False, shape=(3, 2)),
+        "structured": _npy_header(descr=[("x", "<i8")], fortran_order=False, shape=(3, 2)),
+        "object": _npy_header(descr="|O", fortran_order=False, shape=(3, 2)),
+        "extra key": _npy_header(descr="<i8", extra=1, fortran_order=False, shape=(3, 2)),
+        "version 2.0": b"\x93NUMPY\x02\x00" + struct.pack("<I", 70)
+        + _npy_header(descr="<i8", fortran_order=False, shape=(3, 2))[10:],
+        "no magic": b"\x00" * 6 + _npy_header(descr="<i8", fortran_order=False, shape=(3, 2))[6:],
+        "no newline": _raw_npy_header(OWN_HEADER + b" "),
+        "tab padding": _raw_npy_header(OWN_HEADER + b"\t\n"),
+        "unspaced shape": _raw_npy_header(OWN_HEADER.replace(b"(3, 2)", b"(3,2)") + b"\n"),
+        "negative dim": _raw_npy_header(OWN_HEADER.replace(b"(3, 2)", b"(-3, 2)") + b"\n"),
+        "leading zero": _raw_npy_header(OWN_HEADER.replace(b"(3, 2)", b"(03, 2)") + b"\n"),
+        "numpy scalar dim": _raw_npy_header(
+            OWN_HEADER.replace(b"(3, 2)", b"(np.int64(3), 2)") + b"\n"
+        ),
+        "reordered keys": _raw_npy_header(
+            b"{'fortran_order': False, 'descr': '<i8', 'shape': (3, 2), }\n"
+        ),
+        "double quotes": _raw_npy_header(OWN_HEADER.replace(b"'", b'"') + b"\n"),
+        "short header length": _npy_header(descr="<i8", fortran_order=False, shape=(3, 2))[:8]
+        + struct.pack("<H", 9000),
+    }
+
+    @pytest.mark.parametrize("case", sorted(FOREIGN_HEADERS))
+    def test_a_foreign_header_is_refused_with_its_offset(self, case):
+        blob = pack_blob({"k": 1}, {"first": np.arange(3), "a": np.arange(6).reshape(3, 2)})
+        start = blob.rindex(b"\x93NUMPY")
+        data = np.arange(6, dtype="<i8").tobytes()
+        foreign = blob[:start] + self.FOREIGN_HEADERS[case] + data
+        with pytest.raises(SerializationError, match=f"corrupt array block 'a' at offset {start}"):
+            unpack_blob(foreign)
+        # The same block under the header pack_blob writes reads back.
+        own = blob[:start] + _npy_header(descr="<i8", fortran_order=False, shape=(3, 2)) + data
+        assert unpack_blob(own)[1]["a"].tolist() == [[0, 1], [2, 3], [4, 5]]
+
+    def test_a_dtype_the_reader_refuses_is_never_written(self):
+        for array in (np.array(["ab"]), np.arange(3, dtype=">i8"), np.zeros(2, np.complex128)):
+            with pytest.raises(SerializationError, match="cannot pack array 'x'"):
+                pack_blob({}, {"x": array})
 
 
 def _mutations(blob: bytes, rng: np.random.Generator, rounds: int):

@@ -320,6 +320,34 @@ class TestIncrementalCheckpoint:
             else:
                 assert on_disk == blob
 
+    def test_only_a_handles_first_checkpoint_lists_the_directory(self, tmp_path, monkeypatch):
+        engine = self._stored(tmp_path)
+        store_dir = engine.store.directory
+        # What a crash of an earlier process might leave behind.
+        strays = ["epoch-00000002.7.seg", "agg-L1-00000008.seg", "epoch-00000003.seg.tmp.1"]
+        for name in strays:
+            open(os.path.join(store_dir, name), "wb").close()
+        listdir, listings = os.listdir, []
+
+        def counting_listdir(path="."):
+            listings.append(os.path.abspath(path))
+            return listdir(path)
+
+        monkeypatch.setattr(os, "listdir", counting_listdir)
+        for epoch in (2, 4, 2, 7, 2):
+            engine.session(epoch=epoch).absorb(np.arange(16), rng=np.random.default_rng(epoch))
+            engine.checkpoint()
+            manifest = _manifest(store_dir)
+            named = {entry["file"] for entry in manifest["epochs"].values()}
+            named.update(entry["file"] for entry in manifest.get("aggregates", {}).values())
+            assert set(listdir(store_dir)) == named | {"MANIFEST.json"}
+        assert listings == [os.path.abspath(store_dir)]
+        # A fresh handle sweeps in full once more.
+        restored = Engine.restore(store_dir)
+        restored.checkpoint()
+        restored.checkpoint()
+        assert listings == [os.path.abspath(store_dir)] * 2
+
     def test_epoch_stats_reports_sizes_without_unsealing(self, tmp_path):
         engine = self._stored(tmp_path, n_epochs=3)
         stats = engine.epoch_stats()

@@ -30,6 +30,7 @@ from repro import (
     protocol_from_spec,
 )
 from repro.cli import main, write_items
+from repro.core.kernels.reference import HASH_PRIME
 from repro.core.protocol import RangeQueryEstimator
 from repro.core.serialization import pack_blob, pack_report_batch, unpack_blob
 from repro.core.session import LevelReport, Report, load_server_file
@@ -315,6 +316,29 @@ class TestIngestIsAtomic:
             lambda: FlatRangeQuery(64, 1.1, oracle="olh"),
             lambda payload: replace(payload, buckets=_first_set(payload.buckets, 10**6)),
             r"buckets must lie in \[0, ",
+        ),
+        # The hash family draws a in [1, P) and b in [0, P).
+        "olh-multiplier-zero": (
+            lambda: FlatRangeQuery(64, 1.1, oracle="olh"),
+            lambda payload: replace(payload, multipliers=_first_set(payload.multipliers, 0)),
+            r"multipliers must lie in \[1, 2147483647\)",
+        ),
+        "olh-multiplier-prime": (
+            lambda: FlatRangeQuery(64, 1.1, oracle="olh"),
+            lambda payload: replace(
+                payload, multipliers=_first_set(payload.multipliers, HASH_PRIME)
+            ),
+            r"multipliers must lie in \[1, 2147483647\)",
+        ),
+        "olh-offset-negative": (
+            lambda: FlatRangeQuery(64, 1.1, oracle="olh"),
+            lambda payload: replace(payload, offsets=_first_set(payload.offsets, -1)),
+            r"offsets must lie in \[0, 2147483647\)",
+        ),
+        "olh-offset-prime": (
+            lambda: FlatRangeQuery(64, 1.1, oracle="olh"),
+            lambda payload: replace(payload, offsets=_first_set(payload.offsets, HASH_PRIME)),
+            r"offsets must lie in \[0, 2147483647\)",
         ),
         "flat-hrr-value": (
             lambda: FlatRangeQuery(64, 1.1, oracle="hrr"),
