@@ -23,7 +23,7 @@ from repro.wavelet import HaarHRR
 DOMAIN = 1024
 # OLH decodes supports over the whole domain per report batch (O(N * D));
 # a smaller domain keeps its benchmark rounds short without changing what
-# the kernel backends have to prove.
+# the decode kernel has to prove.
 OLH_DOMAIN = 256
 N_USERS = 50_000
 EPSILON = 1.1
@@ -43,7 +43,6 @@ def _encoded_stream(protocol, items):
 
 def _bench_ingest(benchmark, protocol, items):
     reports = _encoded_stream(protocol, items)
-    backend = protocol.server().kernel_backend
 
     def ingest_all():
         return protocol.server().ingest(reports)
@@ -52,10 +51,9 @@ def _bench_ingest(benchmark, protocol, items):
     assert server.n_reports == N_USERS
     mean_seconds = benchmark.stats.stats.mean
     benchmark.extra_info["reports_per_sec"] = round(N_USERS / mean_seconds)
-    benchmark.extra_info["kernel_backend"] = backend
     print(
         f"\n    {protocol.name}: ingest {N_USERS / mean_seconds:,.0f} reports/sec "
-        f"({len(reports)} batches of {CLIENT_BATCH}, backend={backend})"
+        f"({len(reports)} batches of {CLIENT_BATCH})"
     )
 
 
@@ -63,7 +61,6 @@ def _bench_encode(benchmark, protocol, items):
     """Client-side privatization throughput, timed apart from ingest."""
     items = np.asarray(items)
     client = protocol.client()
-    backend = client.kernel_backend
 
     def encode_all():
         return client.encode_batches(items, CLIENT_BATCH, rng=np.random.default_rng(1))
@@ -72,10 +69,9 @@ def _bench_encode(benchmark, protocol, items):
     assert len(reports) == -(-len(items) // CLIENT_BATCH)
     mean_seconds = benchmark.stats.stats.mean
     benchmark.extra_info["encode_reports_per_sec"] = round(N_USERS / mean_seconds)
-    benchmark.extra_info["kernel_backend"] = backend
     print(
         f"\n    {protocol.name}: encode {N_USERS / mean_seconds:,.0f} reports/sec "
-        f"(batches of {CLIENT_BATCH}, backend={backend})"
+        f"(batches of {CLIENT_BATCH})"
     )
 
 

@@ -1,29 +1,22 @@
 #!/usr/bin/env python3
 """Distill the streaming benchmarks into a committed baseline document.
 
-Runs ``bench_streaming.py`` under pytest-benchmark in a subprocess (so the
-kernel backend can be pinned through ``REPRO_KERNEL_BACKEND`` without
-mutating this interpreter) and distills the raw benchmark JSON into the
-one benchmark shape ``benchmarks/gate.py`` checks, committed as
-``BENCH_streaming.json``:
+Runs ``bench_streaming.py`` under pytest-benchmark in a subprocess and
+distills the raw benchmark JSON into the one benchmark shape
+``benchmarks/gate.py`` checks, committed as ``BENCH_streaming.json``:
 
 * ``ingest.<protocol>``: server-side fold throughput (reports/sec);
 * ``encode.<protocol>``: client-side privatization throughput
   (reports/sec), timed apart from ingest;
-* ``merge_ms.<shards>``: shard-merge latency by shard count;
-* ``config.kernel_backend``: which backend produced the numbers -- the
-  committed baseline is always the ``numpy`` reference backend, and the CI
-  accel job re-runs with ``--backend numba`` to measure the JIT speedup on
-  the same machine.
+* ``merge_ms.<shards>``: shard-merge latency by shard count.
 
-Run with:  python benchmarks/streaming_baseline.py [--backend numpy|numba] --output RUN.json
+Run with:  python benchmarks/streaming_baseline.py --output RUN.json
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import platform
 import subprocess
 import sys
@@ -43,11 +36,8 @@ _PROTOCOL_KEYS = {
 }
 
 
-def run_benchmarks(backend: str | None, pytest_args: list[str]) -> dict:
+def run_benchmarks(pytest_args: list[str]) -> dict:
     """Run bench_streaming.py in a subprocess and return the raw JSON."""
-    env = dict(os.environ)
-    if backend is not None:
-        env["REPRO_KERNEL_BACKEND"] = backend
     with tempfile.TemporaryDirectory() as tmp:
         raw_path = Path(tmp) / "benchmark.json"
         command = [
@@ -61,7 +51,7 @@ def run_benchmarks(backend: str | None, pytest_args: list[str]) -> dict:
             "-q",
             *pytest_args,
         ]
-        completed = subprocess.run(command, env=env, cwd=REPO_ROOT)
+        completed = subprocess.run(command, cwd=REPO_ROOT)
         if completed.returncode != 0:
             raise SystemExit(f"benchmark run failed (exit {completed.returncode})")
         return json.loads(raw_path.read_text())
@@ -74,12 +64,9 @@ def _rate(reports_per_sec: float) -> dict:
 def distill(raw: dict) -> dict:
     """Reduce pytest-benchmark output to the one benchmark shape."""
     metrics: dict = {}
-    backends = set()
     for entry in raw.get("benchmarks", []):
         name = entry["name"]
         extra = entry.get("extra_info", {})
-        if "kernel_backend" in extra:
-            backends.add(extra["kernel_backend"])
         if name.startswith("test_bench_ingest_"):
             key = _PROTOCOL_KEYS[name[len("test_bench_ingest_"):]]
             metrics[f"ingest.{key}"] = _rate(extra["reports_per_sec"])
@@ -90,8 +77,6 @@ def distill(raw: dict) -> dict:
             metrics[f"merge_ms.{extra['n_shards']}"] = {
                 "value": entry["stats"]["mean"] * 1e3, "unit": "ms", "better": "lower",
             }
-    if len(backends) > 1:
-        raise SystemExit(f"benchmarks ran under mixed backends: {sorted(backends)}")
     import numpy
 
     from repro import __version__
@@ -102,18 +87,13 @@ def distill(raw: dict) -> dict:
         "version": __version__,
         "python": platform.python_version(),
         "numpy": numpy.__version__,
-        "config": {"kernel_backend": backends.pop() if backends else "numpy"},
+        "config": {},
         "metrics": metrics,
     }
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--backend",
-        default=None,
-        help="kernel backend to pin via REPRO_KERNEL_BACKEND (default: inherit)",
-    )
     parser.add_argument("--output", type=Path, required=True)
     parser.add_argument(
         "pytest_args",
@@ -121,11 +101,11 @@ def main() -> int:
         help="extra arguments forwarded to pytest (e.g. -k 'not merge')",
     )
     args = parser.parse_args()
-    document = distill(run_benchmarks(args.backend, args.pytest_args))
+    document = distill(run_benchmarks(args.pytest_args))
     args.output.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
     for name, metric in sorted(document["metrics"].items()):
         print(f"{name:<16} {metric['value']:>14,.3f} {metric['unit']}")
-    print(f"backend={document['config']['kernel_backend']}  wrote {args.output}")
+    print(f"wrote {args.output}")
     return 0
 
 

@@ -1,9 +1,7 @@
 """Packaging for the LDP range-query reproduction.
 
-The only hard runtime dependency is numpy.  The numba JIT kernel backend
-(:mod:`repro.core.kernels.numba_backend`) is deliberately an *extra*
-(``pip install .[accel]``): every code path falls back to the numpy
-reference kernels when numba is absent, so the base install stays light.
+The only runtime dependency is numpy: every compute kernel
+(:mod:`repro.core.kernels.reference`) is vectorised numpy.
 """
 
 import re
@@ -33,9 +31,6 @@ setup(
         "numpy>=1.22",
     ],
     extras_require={
-        # Opt-in JIT kernel backend; selected via REPRO_KERNEL_BACKEND=numba
-        # or kernel_backend="numba" -- never required for correctness.
-        "accel": ["numba>=0.57"],
         "test": ["pytest", "pytest-benchmark", "hypothesis"],
     },
     entry_points={

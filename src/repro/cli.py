@@ -1109,7 +1109,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        status = args.func(args)
+        # Flush here, so a reader that went away (``| head``) raises below
+        # and not in the interpreter's final flush.
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # Point stdout at devnull so that final flush cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

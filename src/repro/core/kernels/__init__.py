@@ -4,189 +4,32 @@ Every frequency oracle splits its work into two halves:
 
 * **randomness** -- the ``rng.random`` / ``rng.integers`` draws that make a
   report epsilon-LDP.  These always run through numpy's ``Generator`` so
-  that a given seed produces the same report stream no matter which
-  backend executes the arithmetic;
+  that a given seed produces the same report stream;
 * **deterministic arithmetic** -- hashing, bit perturbation, Hadamard
   entries, and the fused accumulation of reports into int64 sufficient
-  statistics.  That half is what this package abstracts: a small registry
-  of named kernels with interchangeable implementations.
+  statistics.  That half lives in :mod:`repro.core.kernels.reference`:
+  vectorised numpy functions over pre-drawn randomness.
 
-Two backends ship:
-
-* ``"numpy"`` -- the reference implementation, relocated verbatim from the
-  oracle modules (:mod:`repro.core.kernels.reference`).  Always available.
-* ``"numba"`` -- ``@njit(cache=True)`` compiled loops
-  (:mod:`repro.core.kernels.numba_backend`).  Optional: it is only
-  imported on demand, so numba stays an optional dependency
-  (``pip install repro[accel]``).
-
-Selection order: an explicit ``kernel_backend=`` argument on an oracle
-beats the ``REPRO_KERNEL_BACKEND`` environment variable, which beats the
-``"numpy"`` default.  An unknown name or an unavailable backend degrades
-to numpy with a :class:`KernelBackendWarning` instead of failing -- the
-backend is a pure execution knob.  For the same reason it is **never**
-serialized into protocol specs or accumulator configs: states written
-under one backend load and merge under any other, and both backends are
-pinned bit-identical on the integer paths (HRR's float debias path agrees
-to <= 1e-12) by the golden-config tests.
+Callers look a kernel up on that module when they call it
+(``kernels.olh_support(...)``), never import it by name, so a profiler
+that wraps the module's attributes sees every call.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
-from typing import Callable, Dict, List, Optional
+from types import ModuleType
 
+from repro.core.kernels import reference
 from repro.core.kernels.reference import multinomial_level_split
 
-#: Environment variable naming the default backend for new oracles.
-KERNEL_BACKEND_ENV = "REPRO_KERNEL_BACKEND"
 
-#: Backend used when nothing is requested (and the fallback target).
-DEFAULT_KERNEL_BACKEND = "numpy"
+def get_backend(name: str = "numpy") -> ModuleType:
+    """The numpy kernel module, :mod:`repro.core.kernels.reference`.
 
-
-class KernelBackendWarning(RuntimeWarning):
-    """A requested kernel backend could not be used; numpy took over."""
-
-
-class KernelBackendError(RuntimeError):
-    """A kernel backend is unknown or cannot be loaded."""
-
-
-class KernelBackend:
-    """One named implementation of the oracle compute kernels.
-
-    A backend is a bag of pure functions over pre-drawn randomness -- it
-    owns no state and no RNG, so two backends given the same inputs must
-    return identical outputs (the equivalence tests enforce this).  The
-    kernel signatures are documented on the reference implementations in
-    :mod:`repro.core.kernels.reference`.
+    ``name`` is kept for callers that ask for ``"numpy"`` by name; no
+    other implementation exists.
     """
-
-    #: The kernel names every backend must provide.
-    KERNEL_NAMES = (
-        "grr_perturb",
-        "olh_encode",
-        "olh_support",
-        "unary_perturb",
-        "unary_sums",
-        "hrr_encode",
-        "hrr_value_sums",
-        "categorical_counts",
-        "column_sums",
-    )
-
-    def __init__(self, name: str, kernels: Dict[str, Callable]) -> None:
-        self.name = str(name)
-        missing = [key for key in self.KERNEL_NAMES if key not in kernels]
-        if missing:
-            raise KernelBackendError(
-                f"backend {name!r} is missing kernels: {missing}"
-            )
-        for key in self.KERNEL_NAMES:
-            setattr(self, key, kernels[key])
-        # RNG-bound helpers are shared verbatim by every backend: they are
-        # dominated by the Generator draws, which must stay in numpy for
-        # seed-for-seed reproducibility.
-        self.multinomial_level_split = multinomial_level_split
-
-    def __repr__(self) -> str:  # pragma: no cover - trivial
-        return f"KernelBackend({self.name!r})"
+    return reference
 
 
-def _load_reference_backend() -> KernelBackend:
-    from repro.core.kernels import reference
-
-    return KernelBackend("numpy", reference.KERNELS)
-
-
-def _load_numba_backend() -> KernelBackend:
-    """Import (and thereby JIT-register) the numba kernels.
-
-    Raises ``ImportError`` when numba is not installed; kept as a
-    module-level hook so tests can simulate an absent numba without
-    uninstalling anything.
-    """
-    from repro.core.kernels import numba_backend
-
-    return KernelBackend("numba", numba_backend.KERNELS)
-
-
-_BACKEND_LOADERS: Dict[str, Callable[[], KernelBackend]] = {
-    "numpy": _load_reference_backend,
-    "numba": _load_numba_backend,
-}
-
-_BACKEND_CACHE: Dict[str, KernelBackend] = {}
-
-
-def available_backends() -> List[str]:
-    """Registered backend names (availability is only known on load)."""
-    return sorted(_BACKEND_LOADERS)
-
-
-def clear_backend_cache() -> None:
-    """Drop loaded backends (test hook for fallback simulation)."""
-    _BACKEND_CACHE.clear()
-
-
-def get_backend(name: str) -> KernelBackend:
-    """Load backend ``name``, raising :class:`KernelBackendError` on failure."""
-    key = str(name).strip().lower()
-    cached = _BACKEND_CACHE.get(key)
-    if cached is not None:
-        return cached
-    loader = _BACKEND_LOADERS.get(key)
-    if loader is None:
-        raise KernelBackendError(
-            f"unknown kernel backend {name!r}; available: {available_backends()}"
-        )
-    try:
-        backend = loader()
-    except ImportError as exc:
-        raise KernelBackendError(
-            f"kernel backend {key!r} is not available: {exc}"
-        ) from exc
-    _BACKEND_CACHE[key] = backend
-    return backend
-
-
-def resolve_backend(choice: Optional[object] = None) -> KernelBackend:
-    """Resolve the backend an oracle should compute with.
-
-    ``choice`` may be ``None`` (consult ``REPRO_KERNEL_BACKEND``, default
-    numpy), a backend name, or an already-resolved :class:`KernelBackend`
-    (returned unchanged, so oracles can share one instance).  Unknown or
-    unavailable backends fall back to numpy with a
-    :class:`KernelBackendWarning` -- a missing accelerator must never
-    change *whether* a protocol runs, only how fast.
-    """
-    if isinstance(choice, KernelBackend):
-        return choice
-    requested = choice if choice is not None else os.environ.get(KERNEL_BACKEND_ENV)
-    if requested is None or str(requested).strip() == "":
-        return get_backend(DEFAULT_KERNEL_BACKEND)
-    try:
-        return get_backend(str(requested))
-    except KernelBackendError as exc:
-        warnings.warn(
-            f"{exc}; falling back to the {DEFAULT_KERNEL_BACKEND!r} backend",
-            KernelBackendWarning,
-            stacklevel=2,
-        )
-        return get_backend(DEFAULT_KERNEL_BACKEND)
-
-
-__all__ = [
-    "DEFAULT_KERNEL_BACKEND",
-    "KERNEL_BACKEND_ENV",
-    "KernelBackend",
-    "KernelBackendError",
-    "KernelBackendWarning",
-    "available_backends",
-    "clear_backend_cache",
-    "get_backend",
-    "multinomial_level_split",
-    "resolve_backend",
-]
+__all__ = ["get_backend", "multinomial_level_split"]

@@ -1,19 +1,16 @@
-"""Reference (pure numpy) implementations of the oracle compute kernels.
+"""The numpy implementations of the oracle compute kernels.
 
-This module is the single source of truth for kernel *semantics*: every
-function here is the vectorised numpy code that previously lived inline in
-``repro.frequency_oracles``, so the numpy backend reproduces the
+Every function here is the vectorised numpy code that previously lived
+inline in ``repro.frequency_oracles``, so the oracles reproduce the
 pre-kernel outputs bit-for-bit.  All but ``olh_support`` were relocated
 verbatim; ``olh_support`` was rewritten division-free and is pinned to
-the direct int64 formula by an always-run hypothesis test.  Alternative
-backends (:mod:`repro.core.kernels.numba_backend`) must match these
-functions exactly on integer outputs and to <= 1e-12 on HRR's float path;
-``tests/test_kernels.py`` sweeps that equivalence with hypothesis.
+the direct int64 formula by an always-run hypothesis test in
+``tests/test_kernels.py``.
 
 All kernels are pure functions over **pre-drawn randomness**: the caller
 (the oracle) performs every ``rng`` draw in a fixed order and passes the
-results in, which is what keeps report streams seed-for-seed reproducible
-across backends.
+results in, which is what keeps report streams seed-for-seed
+reproducible.
 
 Kernel contracts
 ----------------
@@ -287,9 +284,8 @@ def multinomial_level_split(
     per-user level sampling: ``counts[v]`` users holding item ``v`` are
     distributed over ``len(probabilities)`` levels.
 
-    Unlike the other kernels this one *draws* randomness, so it is shared
-    verbatim by every backend: the Binomial sampling must stay in numpy
-    for seed-for-seed reproducibility.
+    Unlike the other kernels this one *draws* randomness: the Binomial
+    sampling must stay in numpy for seed-for-seed reproducibility.
     """
     num_levels = len(probabilities)
     remaining = counts.copy()
@@ -308,15 +304,3 @@ def multinomial_level_split(
         remaining_prob -= prob
     return per_level
 
-
-KERNELS = {
-    "grr_perturb": grr_perturb,
-    "olh_encode": olh_encode,
-    "olh_support": olh_support,
-    "unary_perturb": unary_perturb,
-    "unary_sums": unary_sums,
-    "hrr_encode": hrr_encode,
-    "hrr_value_sums": hrr_value_sums,
-    "categorical_counts": categorical_counts,
-    "column_sums": column_sums,
-}

@@ -550,15 +550,6 @@ class ProtocolClient(abc.ABC):
             for start in range(0, len(items), batch_size)
         ]
 
-    @property
-    def kernel_backend(self) -> str:
-        """Name of the kernel backend the client's oracles compute with."""
-        for oracle in getattr(self, "_oracles", {}).values():
-            backend = getattr(oracle, "kernel_backend", None)
-            if backend:
-                return str(backend)
-        return "numpy"
-
 
 class ProtocolServer(abc.ABC):
     """Incremental, mergeable aggregator of one range-query protocol.
@@ -602,20 +593,6 @@ class ProtocolServer(abc.ABC):
     def n_reports(self) -> int:
         """Total number of user reports ingested or merged so far."""
         return self._state.n_reports
-
-    @property
-    def kernel_backend(self) -> str:
-        """Name of the kernel backend the server's oracles compute with.
-
-        Purely an execution property -- it is never part of the protocol
-        spec or the accumulator state, so shards running different
-        backends merge freely.
-        """
-        for oracle in getattr(self, "_oracles", {}).values():
-            backend = getattr(oracle, "kernel_backend", None)
-            if backend:
-                return str(backend)
-        return "numpy"
 
     @abc.abstractmethod
     def _empty_state(self) -> CompositeAccumulator:

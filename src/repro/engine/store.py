@@ -76,7 +76,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.kernels import resolve_backend
+from repro.core.kernels import reference as kernels
 from repro.core.serialization import (
     SerializationError,
     pack_epoch_segment,
@@ -232,7 +232,6 @@ class EpochStore:
         # only names a sweep visits.
         self._suspects: set = set()
         self._swept = False
-        self._kernels = resolve_backend()
         manifest_path = self.manifest_path
         if os.path.exists(manifest_path):
             self._load_manifest(manifest_path)
@@ -921,7 +920,7 @@ class EpochStore:
         Plans the window as a cover of aggregate blocks plus leaf
         segments (:meth:`plan_window`), then sums the mapped int64
         sufficient-statistic vectors of every plan node elementwise with
-        the backend's blocked ``column_sums`` kernel -- bit-identical to
+        the blocked ``column_sums`` kernel -- bit-identical to
         merging the full accumulators, since integer addition is
         associative and commutative -- and rebuilds one
         :class:`~repro.core.session.CompositeAccumulator` from the
@@ -999,7 +998,7 @@ class EpochStore:
                         )
                     child_reports[index] += child["n_reports"]
             n_users += int(pushdown["n_users"])
-        column_sums = self._kernels.column_sums
+        column_sums = kernels.column_sums
         children_states: List[AccumulatorState] = []
         for index in range(len(views)):
             vectors = {

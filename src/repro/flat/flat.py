@@ -77,10 +77,6 @@ class FlatRangeQuery(DecomposedRangeQueryProtocol):
     oracle:
         Frequency-oracle handle (``"oue"`` by default, matching the paper's
         choice of flat baseline).
-    aggregation_chunk:
-        Optional chunk size for the OLH decoding loop (an execution knob
-        only; it never changes results and is not part of the protocol
-        spec).  Only valid with ``oracle="olh"``.
     postprocess:
         Post-processing pipeline applied to the debiased frequencies at
         assembly time: a registry string (``"none"``, ``"clip"``,
@@ -93,16 +89,10 @@ class FlatRangeQuery(DecomposedRangeQueryProtocol):
         domain_size: int,
         epsilon: float,
         oracle: str = "oue",
-        aggregation_chunk: Optional[int] = None,
         postprocess: PipelineLike = None,
     ) -> None:
         super().__init__(domain_size, epsilon)
         self._oracle_name = oracle.strip().lower()
-        if aggregation_chunk is not None and self._oracle_name != "olh":
-            raise ValueError(
-                "aggregation_chunk is only supported by the 'olh' oracle"
-            )
-        self._aggregation_chunk = aggregation_chunk
         # Validate eagerly so bad pipeline strings fail at construction.
         self._pipeline = resolve_postprocess(postprocess, FREQUENCIES)
         self._postprocess_arg = None if postprocess is None else self._pipeline.spec
@@ -119,10 +109,7 @@ class FlatRangeQuery(DecomposedRangeQueryProtocol):
         return self._postprocess_arg
 
     def _make_oracle(self):
-        kwargs = {}
-        if self._aggregation_chunk is not None:
-            kwargs["aggregation_chunk"] = self._aggregation_chunk
-        return make_oracle(self._oracle_name, self.domain_size, self.epsilon, **kwargs)
+        return make_oracle(self._oracle_name, self.domain_size, self.epsilon)
 
     def _build_decomposition(self) -> IdentityDecomposition:
         return IdentityDecomposition(

@@ -29,7 +29,6 @@ from typing import Any, Dict, List, Mapping, Optional
 
 import numpy as np
 
-from repro.core.kernels import KernelBackend, resolve_backend
 from repro.core.rng import RngLike, ensure_rng
 from repro.core.serialization import pack_blob
 from repro.core.session import AccumulatorState, register_state_decoder
@@ -203,19 +202,9 @@ class FrequencyOracle(abc.ABC):
     #: Registry/handle name, e.g. ``"oue"``; set by subclasses.
     name: str = "abstract"
 
-    def __init__(
-        self,
-        domain_size: int,
-        epsilon: float,
-        kernel_backend: Optional[object] = None,
-    ) -> None:
+    def __init__(self, domain_size: int, epsilon: float) -> None:
         self._domain = Domain(int(domain_size))
         self._privacy = PrivacyParams(float(epsilon))
-        # A pure execution knob (like OLH's aggregation_chunk): it selects
-        # who runs the deterministic arithmetic, never what it computes,
-        # so it is excluded from the accumulator compatibility config and
-        # from protocol specs.  None consults REPRO_KERNEL_BACKEND.
-        self._kernels = resolve_backend(kernel_backend)
 
     # ------------------------------------------------------------------ #
     # configuration accessors
@@ -239,16 +228,6 @@ class FrequencyOracle(abc.ABC):
     def epsilon(self) -> float:
         """The epsilon budget each report satisfies."""
         return self._privacy.epsilon
-
-    @property
-    def kernels(self) -> KernelBackend:
-        """The resolved compute-kernel backend (see :mod:`repro.core.kernels`)."""
-        return self._kernels
-
-    @property
-    def kernel_backend(self) -> str:
-        """Name of the active kernel backend (``"numpy"`` or ``"numba"``)."""
-        return self._kernels.name
 
     # ------------------------------------------------------------------ #
     # protocol steps

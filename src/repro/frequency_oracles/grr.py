@@ -14,6 +14,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.core.kernels import reference as kernels
 from repro.core.rng import RngLike, ensure_rng
 from repro.frequency_oracles.base import (
     FrequencyOracle,
@@ -37,13 +38,8 @@ class GeneralizedRandomizedResponse(FrequencyOracle):
 
     name = "grr"
 
-    def __init__(
-        self,
-        domain_size: int,
-        epsilon: float,
-        kernel_backend: Optional[object] = None,
-    ) -> None:
-        super().__init__(domain_size, epsilon, kernel_backend=kernel_backend)
+    def __init__(self, domain_size: int, epsilon: float) -> None:
+        super().__init__(domain_size, epsilon)
         if self.domain_size < 2:
             raise ValueError("GRR requires a domain of at least 2 items")
         e_eps = self.privacy.e_eps
@@ -68,7 +64,7 @@ class GeneralizedRandomizedResponse(FrequencyOracle):
         noise = rng.integers(0, self.domain_size - 1, size=n)
         # The kernel maps noise ~ U[0, D-1) to a uniformly random *other*
         # item by skipping over the true value, then applies the keep mask.
-        return self._kernels.grr_perturb(items, keep, noise)
+        return kernels.grr_perturb(items, keep, noise)
 
     def make_accumulator(self) -> OracleAccumulator:
         return OracleAccumulator(
@@ -88,7 +84,7 @@ class GeneralizedRandomizedResponse(FrequencyOracle):
         n_users: Optional[int] = None,
     ) -> OracleAccumulator:
         self._check_accumulator(accumulator)
-        counts = self._kernels.categorical_counts(reports, self.domain_size)
+        counts = kernels.categorical_counts(reports, self.domain_size)
         accumulator.vectors["report_counts"] += counts
         accumulator.add_reports(self._batch_size(reports, n_users))
         return accumulator
@@ -134,10 +130,8 @@ class BinaryRandomizedResponse(FrequencyOracle):
 
     name = "rr"
 
-    def __init__(
-        self, epsilon: float, kernel_backend: Optional[object] = None
-    ) -> None:
-        super().__init__(2, epsilon, kernel_backend=kernel_backend)
+    def __init__(self, epsilon: float) -> None:
+        super().__init__(2, epsilon)
         self._p = self.privacy.keep_probability
 
     @property
@@ -183,7 +177,7 @@ class BinaryRandomizedResponse(FrequencyOracle):
         n_users: Optional[int] = None,
     ) -> OracleAccumulator:
         self._check_accumulator(accumulator)
-        counts = self._kernels.categorical_counts(reports, 2)
+        counts = kernels.categorical_counts(reports, 2)
         accumulator.vectors["report_counts"] += counts
         accumulator.add_reports(self._batch_size(reports, n_users))
         return accumulator

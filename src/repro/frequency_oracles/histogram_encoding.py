@@ -25,6 +25,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.core.kernels import reference as kernels
 from repro.core.rng import RngLike, ensure_rng
 from repro.frequency_oracles.base import (
     ExactSumAccumulator,
@@ -45,13 +46,8 @@ class SummationHistogramEncoding(FrequencyOracle):
     name = "she"
     _unary_reports = True
 
-    def __init__(
-        self,
-        domain_size: int,
-        epsilon: float,
-        kernel_backend: Optional[object] = None,
-    ) -> None:
-        super().__init__(domain_size, epsilon, kernel_backend=kernel_backend)
+    def __init__(self, domain_size: int, epsilon: float) -> None:
+        super().__init__(domain_size, epsilon)
         self._scale = 2.0 / self.privacy.epsilon
 
     @property
@@ -124,9 +120,8 @@ class ThresholdHistogramEncoding(FrequencyOracle):
         domain_size: int,
         epsilon: float,
         threshold: Optional[float] = None,
-        kernel_backend: Optional[object] = None,
     ) -> None:
-        super().__init__(domain_size, epsilon, kernel_backend=kernel_backend)
+        super().__init__(domain_size, epsilon)
         self._scale = 2.0 / self.privacy.epsilon
         if threshold is None:
             # Wang et al. show the optimum lies in (0.5, 1); theta = 0.67 is
@@ -177,7 +172,7 @@ class ThresholdHistogramEncoding(FrequencyOracle):
         n_users: Optional[int] = None,
     ) -> OracleAccumulator:
         self._check_accumulator(accumulator)
-        accumulator.vectors["hit_sums"] += self._kernels.unary_sums(reports)
+        accumulator.vectors["hit_sums"] += kernels.unary_sums(reports)
         accumulator.add_reports(self._batch_size(reports, n_users))
         return accumulator
 

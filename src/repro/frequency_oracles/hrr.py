@@ -26,6 +26,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.core.kernels import reference as kernels
 from repro.core.rng import RngLike, ensure_rng
 from repro.frequency_oracles.base import (
     FrequencyOracle,
@@ -64,13 +65,8 @@ class HadamardRandomizedResponse(FrequencyOracle):
 
     name = "hrr"
 
-    def __init__(
-        self,
-        domain_size: int,
-        epsilon: float,
-        kernel_backend: Optional[object] = None,
-    ) -> None:
-        super().__init__(domain_size, epsilon, kernel_backend=kernel_backend)
+    def __init__(self, domain_size: int, epsilon: float) -> None:
+        super().__init__(domain_size, epsilon)
         self._padded = pad_to_power_of_two(self.domain_size)
         self._p = self.privacy.keep_probability
 
@@ -111,7 +107,7 @@ class HadamardRandomizedResponse(FrequencyOracle):
         keep = rng.random(n) < self._p
         # Fused Hadamard-entry evaluation + sign application + randomized
         # response flip; the two draws above are the only generator use.
-        reported = self._kernels.hrr_encode(items, signs, indices, keep)
+        reported = kernels.hrr_encode(items, signs, indices, keep)
         return HadamardReports(indices=indices, values=reported, padded_size=self._padded)
 
     # ------------------------------------------------------------------ #
@@ -157,7 +153,7 @@ class HadamardRandomizedResponse(FrequencyOracle):
         once, which keeps sharded aggregation exactly order-independent.
         """
         self._check_accumulator(accumulator)
-        accumulator.vectors["value_sums"] += self._kernels.hrr_value_sums(
+        accumulator.vectors["value_sums"] += kernels.hrr_value_sums(
             reports.indices, reports.values, self._padded
         )
         accumulator.add_reports(self._batch_size(reports, n_users))

@@ -23,6 +23,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.core.kernels import reference as kernels
 from repro.core.kernels.reference import HASH_PRIME
 from repro.core.rng import RngLike, ensure_rng
 from repro.frequency_oracles.base import (
@@ -36,6 +37,11 @@ from repro.frequency_oracles.base import (
 #: A Mersenne prime comfortably larger than any domain we hash from, small
 #: enough that ``a * x`` never overflows an int64 (a < 2^31, x < 2^31).
 _HASH_PRIME = HASH_PRIME
+
+#: Users decoded per block of the ``O(N D)`` support decode.  The kernel
+#: also holds a block to ``OLH_BLOCK_CELLS`` cells, so this binds only for
+#: domains below 16 items; the decoded counts never depend on it.
+AGGREGATION_CHUNK = 4096
 
 
 @dataclass
@@ -72,10 +78,8 @@ class OptimalLocalHashing(FrequencyOracle):
         domain_size: int,
         epsilon: float,
         num_buckets: Optional[int] = None,
-        aggregation_chunk: int = 4096,
-        kernel_backend: Optional[object] = None,
     ) -> None:
-        super().__init__(domain_size, epsilon, kernel_backend=kernel_backend)
+        super().__init__(domain_size, epsilon)
         if num_buckets is None:
             num_buckets = max(2, int(round(self.privacy.e_eps)) + 1)
         if num_buckets < 2:
@@ -83,26 +87,11 @@ class OptimalLocalHashing(FrequencyOracle):
         self._g = int(num_buckets)
         self._p = self.privacy.e_eps / (self.privacy.e_eps + self._g - 1)
         self._q = 1.0 / self._g
-        if int(aggregation_chunk) < 1:
-            raise ValueError(
-                f"aggregation_chunk must be >= 1, got {aggregation_chunk}"
-            )
-        self._chunk = int(aggregation_chunk)
 
     @property
     def num_buckets(self) -> int:
         """The hash range ``g``."""
         return self._g
-
-    @property
-    def aggregation_chunk(self) -> int:
-        """Users decoded per chunk in the ``O(N D)`` aggregation loop.
-
-        A pure execution knob (memory/speed trade-off): it never changes
-        the decoded support counts, so it is excluded from the accumulator
-        compatibility config and from protocol specs.
-        """
-        return self._chunk
 
     @property
     def keep_probability(self) -> float:
@@ -141,9 +130,9 @@ class OptimalLocalHashing(FrequencyOracle):
         keep = rng.random(n) < self._p
         noise = rng.integers(0, self._g - 1, size=n)
         # Fused hash + GRR perturbation over the g buckets; only the three
-        # rng draws above touch the generator, so every backend produces
-        # the same reports for the same seed.
-        reported = self._kernels.olh_encode(
+        # rng draws above touch the generator, so a seed fixes the
+        # reports.
+        reported = kernels.olh_encode(
             multipliers, offsets, items, self._g, keep, noise
         )
         return LocalHashReports(
@@ -189,17 +178,16 @@ class OptimalLocalHashing(FrequencyOracle):
         n_users: Optional[int] = None,
     ) -> OracleAccumulator:
         self._check_accumulator(accumulator)
-        # The O(N * D) decode runs in the resolved kernel backend (chunked
-        # numpy with a reused work buffer, or a fused compiled loop).  The
-        # decoded support counts are the (integer) sufficient statistic, so
-        # only O(D) state survives the batch.
-        support = self._kernels.olh_support(
+        # The O(N * D) decode runs in the division-free olh_support
+        # kernel.  The decoded support counts are the (integer) sufficient
+        # statistic, so only O(D) state survives the batch.
+        support = kernels.olh_support(
             np.ascontiguousarray(reports.multipliers, dtype=np.int64),
             np.ascontiguousarray(reports.offsets, dtype=np.int64),
             np.ascontiguousarray(reports.buckets, dtype=np.int64),
             self.domain_size,
             self._g,
-            self._chunk,
+            AGGREGATION_CHUNK,
         )
         accumulator.vectors["support"] += support
         accumulator.add_reports(self._batch_size(reports, n_users))

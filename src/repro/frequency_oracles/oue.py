@@ -27,6 +27,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.core.kernels import reference as kernels
 from repro.core.rng import RngLike, ensure_rng
 from repro.frequency_oracles.base import (
     FrequencyOracle,
@@ -42,13 +43,8 @@ class OptimizedUnaryEncoding(FrequencyOracle):
     _unary_reports = True
     _bit_reports = True
 
-    def __init__(
-        self,
-        domain_size: int,
-        epsilon: float,
-        kernel_backend: Optional[object] = None,
-    ) -> None:
-        super().__init__(domain_size, epsilon, kernel_backend=kernel_backend)
+    def __init__(self, domain_size: int, epsilon: float) -> None:
+        super().__init__(domain_size, epsilon)
         # Probability that a true 1-bit is reported as 1.
         self._p_one = 0.5
         # Probability that a true 0-bit is reported as 1.
@@ -74,11 +70,11 @@ class OptimizedUnaryEncoding(FrequencyOracle):
         n = len(items)
         # The two draws below are the only generator activity; the bit
         # perturbation itself (zero-bit thresholding plus resampling each
-        # user's true bit) runs in the kernel backend, whose 0/1 uint8
-        # matrix is viewed as bool (zero-copy) so it travels as bits.
+        # user's true bit) runs in the unary_perturb kernel, whose 0/1
+        # uint8 matrix is viewed as bool (zero-copy) so it travels as bits.
         uniforms = rng.random((n, self.domain_size))
         true_uniforms = rng.random(n)
-        return self._kernels.unary_perturb(
+        return kernels.unary_perturb(
             uniforms, self._p_zero, items, true_uniforms, self._p_one
         ).view(np.bool_)
 
@@ -96,7 +92,7 @@ class OptimizedUnaryEncoding(FrequencyOracle):
         n_users: Optional[int] = None,
     ) -> OracleAccumulator:
         self._check_accumulator(accumulator)
-        accumulator.vectors["bit_sums"] += self._kernels.unary_sums(reports)
+        accumulator.vectors["bit_sums"] += kernels.unary_sums(reports)
         accumulator.add_reports(self._batch_size(reports, n_users))
         return accumulator
 

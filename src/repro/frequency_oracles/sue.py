@@ -21,6 +21,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.core.kernels import reference as kernels
 from repro.core.rng import RngLike, ensure_rng
 from repro.frequency_oracles.base import (
     FrequencyOracle,
@@ -35,13 +36,8 @@ class SymmetricUnaryEncoding(FrequencyOracle):
     _unary_reports = True
     _bit_reports = True
 
-    def __init__(
-        self,
-        domain_size: int,
-        epsilon: float,
-        kernel_backend: Optional[object] = None,
-    ) -> None:
-        super().__init__(domain_size, epsilon, kernel_backend=kernel_backend)
+    def __init__(self, domain_size: int, epsilon: float) -> None:
+        super().__init__(domain_size, epsilon)
         # Each bit individually gets half the budget (two bits can change
         # between neighbouring inputs), giving the e^{eps/2} form.
         half = math.exp(self.privacy.epsilon / 2.0)
@@ -62,7 +58,7 @@ class SymmetricUnaryEncoding(FrequencyOracle):
         n = len(items)
         uniforms = rng.random((n, self.domain_size))
         true_uniforms = rng.random(n)
-        return self._kernels.unary_perturb(
+        return kernels.unary_perturb(
             uniforms, self._q, items, true_uniforms, self._p
         ).view(np.bool_)
 
@@ -80,7 +76,7 @@ class SymmetricUnaryEncoding(FrequencyOracle):
         n_users: Optional[int] = None,
     ) -> OracleAccumulator:
         self._check_accumulator(accumulator)
-        accumulator.vectors["bit_sums"] += self._kernels.unary_sums(reports)
+        accumulator.vectors["bit_sums"] += kernels.unary_sums(reports)
         accumulator.add_reports(self._batch_size(reports, n_users))
         return accumulator
 

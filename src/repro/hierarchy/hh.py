@@ -260,10 +260,6 @@ class HierarchicalHistogram(DecomposedRangeQueryProtocol):
     level_probabilities:
         Optional non-uniform level sampling distribution over the ``h``
         non-root levels.  Defaults to uniform, the optimum from Lemma 4.4.
-    aggregation_chunk:
-        Optional chunk size for the OLH decoding loop (an execution knob
-        only; it never changes results and is not part of the protocol
-        spec).  Only valid with ``oracle="olh"``.
     postprocess:
         Explicit post-processing pipeline applied to the per-level
         estimates at assembly time -- a registry string (``"none"``,
@@ -283,7 +279,6 @@ class HierarchicalHistogram(DecomposedRangeQueryProtocol):
         consistency: bool = True,
         level_strategy: str = "sample",
         level_probabilities: Optional[Sequence[float]] = None,
-        aggregation_chunk: Optional[int] = None,
         postprocess: PipelineLike = None,
     ) -> None:
         super().__init__(domain_size, epsilon)
@@ -293,11 +288,6 @@ class HierarchicalHistogram(DecomposedRangeQueryProtocol):
             )
         self._tree = DomainTree(self.domain_size, branching)
         self._oracle_name = oracle.strip().lower()
-        if aggregation_chunk is not None and self._oracle_name != "olh":
-            raise ValueError(
-                "aggregation_chunk is only supported by the 'olh' oracle"
-            )
-        self._aggregation_chunk = aggregation_chunk
         # Validate eagerly so bad pipeline strings fail at construction.
         # An explicit pipeline overrides the consistency boolean; the
         # reported flag (and the "CI" name suffix, and the variance bound)
@@ -393,11 +383,8 @@ class HierarchicalHistogram(DecomposedRangeQueryProtocol):
         return self.epsilon
 
     def _make_level_oracle(self, level: int):
-        kwargs = {}
-        if self._aggregation_chunk is not None:
-            kwargs["aggregation_chunk"] = self._aggregation_chunk
         return make_oracle(
-            self._oracle_name, self._tree.level_size(level), self._level_epsilon(), **kwargs
+            self._oracle_name, self._tree.level_size(level), self._level_epsilon()
         )
 
     # ------------------------------------------------------------------ #

@@ -93,7 +93,6 @@ from repro.core.session import AccumulatorState, spec_sans_postprocess
 from repro.engine import Engine, parse_window
 from repro.queries.frontend import answer_queries
 from repro.service.http import (
-    DEFAULT_MAX_BODY,
     MAX_HEADER_BYTES,
     HttpError,
     HttpRequest,
@@ -131,15 +130,12 @@ class AggregationService:
         host: str = "127.0.0.1",
         port: int = 0,
         store_dir: Optional[str] = None,
-        max_body: int = DEFAULT_MAX_BODY,
-        start_method: str = "spawn",
         wal_dir: Optional[str] = None,
         wal_sync: bool = False,
         max_inflight: int = 64,
         request_timeout: Optional[float] = 30.0,
         supervise_interval: Optional[float] = 0.25,
         restart_backoff_s: float = 0.1,
-        restart_backoff_max_s: float = 5.0,
     ) -> None:
         if not isinstance(engine, Engine):
             engine = Engine.open(engine)
@@ -156,14 +152,11 @@ class AggregationService:
         self._spec = engine.spec()
         self._host = host
         self._requested_port = int(port)
-        self._max_body = int(max_body)
         self._pool = WorkerPool(
             self._spec,
             num_workers=num_workers,
-            start_method=start_method,
             max_inflight=max_inflight,
             restart_backoff_s=restart_backoff_s,
-            restart_backoff_max_s=restart_backoff_max_s,
         )
         self._wal = IngestWAL(wal_dir, sync=wal_sync) if wal_dir else None
         self._wal_lock = asyncio.Lock()
@@ -594,7 +587,7 @@ class AggregationService:
             while True:
                 try:
                     request = await asyncio.wait_for(
-                        read_request(reader, max_body=self._max_body),
+                        read_request(reader),
                         timeout=self._request_timeout,
                     )
                 except asyncio.TimeoutError:
@@ -913,8 +906,8 @@ class AggregationService:
     async def _handle_query(self, request: HttpRequest) -> bytes:
         # The windowed merge, finalize and answers run in the executor,
         # off the event loop: wide windows gather mmap'd segment vectors
-        # through the blocked column_sums kernel (nogil under the numba
-        # backend), so query pushdown overlaps ingest instead of stalling it.
+        # through the blocked column_sums kernel, so query pushdown does
+        # not block the event loop.
         params = request.params
         engine = self._engine
         postprocess = params.get("postprocess")

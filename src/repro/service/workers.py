@@ -71,6 +71,10 @@ OP_STATS = b"S"
 #: Opcode: acknowledge and exit.
 OP_QUIT = b"Q"
 
+#: Seconds a worker that keeps dying waits, at most, before its respawn:
+#: the backoff doubles from ``restart_backoff_s`` up to this bound.
+RESTART_BACKOFF_MAX_S = 5.0
+
 
 def shard_worker_main(conn: Connection, spec: dict) -> None:
     """Entry point of one shard worker process.
@@ -113,7 +117,6 @@ def shard_worker_main(conn: Connection, spec: dict) -> None:
                 "batches": batches,
                 "errors": errors,
                 "last_error": last_error,
-                "kernel_backend": getattr(server, "kernel_backend", "numpy"),
             }
             conn.send_bytes(OP_STATS + json.dumps(document).encode("utf-8"))
         elif opcode == OP_QUIT:
@@ -273,10 +276,8 @@ class WorkerPool:
         self,
         spec: dict,
         num_workers: int = 2,
-        start_method: str = "spawn",
         max_inflight: int = 64,
         restart_backoff_s: float = 0.1,
-        restart_backoff_max_s: float = 5.0,
     ) -> None:
         if int(num_workers) < 1:
             raise ValueError(f"need at least 1 worker, got {num_workers}")
@@ -284,10 +285,8 @@ class WorkerPool:
             raise ValueError(f"max_inflight must be >= 1, got {max_inflight}")
         self._spec = dict(spec)
         self._num_workers = int(num_workers)
-        self._start_method = start_method
         self._max_inflight = int(max_inflight)
         self._backoff_base = float(restart_backoff_s)
-        self._backoff_max = float(restart_backoff_max_s)
         self._workers: List[ShardWorker] = []
         self._next = 0
         self._restart_count = 0
@@ -315,7 +314,7 @@ class WorkerPool:
         return self._max_inflight
 
     def _spawn(self, index: int) -> ShardWorker:
-        context = multiprocessing.get_context(self._start_method)
+        context = multiprocessing.get_context("spawn")
         parent_conn, child_conn = context.Pipe(duplex=True)
         process = context.Process(
             target=shard_worker_main,
@@ -382,13 +381,6 @@ class WorkerPool:
         await worker.ingest(batch_blob)
         return worker.index
 
-    async def ingest(self, batch_blob: bytes) -> int:
-        """Forward one framed batch to the next alive worker.
-
-        Returns the worker index the batch landed on.
-        """
-        return await self.ingest_on(self.pick_worker(), batch_blob)
-
     # ------------------------------------------------------------------ #
     # supervision
     # ------------------------------------------------------------------ #
@@ -407,7 +399,7 @@ class WorkerPool:
         self._restart_count += 1
         streak = self._restart_streak.get(index, 0) + 1
         self._restart_streak[index] = streak
-        delay = min(self._backoff_max, self._backoff_base * (2 ** (streak - 1)))
+        delay = min(RESTART_BACKOFF_MAX_S, self._backoff_base * (2 ** (streak - 1)))
         self._backoff_until[index] = time.monotonic() + delay
         return replacement
 
@@ -462,19 +454,6 @@ class WorkerPool:
             else:
                 states[index] = result
         return states, failures
-
-    async def close_epoch(self) -> List[bytes]:
-        """Drain every worker's epoch; one packed shard state each.
-
-        The simple all-healthy path: any worker failure raises.  The
-        gateway uses :meth:`close_workers` instead so it can repair and
-        retry per shard.
-        """
-        self._require_started()
-        states, failures = await self.close_workers(range(len(self._workers)))
-        if failures:
-            raise next(iter(failures.values()))
-        return [states[index] for index in range(len(self._workers))]
 
     async def stats(self) -> List[dict]:
         self._require_started()

@@ -345,6 +345,41 @@ class TestStdinStdoutPipes:
         with pytest.raises(SystemExit, match="could not load"):
             main(["aggregate", "--reports", "-", "--output", "x.state"])
 
+    @pytest.mark.parametrize("unbuffered", [True, False])
+    def test_a_closed_stdout_pipe_exits_quietly(self, tmp_path, unbuffered):
+        # stdout is a pipe whose reader has already gone, as under
+        # ``| head`` once head exits: exit 1 with no traceback, whether
+        # the write fails in print or in the final flush.
+        import os
+        import pathlib
+        import shutil
+        import subprocess
+        import sys as _sys
+
+        tests = pathlib.Path(__file__).resolve().parent
+        store = tmp_path / "hh"
+        shutil.copytree(tests / "data" / "store_1_11_0" / "hh", store)
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(tests.parent / "src"), env.get("PYTHONPATH")])
+        )
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                [_sys.executable, "-m", "repro.cli", "engine", "query",
+                 "--store-dir", str(store), "--window", "all", "--ranges", "0:7"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, text=True,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert result.returncode == 1
+        assert "Traceback" not in result.stderr, result.stderr
+        assert "BrokenPipeError" not in result.stderr, result.stderr
+
 
 class _FakeStdin:
     """A stand-in for ``sys.stdin`` exposing only the binary ``buffer``."""

@@ -5,7 +5,6 @@ turned into an error, so a module that warns on import fails here, and so
 does a stale ``__all__`` entry (it breaks ``from module import *``).
 """
 
-import importlib.util
 import json
 import os
 import pathlib
@@ -15,17 +14,15 @@ import sys
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 _PROBE = """
-import importlib, json, pkgutil, sys, warnings
+import importlib, json, pkgutil, warnings
 
 warnings.simplefilter("error", DeprecationWarning)
 import repro
 
-skip = set(sys.argv[1:])
-modules, problems = ["repro"], []
-for info in pkgutil.walk_packages(repro.__path__, "repro."):
-    if info.name.rsplit(".", 1)[-1] in skip:
-        continue
-    modules.append(info.name)
+modules = ["repro"] + [
+    info.name for info in pkgutil.walk_packages(repro.__path__, "repro.")
+]
+problems = []
 for name in modules:
     try:
         module = importlib.import_module(name)
@@ -42,11 +39,10 @@ print(json.dumps({"modules": modules, "problems": problems}))
 
 
 def test_every_module_imports_and_resolves_its_exports():
-    skip = [] if importlib.util.find_spec("numba") else ["numba_backend"]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, "-c", _PROBE, *skip],
+        [sys.executable, "-c", _PROBE],
         env=env,
         capture_output=True,
         text=True,
@@ -56,4 +52,3 @@ def test_every_module_imports_and_resolves_its_exports():
     surface = json.loads(result.stdout)
     assert surface["problems"] == []
     assert "repro.queries.workload" in surface["modules"]
-    assert ("repro.core.kernels.numba_backend" in surface["modules"]) == (not skip)

@@ -150,6 +150,13 @@ class TestReportBatchCodec:
             pack_report_batch(SPEC, [object()])
 
 
+async def drain_every_worker(pool):
+    """Every worker's packed shard state, in worker order, as /close drains them."""
+    states, failures = await pool.close_workers(range(len(pool)))
+    assert failures == {}
+    return [states[index] for index in range(len(pool))]
+
+
 class TestWorkerPool:
     def test_sharded_ingest_is_bit_identical_to_single_process(self):
         import asyncio
@@ -161,9 +168,9 @@ class TestWorkerPool:
             pool = WorkerPool(protocol.spec(), num_workers=3).start()
             try:
                 for blob in blobs:
-                    await pool.ingest(blob)
+                    await pool.ingest_on(pool.pick_worker(), blob)
                 stats = await pool.stats()
-                states = await pool.close_epoch()
+                states = await drain_every_worker(pool)
             finally:
                 await pool.shutdown(graceful=True)
             return stats, states
@@ -225,9 +232,9 @@ class TestWorkerPool:
             try:
                 before = await pool.stats()
                 for batch in batches:
-                    await pool.ingest(batch)
+                    await pool.ingest_on(pool.pick_worker(), batch)
                 stats = await pool.stats()
-                states = await pool.close_epoch()
+                states = await drain_every_worker(pool)
             finally:
                 await pool.shutdown(graceful=True)
             return before, stats, states
@@ -1085,7 +1092,7 @@ class TestFaultTolerance:
         async def run():
             pool = WorkerPool(SPEC, num_workers=2, restart_backoff_s=0.01).start()
             try:
-                await pool.ingest(blobs[0])
+                await pool.ingest_on(pool.pick_worker(), blobs[0])
                 kill_worker(pool, 0)
                 assert pool.dead_indices() == [0]
                 respawned = await pool.ensure_alive(force=True)

@@ -15,11 +15,9 @@ under test:
   segments; SHE (a packed state, no int vectors) never builds
   aggregates; a corrupt aggregate is discarded and the window replanned
   from leaves.
-* **column_sums**: the blocked summation kernel is exact under every
-  backend.
+* **column_sums**: the blocked summation kernel is exact.
 """
 
-import importlib.util
 import os
 
 import numpy as np
@@ -41,10 +39,6 @@ from repro.engine import (
     plan_cover,
     plan_epochs,
 )
-
-HAVE_NUMBA = importlib.util.find_spec("numba") is not None
-needs_numba = pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-
 
 def _sealed_engine(tmp_path, n_epochs, protocol_factory=None, users=48):
     """``n_epochs`` epochs sealed into a store, or kept in RAM (``tmp_path=None``)."""
@@ -295,19 +289,16 @@ class TestColumnSums:
         zero = column_sums([], out=np.full(3, 9, dtype=np.int64))
         assert np.array_equal(zero, [0, 0, 0])
 
-    @needs_numba
-    @settings(max_examples=30, deadline=None)
-    @given(
-        n=st.integers(min_value=1, max_value=5000),
-        k=st.integers(min_value=1, max_value=6),
-        seed=st.integers(min_value=0, max_value=2**16),
-    )
-    def test_numba_matches_reference(self, n, k, seed):
-        rng = np.random.default_rng(seed)
-        vectors = [
-            rng.integers(-(2**40), 2**40, size=n, dtype=np.int64)
-            for _ in range(k)
-        ]
-        reference = get_backend("numpy").column_sums(vectors)
-        accelerated = get_backend("numba").column_sums(vectors)
-        assert np.array_equal(accelerated, reference)
+    def test_pushdown_calls_the_module_attribute(self, tmp_path, monkeypatch):
+        # Looked up on the kernel module per window, so a wrapper around
+        # the module attribute (perfbench's tracer) sees every gather.
+        store = _sealed_engine(tmp_path, 2).store
+        calls = []
+
+        def counted(vectors, out=None):
+            calls.append(len(vectors))
+            return column_sums(vectors, out)
+
+        monkeypatch.setattr(get_backend("numpy"), "column_sums", counted)
+        store.pushdown_state([0, 1], use_aggregates=False)
+        assert calls and set(calls) == {2}
