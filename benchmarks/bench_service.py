@@ -6,8 +6,8 @@ ingest hot loop across worker processes; this script quantifies the
 deployment-facing numbers the engine benchmark cannot see:
 
 * **sustained ingest throughput** -- reports/second through the full
-  HTTP gateway -> worker -> epoch-close path, measured by the in-tree
-  load generator over keep-alive connections;
+  HTTP gateway -> worker -> epoch-close path, posted over keep-alive
+  connections by perfbench's HTTP client (``perfbench/client.py``);
 * **ingest latency** -- client-observed p50/p99/max per ``POST /ingest``
   round trip;
 * **recovery time** -- wall clock from "epoch store on disk" to "service
@@ -34,23 +34,32 @@ Run with:  python benchmarks/bench_service.py [--preset smoke|default] --output 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import platform
+import sys
 import tempfile
+import threading
 import time
+from dataclasses import dataclass
 from pathlib import Path
+from typing import List, Optional
 
 import numpy as np
 
-from repro import __version__
-from repro.service import (
+# perfbench/ sits at the repository root, beside benchmarks/.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+
+from perfbench.client import CallLog, Connection  # noqa: E402
+from repro import __version__  # noqa: E402
+from repro.service import (  # noqa: E402
     AggregationService,
     ServiceThread,
     generate_batches,
     ingest_batches_single_process,
     request_json,
-    run_loadgen,
 )
+from repro.service.loadgen import percentile  # noqa: E402
 
 PRESETS = {
     "smoke": {
@@ -74,6 +83,72 @@ PRESETS = {
 }
 
 SPEC_BASE = {"name": "hh", "epsilon": 1.1, "branching": 4}
+
+
+@dataclass
+class EpochRun:
+    """One epoch's batches posted (and by default closed) against a gateway."""
+
+    n_users: int
+    elapsed_s: float
+    latencies_ms: List[float]
+    closed_epoch: Optional[int]
+
+    @property
+    def reports_per_s(self) -> float:
+        return self.n_users / self.elapsed_s
+
+
+def post_epoch(
+    port: int, blobs: List[bytes], n_users: int, concurrency: int, key: str,
+    close: bool = True,
+) -> EpochRun:
+    """POST every batch from ``concurrency`` keep-alive connections.
+
+    Batches come off one shared cursor, batch ``i`` under the idempotency
+    key ``{key}:{i}``.  With ``close`` the run ends with ``POST /close``,
+    inside the clock: a report is not ingested until its epoch is
+    queryable.  Any answer but 200 fails the run; nothing is retried.
+    """
+    log = CallLog()
+    connections = [
+        Connection(port, log) for _ in range(min(concurrency, len(blobs)))
+    ]
+    cursor = itertools.count()
+
+    def pump(connection: Connection) -> None:
+        while (index := next(cursor)) < len(blobs):
+            connection.request(
+                "ingest", "POST", "/ingest", blobs[index],
+                headers={"Idempotency-Key": f"{key}:{index}"},
+            )
+
+    started = time.perf_counter()
+    threads = [
+        threading.Thread(target=pump, args=(connection,))
+        for connection in connections
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    closed_epoch = None
+    if close:
+        reply = connections[0].request("close", "POST", "/close", keep_body=True)
+        if reply.ok:
+            closed_epoch = json.loads(reply.body)["epoch"]
+    elapsed = time.perf_counter() - started
+    for connection in connections:
+        connection.close()
+    failed = [call for call in log.calls if not call.ok]
+    assert not failed, (
+        f"{len(failed)} of {len(log.calls)} requests failed; first: "
+        f"{failed[0].kind} -> {failed[0].status} {failed[0].body[:200]!r}"
+    )
+    return EpochRun(
+        n_users, elapsed, [call.latency_ms for call in log.of_kind("ingest")],
+        closed_epoch,
+    )
 
 
 def run(preset: str, output: Path) -> dict:
@@ -109,19 +184,16 @@ def run(preset: str, output: Path) -> dict:
         # through its import + first pipe receive before the clock starts
         request_json(url + "/stats")
         for epoch, blobs in enumerate(epoch_blobs):
-            result = run_loadgen(
-                url,
-                blobs,
-                n_users=users_per_epoch,
-                concurrency=config["concurrency"],
+            result = post_epoch(
+                handle.port, blobs, users_per_epoch, config["concurrency"],
+                key=f"ingest{epoch}",
             )
-            assert result.errors == 0, f"epoch {epoch}: {result.errors} errors"
             assert result.closed_epoch == epoch
             epoch_results.append(result)
             print(
                 f"  epoch {epoch}: {result.reports_per_s:12,.0f} reports/sec, "
-                f"p99 {result.latency_p99_ms:6.2f} ms "
-                f"({result.batches} batches x {config['batch_size']:,})"
+                f"p99 {percentile(result.latencies_ms, 99.0):6.2f} ms "
+                f"({len(blobs)} batches x {config['batch_size']:,})"
             )
         service_frequencies = request_json(url + "/query?frequencies=1&window=0")[
             "frequencies"
@@ -163,20 +235,14 @@ def run(preset: str, output: Path) -> dict:
     )
     with ServiceThread(wal_service) as handle:
         request_json(handle.url + "/stats")
-        warmup = run_loadgen(
-            handle.url,
-            epoch_blobs[0],
-            n_users=users_per_epoch,
-            concurrency=config["concurrency"],
+        post_epoch(
+            handle.port, epoch_blobs[0], users_per_epoch, config["concurrency"],
+            key="wal-warmup",
         )
-        assert warmup.errors == 0
-        wal_result = run_loadgen(
-            handle.url,
-            epoch_blobs[1],
-            n_users=users_per_epoch,
-            concurrency=config["concurrency"],
+        wal_result = post_epoch(
+            handle.port, epoch_blobs[1], users_per_epoch, config["concurrency"],
+            key="wal",
         )
-        assert wal_result.errors == 0
         wal_frequencies = request_json(
             handle.url + "/query?frequencies=1&window=0"
         )["frequencies"]
@@ -207,12 +273,9 @@ def run(preset: str, output: Path) -> dict:
     )
     handle = ServiceThread(victim).start()
     try:
-        run_loadgen(
-            handle.url,
-            replay_blobs,
-            n_users=replay_users,
-            concurrency=config["concurrency"],
-            close_epoch=False,
+        post_epoch(
+            handle.port, replay_blobs, replay_users, config["concurrency"],
+            key="crash", close=False,
         )
     finally:
         handle.stop(flush=False)  # crash: the epoch lives only in the WAL
@@ -233,8 +296,6 @@ def run(preset: str, output: Path) -> dict:
     all_latencies = [
         sample for result in epoch_results for sample in result.latencies_ms
     ]
-    from repro.service.loadgen import percentile
-
     total_elapsed = sum(result.elapsed_s for result in epoch_results)
     sustained = (users_per_epoch * epochs) / total_elapsed
     document = {

@@ -96,12 +96,15 @@ The network-facing service
 
 :mod:`repro.service` puts an asyncio HTTP gateway in front of the engine
 and fans ingest out to shard worker *processes* -- because accumulators
-merge exactly, the sharding is unobservable in the estimates.  Serve and
-drive it straight from the CLI (stdlib only, no extra dependencies)::
+merge exactly, the sharding is unobservable in the estimates.  Serve it
+straight from the CLI (stdlib only, no extra dependencies) and post a
+batch to it from the shell::
 
     python -m repro.cli serve --method hh --domain-size 1024 \\
         --epsilon 1.1 --workers 4 --port 8377 --store-dir epochstore
-    python -m repro.cli loadgen --url http://127.0.0.1:8377 --users 50000
+    python -m repro.cli encode --input users.csv --domain-size 1024 \\
+        --epsilon 1.1 --method hh --output - | curl --data-binary @- \\
+        -H 'Idempotency-Key: users-0' http://127.0.0.1:8377/ingest
 
 or in-process for tests and notebooks::
 
@@ -225,7 +228,7 @@ from repro.hierarchy import HierarchicalHistogram
 from repro.multidim import HierarchicalGrid2D
 from repro.wavelet import HaarHRR
 
-__version__ = "1.13.0"
+__version__ = "1.14.0"
 
 #: Protocol registry used by the experiment harness and the CLI.  Classes
 #: may expose a ``from_registry(domain_size, epsilon, **kwargs)`` adapter

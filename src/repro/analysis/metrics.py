@@ -87,29 +87,3 @@ def mse_by_group(
         key: mean_squared_error(estimates_by_group[key], truths_by_group[key])
         for key in estimates_by_group
     }
-
-
-def mse_by_length(
-    estimates: np.ndarray, truths: np.ndarray, lengths: np.ndarray
-) -> Dict[int, float]:
-    """Per-range-length MSE straight from array-native workload answers.
-
-    ``lengths`` is the per-query range length (e.g.
-    :attr:`repro.queries.workload.RangeWorkload.lengths`); the grouping is
-    one ``bincount`` pass instead of materialising per-length query lists.
-    """
-    errors = squared_errors(estimates, truths)
-    lengths = np.asarray(lengths, dtype=np.int64)
-    if lengths.shape != errors.shape:
-        raise ValueError(
-            f"shape mismatch: lengths {lengths.shape} vs errors {errors.shape}"
-        )
-    if errors.size == 0:
-        return {}
-    unique, inverse = np.unique(lengths, return_inverse=True)
-    sums = np.bincount(inverse, weights=errors)
-    counts = np.bincount(inverse)
-    return {
-        int(length): float(total / count)
-        for length, total, count in zip(unique, sums, counts)
-    }

@@ -36,17 +36,18 @@ state-file juggling for long-running services (``aggregate`` and
   range/quantile/rectangle queries over a window of epochs
   (``--window all``, ``--window last:K``, or ``--window 0,2,5``).
 
-The service pair runs the same machinery over the network
-(:mod:`repro.service`):
-
-* ``repro-cli serve``   -- HTTP ingest gateway + shard worker processes,
-  epoch close on ``POST /close``, durable ``--store-dir`` restore;
-* ``repro-cli loadgen`` -- drive a running gateway with synthetic
-  traffic and report sustained reports/second and latency percentiles.
+``repro-cli serve`` runs the same machinery over the network
+(:mod:`repro.service`): an HTTP ingest gateway in front of shard worker
+processes, epoch close on ``POST /close``, durable ``--store-dir``
+restore and an optional ``--wal-dir`` ingest log.
 
 ``encode`` and ``aggregate`` accept ``-`` for stdin/stdout (``encode
 --output -`` emits the service's framed-batch wire format), so the
-pipeline composes with shell pipes and ``curl``.
+pipeline composes with shell pipes and ``curl``::
+
+    repro-cli encode --input users.csv --domain-size 1024 --epsilon 1.1 \
+        --method hh --output - | curl --data-binary @- \
+        -H 'Idempotency-Key: users-0' http://HOST:PORT/ingest
 
 Every registry handle (``flat``, ``hh``, ``haar`` / ``wavelet``,
 ``grid2d`` / ``grid``) round-trips through the sharded workflow.  The 2-D
@@ -759,51 +760,6 @@ def command_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def command_loadgen(args: argparse.Namespace) -> int:
-    """Drive a running service with synthetic traffic and report numbers.
-
-    Fetches the protocol spec from the gateway itself (clients must
-    encode for the server's configuration), generates and privatizes a
-    synthetic population locally, posts it from ``--concurrency``
-    threads, closes the epoch, and prints a JSON document with sustained
-    reports/second and ingest latency percentiles.
-    """
-    from repro.service import generate_batches, request_json, run_loadgen
-
-    url = args.url.rstrip("/")
-    try:
-        spec = request_json(url + "/spec")
-    except (OSError, RuntimeError, ValueError) as exc:
-        raise SystemExit(f"could not fetch {url}/spec: {exc}")
-    try:
-        dataset, blobs = generate_batches(
-            spec,
-            n_users=args.users,
-            batch_size=args.batch_size,
-            distribution=args.distribution,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        raise SystemExit(str(exc))
-    result = run_loadgen(
-        url,
-        blobs,
-        dataset.n_users,
-        concurrency=args.concurrency,
-        close_epoch=not args.no_close,
-        max_retries=args.max_retries,
-        query_mix=args.query_mix,
-        query_window=args.query_window,
-    )
-    document = {"url": url, "spec": spec, **result.to_document()}
-    text = json.dumps(document, indent=2, sort_keys=True)
-    print(text)
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(text + "\n")
-    return 0 if result.errors == 0 else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-cli",
@@ -1061,46 +1017,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--no-consistency", action="store_true")
     add_postprocess_argument(serve)
     serve.set_defaults(func=command_serve)
-
-    loadgen = subparsers.add_parser(
-        "loadgen",
-        help="drive a running service with synthetic traffic; report throughput",
-    )
-    loadgen.add_argument("--url", required=True, help="gateway base URL")
-    loadgen.add_argument("--users", type=int, default=10000)
-    loadgen.add_argument("--batch-size", type=int, default=500)
-    loadgen.add_argument("--concurrency", type=int, default=4)
-    loadgen.add_argument(
-        "--distribution", choices=sorted(DISTRIBUTIONS), default="zipf"
-    )
-    loadgen.add_argument("--seed", type=int, default=0)
-    loadgen.add_argument(
-        "--max-retries",
-        type=int,
-        default=2,
-        help="retries per batch on connection failures and 429/503",
-    )
-    loadgen.add_argument(
-        "--no-close",
-        action="store_true",
-        help="leave the epoch open after the run (default: POST /close)",
-    )
-    loadgen.add_argument(
-        "--query-mix",
-        type=int,
-        default=0,
-        help="number of threads hammering GET /query alongside ingest "
-        "(measures the query/ingest overlap; default 0 = ingest only)",
-    )
-    loadgen.add_argument(
-        "--query-window",
-        default="all",
-        help="window the query-mix threads ask for (default all)",
-    )
-    loadgen.add_argument(
-        "--output", default=None, help="also write the JSON result here"
-    )
-    loadgen.set_defaults(func=command_loadgen)
 
     return parser
 

@@ -221,7 +221,6 @@ class EpochStore:
         # cached separately from the per-epoch ones.
         self._aggregates: Dict[Tuple[int, int], dict] = {}
         self._agg_maps: Dict[Tuple[int, int], Tuple[mmap.mmap, dict, int]] = {}
-        self._aggregates_written = 0
         self._manifest_dirty = False
         # File names MANIFEST.json on disk references: never overwritten,
         # and unlinked only once a manifest without them is durable.
@@ -629,17 +628,6 @@ class EpochStore:
     # ------------------------------------------------------------------ #
     # aggregate segments
     # ------------------------------------------------------------------ #
-    @property
-    def aggregates_written(self) -> int:
-        """Aggregate segments written since this store object was opened.
-
-        Counted separately from :attr:`segments_written`, which remains
-        the number of *leaf* (per-epoch) writes -- the incremental
-        checkpoint invariant "segments written == dirty epochs" must not
-        be disturbed by derived-data builds.
-        """
-        return self._aggregates_written
-
     def aggregate_keys(self) -> List[Tuple[int, int]]:
         """Present aggregates as sorted ``(level, start)`` pairs."""
         return sorted(self._aggregates)
@@ -759,7 +747,6 @@ class EpochStore:
             "n_reports": int(state.n_reports),
             "size": len(blob),
         }
-        self._aggregates_written += 1
         self._manifest_dirty = True
         return path
 

@@ -101,19 +101,6 @@ class OptimalLocalHashing(FrequencyOracle):
     # ------------------------------------------------------------------ #
     # hashing
     # ------------------------------------------------------------------ #
-    def _hash(self, multipliers: np.ndarray, offsets: np.ndarray, items: np.ndarray) -> np.ndarray:
-        """Vectorised universal hash ``((a*x + b) mod P) mod g``.
-
-        Arguments broadcast against each other, so this supports both
-        "one item per user" (equal-length 1-D arrays) and "all items for a
-        chunk of users" (column vs row vectors).
-        """
-        products = (
-            multipliers.astype(np.int64) * items.astype(np.int64)
-            + offsets.astype(np.int64)
-        ) % _HASH_PRIME
-        return (products % self._g).astype(np.int64)
-
     def _sample_hash_functions(self, n: int, rng: np.random.Generator):
         multipliers = rng.integers(1, _HASH_PRIME, size=n, dtype=np.int64)
         offsets = rng.integers(0, _HASH_PRIME, size=n, dtype=np.int64)

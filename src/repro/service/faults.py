@@ -2,8 +2,8 @@
 
 Robustness claims are only as good as the faults they were tested
 against, so this module packages the faults themselves as reusable,
-*deterministic* primitives -- the chaos tests in ``tests/test_service.py``
-and the CI chaos-smoke job drive the same code:
+*deterministic* primitives, which the chaos tests in
+``tests/test_service.py`` drive:
 
 * :func:`kill_worker` -- SIGKILL one shard worker process mid-ingest;
 * :func:`chaos_stream` -- perturb a batch delivery schedule (drop first

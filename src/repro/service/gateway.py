@@ -85,7 +85,7 @@ import json
 import os
 import threading
 import time
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core.exceptions import InvalidWindowError, ProtocolUsageError
 from repro.core.serialization import SerializationError, report_batch_header
@@ -135,7 +135,6 @@ class AggregationService:
         max_inflight: int = 64,
         request_timeout: Optional[float] = 30.0,
         supervise_interval: Optional[float] = 0.25,
-        restart_backoff_s: float = 0.1,
     ) -> None:
         if not isinstance(engine, Engine):
             engine = Engine.open(engine)
@@ -153,10 +152,7 @@ class AggregationService:
         self._host = host
         self._requested_port = int(port)
         self._pool = WorkerPool(
-            self._spec,
-            num_workers=num_workers,
-            max_inflight=max_inflight,
-            restart_backoff_s=restart_backoff_s,
+            self._spec, num_workers=num_workers, max_inflight=max_inflight
         )
         self._wal = IngestWAL(wal_dir, sync=wal_sync) if wal_dir else None
         self._wal_lock = asyncio.Lock()
@@ -378,25 +374,36 @@ class AggregationService:
             if live.torn_offset is not None:
                 os.truncate(live.path, live.torn_offset)
             self._current_epoch = live.epoch
-            seen = set()
-            buckets: Dict[int, List[bytes]] = {}
+            records = []
             for meta, blob in live.records:
                 key = str(meta.get("key"))
-                if key in seen:
+                if key in self._seen_keys:
                     continue
-                seen.add(key)
                 self._seen_keys[key] = live.epoch
-                index = int(meta.get("worker", 0)) % len(self._pool)
-                buckets.setdefault(index, []).append(blob)
+                records.append((meta, blob))
                 self._batches_accepted += 1
                 self._reports_accepted += int(meta.get("n_users", 0))
-            counts = await asyncio.gather(
-                *(
-                    self._replay_into(index, blobs)
-                    for index, blobs in buckets.items()
-                )
-            )
-            self._replayed_batches += sum(counts)
+            await self._replay_records(records)
+
+    async def _replay_records(
+        self, records: List[Tuple[dict, bytes]], only: Optional[set] = None
+    ) -> int:
+        """Re-ingest logged batches into the shards that own them.
+
+        A record belongs to shard ``worker % len(pool)``; ``only`` limits
+        the replay to those shards.  Returns the batches delivered.
+        """
+        buckets: Dict[int, List[bytes]] = {}
+        for meta, blob in records:
+            index = int(meta.get("worker", 0)) % len(self._pool)
+            if only is None or index in only:
+                buckets.setdefault(index, []).append(blob)
+        counts = await asyncio.gather(
+            *(self._replay_into(index, blobs) for index, blobs in buckets.items())
+        )
+        replayed = sum(counts)
+        self._replayed_batches += replayed
+        return replayed
 
     async def _replay_into(self, index: int, blobs: List[bytes]) -> int:
         """Sequentially re-ingest one shard's batches; stop on a crash.
@@ -427,20 +434,11 @@ class AggregationService:
         """
         if self._wal is None or not indices:
             return 0
-        wanted = {int(index) % len(self._pool) for index in indices}
         loop = asyncio.get_running_loop()
         records = await loop.run_in_executor(None, self._wal.read_epoch, epoch)
-        buckets: Dict[int, List[bytes]] = {}
-        for meta, blob in records:
-            index = int(meta.get("worker", 0)) % len(self._pool)
-            if index in wanted:
-                buckets.setdefault(index, []).append(blob)
-        counts = await asyncio.gather(
-            *(self._replay_into(index, blobs) for index, blobs in buckets.items())
+        return await self._replay_records(
+            records, only={int(index) % len(self._pool) for index in indices}
         )
-        replayed = sum(counts)
-        self._replayed_batches += replayed
-        return replayed
 
     async def _supervise(self) -> None:
         """Detect dead workers, respawn them, replay their batches.
@@ -1040,10 +1038,9 @@ def retry_delay_s(
 ) -> float:
     """Jittered exponential backoff, honoring a server ``Retry-After``.
 
-    Shared by :func:`request_json` and the load generator so every
-    client in the repository backs off the same way: the server's hint
-    is a floor, the exponential schedule a ceiling-capped escalation,
-    and the jitter keeps a fleet of retrying clients from stampeding in
+    :func:`request_json` backs off this way: the server's hint is a
+    floor, the exponential schedule a ceiling-capped escalation, and the
+    jitter keeps a fleet of retrying clients from stampeding in
     lockstep.
     """
     import random

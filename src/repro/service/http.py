@@ -217,8 +217,7 @@ def error_response(
 def split_url(url: str) -> Tuple[str, int, str]:
     """Split ``http://host:port/base`` into ``(host, port, base_path)``.
 
-    Used by the load generator and CLI clients; only ``http`` URLs are
-    meaningful for the gateway.
+    Only ``http`` URLs are meaningful for the gateway.
     """
     if "//" not in url:
         url = "http://" + url

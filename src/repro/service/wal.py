@@ -25,8 +25,9 @@ append-only log that holds only the epoch in flight:
 Durability model: records are flushed to the OS on every append, which
 survives any *process* death (worker crash, gateway SIGKILL).  Pass
 ``sync=True`` to also ``fsync`` each append and survive machine power
-loss, at a large throughput cost (measured in
-``benchmarks/bench_service.py``).
+loss; each ack then waits for the disk, a cost no benchmark here
+measures (``benchmarks/bench_service.py`` runs its WAL with
+``sync=False``).
 """
 
 from __future__ import annotations

@@ -71,8 +71,9 @@ OP_STATS = b"S"
 #: Opcode: acknowledge and exit.
 OP_QUIT = b"Q"
 
-#: Seconds a worker that keeps dying waits, at most, before its respawn:
-#: the backoff doubles from ``restart_backoff_s`` up to this bound.
+#: Seconds a dead worker waits before its first respawn; the wait
+#: doubles with each death in a row, up to ``RESTART_BACKOFF_MAX_S``.
+RESTART_BACKOFF_S = 0.1
 RESTART_BACKOFF_MAX_S = 5.0
 
 
@@ -277,7 +278,6 @@ class WorkerPool:
         spec: dict,
         num_workers: int = 2,
         max_inflight: int = 64,
-        restart_backoff_s: float = 0.1,
     ) -> None:
         if int(num_workers) < 1:
             raise ValueError(f"need at least 1 worker, got {num_workers}")
@@ -286,7 +286,6 @@ class WorkerPool:
         self._spec = dict(spec)
         self._num_workers = int(num_workers)
         self._max_inflight = int(max_inflight)
-        self._backoff_base = float(restart_backoff_s)
         self._workers: List[ShardWorker] = []
         self._next = 0
         self._restart_count = 0
@@ -399,7 +398,7 @@ class WorkerPool:
         self._restart_count += 1
         streak = self._restart_streak.get(index, 0) + 1
         self._restart_streak[index] = streak
-        delay = min(RESTART_BACKOFF_MAX_S, self._backoff_base * (2 ** (streak - 1)))
+        delay = min(RESTART_BACKOFF_MAX_S, RESTART_BACKOFF_S * (2 ** (streak - 1)))
         self._backoff_until[index] = time.monotonic() + delay
         return replacement
 

@@ -14,6 +14,8 @@ Three guarantees anchor the engine layer:
   resolve deterministically and fail loudly on unknown epochs.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -343,6 +345,33 @@ class TestEngineCli:
             "--reports", report, "--epoch", "20260730",
         ]) == 0
         assert Engine.restore(store_dir).epochs == (20260730,)
+
+    def test_info_reports_both_checkpointed_epochs_and_a_window_plan(
+        self, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        store_dir = str(tmp_path / "store")
+        for report in self._encode(tmp_path, shards=2):
+            assert main([
+                "engine", "checkpoint", "--store-dir", store_dir, "--reports", report,
+            ]) == 0
+        capsys.readouterr()
+        assert main(["engine", "info", "--store-dir", store_dir]) == 0
+        info = json.loads(capsys.readouterr().out)
+        assert info["epochs"] == info["store"]["sealed_epochs"] == [0, 1]
+        assert info["epoch_reports"] == {"0": 300, "1": 300}
+        assert main(["engine", "info", "--store-dir", store_dir, "--aggregates"]) == 0
+        detail = json.loads(capsys.readouterr().out)
+        assert detail["epochs"] == [0, 1]
+        # One level-1 aggregate block covers both sealed epochs.
+        assert detail["store"]["window_plan"] == [["agg", 1, 0]]
+        assert main([
+            "engine", "query", "--store-dir", store_dir, "--window", "last:1",
+            "--ranges", "0:15", "--quantiles", "0.5",
+        ]) == 0
+        answer = json.loads(capsys.readouterr().out)
+        assert answer["epochs"] == [1] and answer["n_users"] == 300
 
     def test_aggregate_output_is_byte_identical_to_a_plain_server(self, tmp_path):
         from repro.cli import main

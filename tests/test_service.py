@@ -16,11 +16,17 @@ Three guarantees anchor the service layer:
   dying.
 """
 
+import contextlib
 import errno
+import http.client
 import json
 import os
+import re
+import signal
 import socket
 import struct
+import subprocess
+import sys
 import threading
 import time
 
@@ -57,7 +63,7 @@ from repro.service.faults import (
     truncate_wal_tail,
 )
 from repro.service.http import split_url
-from repro.service.loadgen import percentile, run_loadgen
+from repro.service.loadgen import percentile
 
 from test_streaming_session import array_layout_bytes
 
@@ -369,8 +375,6 @@ class TestGatewayEndToEnd:
         assert request_json(url + "/stats")["accepted"]["reports"] == accepted
 
     def test_truncated_body_gets_a_400_not_a_hang(self, live_service):
-        import http.client
-
         host, port, _ = split_url(live_service.url)
         connection = http.client.HTTPConnection(host, port, timeout=30)
         try:
@@ -384,6 +388,57 @@ class TestGatewayEndToEnd:
             assert b"truncated body" in response.read()
         finally:
             connection.close()
+
+    def test_queries_during_ingest_answer_200_or_409_before_the_first_close(
+        self, tmp_path
+    ):
+        # Readers ask for window=all while batches land and epochs close
+        # and seal.  A query may answer 409 (no closed epoch yet) only if
+        # it was sent before the first close returned; any other answer
+        # must be 200.
+        epochs = [make_blobs(TREE_SPEC, 240, seed=30 + e, chunks=6)[0] for e in range(3)]
+        service = AggregationService(
+            TREE_SPEC, num_workers=2, store_dir=str(tmp_path / "store")
+        )
+        answered, first, closed, stop = [], threading.Event(), threading.Event(), threading.Event()
+
+        def read_queries(port):
+            connection = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+            try:
+                while not stop.is_set():
+                    after_close = closed.is_set()
+                    try:
+                        connection.request("GET", "/query?window=all&ranges=0:15&quantiles=0.5")
+                        response = connection.getresponse()
+                        response.read()
+                        answered.append((response.status, after_close))
+                    except (OSError, http.client.HTTPException):
+                        answered.append((-1, after_close))
+                        return
+                    first.set()
+            finally:
+                connection.close()
+
+        with ServiceThread(service) as handle:
+            readers = [
+                threading.Thread(target=read_queries, args=(handle.port,)) for _ in range(2)
+            ]
+            for reader in readers:
+                reader.start()
+            try:
+                assert first.wait(30)
+                for epoch, blobs in enumerate(epochs):
+                    post_batches(handle.url, blobs, f"mix{epoch}")
+                    assert request_json(handle.url + "/close", method="POST")["epoch"] == epoch
+                    closed.set()
+            finally:
+                stop.set()
+                for reader in readers:
+                    reader.join(60)
+            assert not any(reader.is_alive() for reader in readers)
+        assert (409, False) in answered  # a reader asked before any epoch closed
+        assert {status for status, after_close in answered if not after_close} <= {200, 409}
+        assert {status for status, after_close in answered if after_close} == {200}
 
 
 class TestGridQueries:
@@ -577,6 +632,40 @@ class TestStoreRecovery:
                 float(v) for v in reference.estimated_frequencies()
             ]
 
+    def test_fsynced_wal_replays_every_acked_batch(self, tmp_path):
+        # With wal_sync the gateway appends each record from the executor,
+        # one at a time under its WAL lock, and fsyncs it before the ack.
+        blobs, reference = make_blobs(SPEC, 240, seed=27, chunks=8)
+        store_dir, wal_dir = str(tmp_path / "store"), str(tmp_path / "wal")
+        service = AggregationService(
+            SPEC, num_workers=2, store_dir=store_dir, wal_dir=wal_dir, wal_sync=True
+        )
+        handle = ServiceThread(service).start()
+        try:
+            posters = [
+                threading.Thread(
+                    target=post_batches, args=(handle.url, blobs[i::2], f"sync{i}")
+                )
+                for i in range(2)
+            ]
+            for poster in posters:
+                poster.start()
+            for poster in posters:
+                poster.join(60)
+            assert not any(poster.is_alive() for poster in posters)
+            stats = request_json(handle.url + "/stats")
+            assert stats["accepted"]["batches"] == 8
+            assert stats["wal"]["sync"] is True
+        finally:
+            handle.stop(flush=False)  # crash: the epoch lives only in the WAL
+
+        restored = AggregationService.from_store(store_dir, num_workers=2, wal_dir=wal_dir)
+        with ServiceThread(restored) as handle:
+            assert request_json(handle.url + "/stats")["replayed_batches"] == 8
+            closed = request_json(handle.url + "/close", method="POST")
+            assert closed["epoch"] == 0 and closed["reports"] == 240
+            assert_matches_reference(handle.url, reference)
+
     def test_query_labels_match_the_epochs_it_answers(self, tmp_path):
         # An epoch absorbed while a /query finalizes must not leak into
         # the answer's report count or epoch labels.
@@ -616,27 +705,6 @@ class TestLoadgen:
         assert percentile(samples, 50) == pytest.approx(50.5)
         assert percentile(samples, 100) == 100.0
 
-    def test_loadgen_against_a_live_service(self):
-        dataset, blobs = generate_batches(SPEC, n_users=200, batch_size=50, seed=12)
-        assert dataset.n_users == 200 and len(blobs) == 4
-        service = AggregationService(SPEC, num_workers=2)
-        with ServiceThread(service) as handle:
-            result = run_loadgen(
-                handle.url, blobs, dataset.n_users, concurrency=2
-            )
-            answer = request_json(handle.url + "/query?frequencies=1")
-        assert result.errors == 0
-        assert result.n_users == 200
-        assert result.closed_epoch == 0
-        assert result.reports_per_s > 0
-        assert result.latency_p99_ms >= result.latency_p50_ms >= 0
-        document = json.loads(json.dumps(result.to_document()))
-        assert document["batches"] == 4
-        reference = ingest_batches_single_process(SPEC, blobs).finalize()
-        assert answer["frequencies"] == [
-            float(v) for v in reference.estimated_frequencies()
-        ]
-
     def test_grid_specs_are_refused(self):
         with pytest.raises(ValueError, match="1-D"):
             generate_batches(
@@ -646,12 +714,17 @@ class TestLoadgen:
             )
 
 
+def reference_frequencies(spec, blobs):
+    """Single-process frequency estimates of ``blobs``, as /query sends them."""
+    estimator = ingest_batches_single_process(spec, blobs).finalize()
+    return [float(v) for v in estimator.estimated_frequencies()]
+
+
 def make_blobs(spec, n_users, seed, chunks):
     """Framed one-report batches plus their single-process reference."""
     protocol, reports = encode_reports(spec, n_users, seed=seed, chunks=chunks)
     blobs = [pack_report_batch(protocol.spec(), [report]) for report in reports]
-    reference = ingest_batches_single_process(protocol.spec(), blobs).finalize()
-    return blobs, [float(v) for v in reference.estimated_frequencies()]
+    return blobs, reference_frequencies(protocol.spec(), blobs)
 
 
 def post_batches(url, blobs, prefix, start=0):
@@ -1090,7 +1163,7 @@ class TestFaultTolerance:
         blobs, _ = make_blobs(SPEC, 60, seed=26, chunks=2)
 
         async def run():
-            pool = WorkerPool(SPEC, num_workers=2, restart_backoff_s=0.01).start()
+            pool = WorkerPool(SPEC, num_workers=2).start()
             try:
                 await pool.ingest_on(pool.pick_worker(), blobs[0])
                 kill_worker(pool, 0)
@@ -1107,3 +1180,90 @@ class TestFaultTolerance:
         asyncio.run(run())
         # shutdown reaped everything: no zombie children survive
         assert multiprocessing.active_children() == []
+
+
+@contextlib.contextmanager
+def serve(log_path, *flags):
+    """``python -m repro.cli serve --port 0 FLAGS`` and the URL it serves on.
+
+    The process is SIGKILLed on the way out unless the body ended it.
+    """
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    with open(log_path, "w") as log:
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--port", "0", *flags],
+            stdout=log, stderr=subprocess.STDOUT, env=env,
+        )
+    try:
+        deadline = time.monotonic() + 120
+        while True:
+            banner = re.search(r"serving \S+ on (http://\S+)", log_path.read_text())
+            if banner or process.poll() is not None or time.monotonic() > deadline:
+                break
+            time.sleep(0.05)
+        assert banner, log_path.read_text()
+        yield process, banner.group(1)
+    finally:
+        if process.poll() is None:
+            process.kill()
+        process.wait(60)
+
+
+@pytest.mark.chaos
+class TestServeProcess:
+    """``repro-cli serve`` across a worker SIGKILL, a gateway SIGKILL, a
+    restart from its store and WAL alone, and a graceful SIGTERM."""
+
+    PROTOCOL = ["--method", "hh", "--domain-size", "256", "--epsilon", "1.1", "--branching", "4"]
+    WINDOW = "window=0,1&ranges=0:127,64:191&quantiles=0.5,0.9"
+
+    def test_no_acked_report_is_lost_across_kills_restart_and_sigterm(
+        self, tmp_path, capsys
+    ):
+        store, wal = str(tmp_path / "store"), str(tmp_path / "wal")
+        durable = ["--workers", "2", "--store-dir", store, "--wal-dir", wal]
+        with serve(tmp_path / "first.log", *self.PROTOCOL, *durable) as (process, url):
+            spec = request_json(url + "/spec")
+            _, first = generate_batches(spec, n_users=3000, batch_size=500, seed=11)
+            _, crashed = generate_batches(spec, n_users=1500, batch_size=500, seed=12)
+            _, pending = generate_batches(spec, n_users=1000, batch_size=500, seed=13)
+            post_batches(url, first[:3], "first")
+            os.kill(request_json(url + "/stats")["workers"][0]["pid"], signal.SIGKILL)
+            post_batches(url, first[3:], "first", start=3)
+            assert request_json(url + "/close", method="POST")["reports"] == 3000
+            assert request_json(url + "/stats")["restart_count"] >= 1
+            assert_matches_reference(url, reference_frequencies(spec, first))
+            before = request_json(url + "/query?window=last:1&ranges=0:127")
+            post_batches(url, crashed, "crashed")  # acked, never closed
+            process.kill()
+            assert process.wait(60) == -signal.SIGKILL
+
+        # The store's manifest is the configuration: no protocol flags.
+        with serve(tmp_path / "restart.log", *durable) as (process, url):
+            stats = request_json(url + "/stats")
+            assert stats["current_epoch"] == 1
+            assert stats["replayed_batches"] == len(crashed)
+            after = request_json(url + "/query?window=last:1&ranges=0:127")
+            assert after["ranges"] == before["ranges"]
+            closed = request_json(url + "/close", method="POST")
+            assert closed["epoch"] == 1 and closed["reports"] == 1500
+            assert request_json(url + "/stats")["closed_reports"] == 4500
+            assert_matches_reference(url, reference_frequencies(spec, first + crashed))
+            gateway = request_json(url + "/query?" + self.WINDOW)
+            post_batches(url, pending, "pending")  # epoch 2 is open at SIGTERM
+            process.send_signal(signal.SIGTERM)
+            assert process.wait(60) == 0
+
+        engine = Engine.restore(store)
+        assert engine.sealed_epochs == (0, 1, 2)
+        assert engine.epoch_report_counts() == {0: 3000, 1: 1500, 2: 1000}
+        capsys.readouterr()
+        assert cli.main([
+            "engine", "query", "--store-dir", store, "--window", "0,1",
+            "--ranges", "0:127,64:191", "--quantiles", "0.5,0.9",
+        ]) == 0
+        offline = json.loads(capsys.readouterr().out)
+        for key in ("epochs", "n_users", "ranges", "quantiles"):
+            assert offline[key] == gateway[key], key

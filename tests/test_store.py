@@ -544,6 +544,19 @@ class TestStoresOfRepro1_11_0:
                 expected = np.array([float.fromhex(v) for v in values])
                 _check(name, actual, expected)
 
+    def test_engine_query_answers_from_the_cli(self, name, tmp_path, capsys):
+        from repro.cli import main
+
+        store_dir = self._copy(name, tmp_path)
+        assert main([
+            "engine", "query", "--store-dir", store_dir, "--window", "all",
+            "--ranges", "0:7",
+        ]) == 0
+        answer = json.loads(capsys.readouterr().out)
+        assert answer["epochs"] == [0, 1, 2, 3]
+        estimator = Engine.restore(store_dir).estimator("all")
+        assert answer["ranges"]["0:7"] == estimator.range_query((0, 7))
+
     def test_a_new_epoch_seals_into_the_old_store(self, name, tmp_path):
         store_dir = self._copy(name, tmp_path)
         packed = _packed_states(store_dir)
