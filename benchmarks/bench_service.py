@@ -6,17 +6,15 @@ ingest hot loop across worker processes; this script quantifies the
 deployment-facing numbers the engine benchmark cannot see:
 
 * **sustained ingest throughput** -- reports/second through the full
-  HTTP gateway -> worker -> epoch-close path, posted over keep-alive
+  HTTP gateway -> WAL append -> worker -> epoch-close-and-seal path (the
+  one service mode: every gateway logs each batch before its ack and
+  seals each closed epoch into its epoch store), posted over keep-alive
   connections by perfbench's HTTP client (``perfbench/client.py``);
-* **ingest latency** -- client-observed p50/p99/max per ``POST /ingest``
+* **ingest latency** -- client-observed p50/p99 per ``POST /ingest``
   round trip;
 * **recovery time** -- wall clock from "epoch store on disk" to "service
   restarted, all epochs restored, queries answering", i.e. the crash
   recovery budget;
-* **WAL overhead** -- the same ingest workload with the durable ingest
-  log on, reported as a ratio against the WAL-off rate (the price of
-  exactly-once acknowledgements); both runs seal each closed epoch into
-  an epoch store, since a WAL needs one;
 * **WAL replay** -- wall clock to replay a crash-orphaned open epoch
   from the log into fresh workers on restart (the unclosed-epoch
   crash-window recovery budget);
@@ -172,9 +170,10 @@ def run(preset: str, output: Path) -> dict:
         )
         epoch_blobs.append(blobs)
 
-    store_dir = str(Path(tempfile.mkdtemp(prefix="bench-service-")) / "store")
+    root = Path(tempfile.mkdtemp(prefix="bench-service-"))
+    store_dir, wal_dir = str(root / "store"), str(root / "wal")
     service = AggregationService(
-        spec, num_workers=config["workers"], store_dir=store_dir
+        spec, num_workers=config["workers"], store_dir=store_dir, wal_dir=wal_dir
     )
     epoch_results = []
     with ServiceThread(service) as handle:
@@ -209,7 +208,7 @@ def run(preset: str, output: Path) -> dict:
     # recovery: epoch store on disk -> restarted service answering queries
     recovery_start = time.perf_counter()
     restored = AggregationService.from_store(
-        store_dir, num_workers=config["workers"]
+        store_dir, num_workers=config["workers"], wal_dir=wal_dir
     )
     with ServiceThread(restored) as handle:
         request_json(handle.url + "/query?frequencies=1&window=all")
@@ -222,40 +221,6 @@ def run(preset: str, output: Path) -> dict:
         f"({epochs} epochs, {users_per_epoch * epochs:,} reports restored)"
     )
 
-    # WAL overhead: re-run the workload durably.  Epoch 0 is an
-    # unmeasured warm-up (fresh worker processes run the first epoch
-    # several times slower than warm ones, WAL or not); the comparison
-    # is warm-epoch against warm-epoch.
-    wal_root = Path(tempfile.mkdtemp(prefix="bench-service-wal-"))
-    wal_service = AggregationService(
-        spec,
-        num_workers=config["workers"],
-        store_dir=str(wal_root / "ingest-store"),
-        wal_dir=str(wal_root / "ingest"),
-    )
-    with ServiceThread(wal_service) as handle:
-        request_json(handle.url + "/stats")
-        post_epoch(
-            handle.port, epoch_blobs[0], users_per_epoch, config["concurrency"],
-            key="wal-warmup",
-        )
-        wal_result = post_epoch(
-            handle.port, epoch_blobs[1], users_per_epoch, config["concurrency"],
-            key="wal",
-        )
-        wal_frequencies = request_json(
-            handle.url + "/query?frequencies=1&window=0"
-        )["frequencies"]
-    assert wal_frequencies == service_frequencies, (
-        "WAL-on service drifted from the WAL-off answers"
-    )
-    wal_off_rate = epoch_results[-1].reports_per_s
-    overhead = wal_off_rate / wal_result.reports_per_s
-    print(
-        f"WAL-on ingest: {wal_result.reports_per_s:12,.0f} reports/sec "
-        f"({overhead:.2f}x slower than the warm WAL-off epoch)"
-    )
-
     # WAL replay: crash mid-epoch, restart, replay the open segment
     replay_users = config["replay_users"]
     _, replay_blobs = generate_batches(
@@ -265,8 +230,8 @@ def run(preset: str, output: Path) -> dict:
         distribution="zipf",
         seed=99,
     )
-    crash_dir = str(wal_root / "crash")
-    crash_store = str(wal_root / "crash-store")
+    crash_dir = str(root / "crash")
+    crash_store = str(root / "crash-store")
     victim = AggregationService(
         spec, num_workers=config["workers"], store_dir=crash_store,
         wal_dir=crash_dir,
@@ -327,12 +292,6 @@ def run(preset: str, output: Path) -> dict:
                 "value": recovery_seconds * 1e3, "unit": "ms", "better": "lower",
             },
             "recovery.store_bytes": {"value": store_bytes, "unit": "B", "better": "lower"},
-            "wal.ingest_reports_per_s": {
-                "value": wal_result.reports_per_s, "unit": "reports/s", "better": "higher",
-            },
-            "wal.overhead_ratio": {
-                "value": overhead, "unit": "x", "better": "lower", "limit": 2.0,
-            },
             "wal.replay_ms": {
                 "value": replay_ms, "unit": "ms", "better": "lower", "limit": 2000.0,
             },

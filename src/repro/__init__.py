@@ -101,7 +101,8 @@ straight from the CLI (stdlib only, no extra dependencies) and post a
 batch to it from the shell::
 
     python -m repro.cli serve --method hh --domain-size 1024 \\
-        --epsilon 1.1 --workers 4 --port 8377 --store-dir epochstore
+        --epsilon 1.1 --workers 4 --port 8377 --store-dir epochstore \\
+        --wal-dir wal
     python -m repro.cli encode --input users.csv --domain-size 1024 \\
         --epsilon 1.1 --method hh --output - | curl --data-binary @- \\
         -H 'Idempotency-Key: users-0' http://127.0.0.1:8377/ingest
@@ -111,20 +112,22 @@ or in-process for tests and notebooks::
     from repro.service import AggregationService, ServiceThread, request_json
 
     service = AggregationService({"name": "hh", "domain_size": 1024,
-                                  "epsilon": 1.1}, num_workers=4)
+                                  "epsilon": 1.1}, num_workers=4,
+                                 store_dir="epochstore", wal_dir="wal")
     with ServiceThread(service) as handle:
         # POST framed batches to handle.url + "/ingest", then:
         answer = request_json(handle.url + "/query?ranges=100:400")
 
 ``POST /ingest`` accepts the framed report-batch container
 (:func:`repro.core.serialization.pack_report_batch` -- the same bytes
-``encode --output -`` pipes to stdout), ``POST /close`` closes the
-epoch by merging every shard into the engine -- with ``store_dir`` it
-also seals the epoch into the store a restart resumes from -- and
+``encode --output -`` pipes to stdout) and logs it to the WAL before the
+ack, ``POST /close`` closes the epoch by merging every shard into the
+engine and seals it into the store a restart resumes from, and
 ``GET /query`` answers windowed range/quantile/frequency queries
-(``postprocess=`` re-finalizes).  ``benchmarks/bench_service.py``
-records sustained ingest throughput, p99 latency and crash-recovery
-time in ``BENCH_service.json``.
+(``postprocess=`` re-finalizes).  Both directories are required: every
+service is durable, and a restart replays the WAL's open epoch.
+``benchmarks/bench_service.py`` records sustained ingest throughput,
+p99 latency and crash-recovery time in ``BENCH_service.json``.
 
 Post-processing pipelines
 -------------------------
@@ -228,7 +231,7 @@ from repro.hierarchy import HierarchicalHistogram
 from repro.multidim import HierarchicalGrid2D
 from repro.wavelet import HaarHRR
 
-__version__ = "1.14.0"
+__version__ = "1.15.0"
 
 #: Protocol registry used by the experiment harness and the CLI.  Classes
 #: may expose a ``from_registry(domain_size, epsilon, **kwargs)`` adapter

@@ -38,8 +38,10 @@ state-file juggling for long-running services (``aggregate`` and
 
 ``repro-cli serve`` runs the same machinery over the network
 (:mod:`repro.service`): an HTTP ingest gateway in front of shard worker
-processes, epoch close on ``POST /close``, durable ``--store-dir``
-restore and an optional ``--wal-dir`` ingest log.
+processes, epoch close on ``POST /close``, and two required directories:
+the ``--store-dir`` epoch store every closed epoch is sealed into (and a
+restart resumes from) and the ``--wal-dir`` ingest log every accepted
+batch is written to before its ack.
 
 ``encode`` and ``aggregate`` accept ``-`` for stdin/stdout (``encode
 --output -`` emits the service's framed-batch wire format), so the
@@ -690,15 +692,16 @@ def command_compare(args: argparse.Namespace) -> int:
 def command_serve(args: argparse.Namespace) -> int:
     """Run the network-facing aggregation service (gateway + workers).
 
-    With ``--store-dir`` naming an existing epoch store the service
-    resumes from it (ignoring the protocol flags -- the store's manifest
-    *is* the configuration); otherwise a fresh engine is built from
-    ``--method``/``--domain-size``/``--epsilon``, and the store, if
-    requested, is created on the first epoch close.  ``--wal-dir`` needs
-    ``--store-dir``, and a WAL segment recovery cannot read refuses the
-    start: both exit 1 with a message.  SIGINT/SIGTERM trigger a graceful
-    shutdown: the in-progress epoch is closed and sealed, and the workers
-    quit cleanly.
+    ``--store-dir`` and ``--wal-dir`` are both required: without either
+    the service refuses to start, exiting 1 before it creates any
+    directory.  With ``--store-dir`` naming an existing epoch store the
+    service resumes from it (ignoring the protocol flags -- the store's
+    manifest *is* the configuration) and replays the WAL's open epoch;
+    otherwise a fresh engine is built from
+    ``--method``/``--domain-size``/``--epsilon`` and the store is created.
+    A WAL segment recovery cannot read refuses the start, exiting 1 with
+    a message.  SIGINT/SIGTERM trigger a graceful shutdown: the
+    in-progress epoch is closed and sealed, and the workers quit cleanly.
     """
     import asyncio
     import signal
@@ -713,8 +716,6 @@ def command_serve(args: argparse.Namespace) -> int:
         "port": args.port,
         "wal_dir": args.wal_dir,
         "wal_sync": args.wal_sync,
-        "request_timeout": args.request_timeout,
-        "max_inflight": args.max_inflight,
     }
     store_dir = args.store_dir
     try:
@@ -737,10 +738,10 @@ def command_serve(args: argparse.Namespace) -> int:
     async def run() -> None:
         await service.start()
         epochs = list(service.engine.epochs)
-        wal = f"wal={args.wal_dir}" if args.wal_dir else "wal=off"
         print(
             f"serving {service.spec.get('name')} on {service.url} "
-            f"({args.workers} workers, {origin}, {wal}, epochs={epochs}); "
+            f"({args.workers} workers, {origin}, wal={args.wal_dir}, "
+            f"epochs={epochs}); "
             "Ctrl-C for graceful shutdown",
             flush=True,
         )
@@ -968,16 +969,17 @@ def build_parser() -> argparse.ArgumentParser:
         "--store-dir",
         default=None,
         help=(
-            "epoch store directory: every closed epoch is sealed into its own "
-            "segment (restored if the directory already holds a manifest)"
+            "epoch store directory (required): every closed epoch is sealed "
+            "into its own segment (restored if the directory already holds "
+            "a manifest)"
         ),
     )
     serve.add_argument(
         "--wal-dir",
         default=None,
         help=(
-            "durable ingest log directory (needs --store-dir): every accepted "
-            "batch is logged before its ack, so crashes and restarts are "
+            "durable ingest log directory (required): every accepted batch "
+            "is logged before its ack, so crashes and restarts are "
             "exactly-once"
         ),
     )
@@ -985,18 +987,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--wal-sync",
         action="store_true",
         help="fsync each WAL append (power-loss safe; much slower)",
-    )
-    serve.add_argument(
-        "--request-timeout",
-        type=float,
-        default=30.0,
-        help="seconds to wait for a request before closing the connection (408)",
-    )
-    serve.add_argument(
-        "--max-inflight",
-        type=int,
-        default=64,
-        help="per-worker in-flight batch bound; beyond it ingest gets 429",
     )
     serve.add_argument("--method", choices=PROTOCOL_CHOICES, default="hh")
     serve.add_argument(

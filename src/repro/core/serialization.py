@@ -423,15 +423,14 @@ def unpack_report_batch(data) -> Tuple[dict, List[memoryview]]:
 # --------------------------------------------------------------------- #
 # REPROWAL: the gateway's durable ingest log
 # --------------------------------------------------------------------- #
-def pack_wal_segment_header(epoch: int, extra: Optional[dict] = None) -> bytes:
+def pack_wal_segment_header(epoch: int) -> bytes:
     """The on-disk prefix of one WAL segment file.
 
     ``MAGIC_WAL | u64 header length | JSON header`` -- the header names
     the epoch the segment belongs to, so recovery never depends on file
     names alone.
     """
-    header = {"wal_kind": WAL_SEGMENT_KIND, "epoch": int(epoch), **(extra or {})}
-    return _write_frame(MAGIC_WAL, header)
+    return _write_frame(MAGIC_WAL, {"wal_kind": WAL_SEGMENT_KIND, "epoch": int(epoch)})
 
 
 def _wal_fields(header: dict, body_size: int) -> Optional[str]:

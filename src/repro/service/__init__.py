@@ -17,7 +17,7 @@ Quickstart (see also the CLI's ``serve`` subcommand)::
         num_workers=4,
         store_dir="epochstore/",  # every closed epoch sealed to disk
         wal_dir="wal/",           # durable ingest log: exactly-once recovery
-    )
+    )  # both directories are required
     with ServiceThread(service) as handle:
         ...  # POST framed batches to handle.url + "/ingest"
 
@@ -28,11 +28,11 @@ to stdout, ready to post::
         --method hh --output - | curl --data-binary @- \
         -H 'Idempotency-Key: users-0' http://HOST:PORT/ingest
 
-Fault tolerance: with ``wal_dir`` set (it needs ``store_dir``: the WAL
-holds only the open epoch, and each closed epoch is sealed into the
-store), every accepted batch is logged durably *before* the ``/ingest``
-acknowledgement, dead shard workers are respawned and replayed
-automatically, and a killed gateway replays its open epoch on restart.
+Fault tolerance: every accepted batch is logged to the WAL *before* the
+``/ingest`` acknowledgement (the WAL holds only the open epoch; each
+closed epoch is sealed into the store), dead shard workers are respawned
+and replayed automatically, and a killed gateway replays its open epoch
+on restart.
 Clients that retry should send an ``Idempotency-Key`` header (any
 stable string per logical batch) so a retried delivery of an
 already-accepted batch is deduplicated rather than double-counted --

@@ -34,21 +34,20 @@ def _resolve_pool(target):
     return getattr(target, "pool", target)
 
 
-def kill_worker(target, index: int, wait: bool = True) -> int:
+def kill_worker(target, index: int) -> int:
     """SIGKILL one shard worker process; returns the dead worker's pid.
 
     ``target`` may be a :class:`~repro.service.workers.WorkerPool`, an
     :class:`~repro.service.gateway.AggregationService`, or a
-    :class:`~repro.service.gateway.ServiceThread`.  With ``wait`` the
-    call blocks until the OS has reaped the process, so a subsequent
-    ingest deterministically observes the dead pipe.
+    :class:`~repro.service.gateway.ServiceThread`.  The call blocks
+    until the OS has reaped the process, so a subsequent ingest
+    deterministically observes the dead pipe.
     """
     pool = _resolve_pool(target)
     worker = pool.workers[int(index) % len(pool)]
     pid = worker.process.pid
     os.kill(pid, signal.SIGKILL)
-    if wait:
-        worker.process.join(timeout=10)
+    worker.process.join(timeout=10)
     return pid
 
 
@@ -111,6 +110,11 @@ def chaos_stream(
     return schedule
 
 
+#: Seconds :meth:`ServiceProcess.start` waits for the child to report
+#: its port.
+BOOT_TIMEOUT_S = 60.0
+
+
 def _service_process_main(spec, options, conn) -> None:
     """Child entry point: boot a gateway, report its port, serve forever."""
     import asyncio
@@ -149,16 +153,9 @@ class ServiceProcess:
             svc.kill()  # SIGKILL mid-epoch
     """
 
-    def __init__(
-        self,
-        spec: dict,
-        *,
-        boot_timeout: float = 60.0,
-        **options,
-    ) -> None:
+    def __init__(self, spec: dict, **options) -> None:
         self.spec = spec
         self.options = dict(options)
-        self.boot_timeout = float(boot_timeout)
         self.port: Optional[int] = None
         self._process: Optional[multiprocessing.process.BaseProcess] = None
 
@@ -184,10 +181,10 @@ class ServiceProcess:
         )
         self._process.start()
         child_conn.close()
-        if not parent_conn.poll(self.boot_timeout):
+        if not parent_conn.poll(BOOT_TIMEOUT_S):
             self.kill()
             raise RuntimeError(
-                f"service process did not boot within {self.boot_timeout}s"
+                f"service process did not boot within {BOOT_TIMEOUT_S}s"
             )
         status, detail = parent_conn.recv()
         parent_conn.close()

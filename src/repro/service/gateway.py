@@ -12,7 +12,8 @@ store.
 Endpoints (all JSON except the ingest body):
 
 =======================  =====================================================
-``GET  /healthz``        liveness: 200 while the gateway and every worker run
+``GET  /healthz``        liveness: 200 ``ok``, or ``degraded`` while a shard
+                         worker respawns; 503 ``stopping`` during shutdown
 ``GET  /spec``           the protocol registry spec clients must encode for
 ``GET  /stats``          epochs, report counts, per-worker stats, store state
 ``POST /ingest``         body = one framed report batch
@@ -23,7 +24,7 @@ Endpoints (all JSON except the ingest body):
                          the shard states into the engine (exact, order
                          independent) and seal the epoch into the store
 ``POST /checkpoint``     sweep the store now: rewrite dirty epochs, rebuild
-                         missing aggregate segments (409 without a store)
+                         missing aggregate segments
 ``GET  /query``          windowed estimates; parameters ``window``
                          (``all`` | ``last:K`` | ``0,2,5``), ``ranges``,
                          ``quantiles``, ``rectangles``, ``frequencies=1``,
@@ -40,25 +41,26 @@ integer sufficient statistics and epoch close merges them exactly
 (associative + commutative), so the number of workers, the round-robin
 interleaving and the merge order are all unobservable in query answers.
 
-Durability (``store_dir``): the engine is backed by an
-:class:`~repro.engine.store.EpochStore`, the service's only persistence.
+Durability: every service runs with an epoch store (``store_dir``, or an
+engine already backed by one) and a write-ahead log (``wal_dir``), and
+the constructor raises ``ValueError`` when either is missing.  The
+:class:`~repro.engine.store.EpochStore` is the engine's only persistence.
 Every epoch close *seals* the finished epoch -- one CRC-framed segment
 write, the aggregate blocks it completes, a manifest commit -- and evicts
 it from RAM, so the gateway's memory stays O(current epoch) no matter how
 many epochs it has served.  Windowed ``/query`` answers over sealed
 epochs run via the store's pushdown path and remain bit-identical to the
 all-in-RAM engine.  Restarting with the same ``store_dir`` resumes from
-the manifest, mapping segments lazily.  Without a store the engine lives
-in RAM only and nothing survives the process.
+the manifest, mapping segments lazily.
 
-Fault tolerance (``wal_dir`` + supervision):
+Fault tolerance (WAL + supervision):
 
 * every accepted ingest batch is appended to the open epoch's segment
-  of a write-ahead log (:mod:`repro.service.wal`) *before* the 200 goes
+  of the write-ahead log (:mod:`repro.service.wal`) *before* the 200 goes
   out, keyed by a client-supplied ``Idempotency-Key`` header (duplicates
   are dropped, so at-least-once clients get exactly-once ingestion);
   the WAL holds only the open epoch -- ``/close`` seals the epoch into
-  the store, then discards its segment -- so a WAL needs a store;
+  the store, then discards its segment;
 * a supervisor task respawns crashed shard workers under bounded
   exponential backoff and re-ingests their WAL'd batches into the
   replacement -- a worker crash costs availability of one shard for a
@@ -71,10 +73,6 @@ Fault tolerance (``wal_dir`` + supervision):
 * bounded per-worker in-flight queues surface ``429 Retry-After`` when
   the pool is saturated, and slow/stuck clients are disconnected by a
   request read timeout.
-
-Without a WAL the service still survives worker crashes (supervision
-respawns them and ingest is re-routed), but the dead shard's
-un-closed reports are lost -- durability needs the log.
 """
 
 from __future__ import annotations
@@ -109,6 +107,13 @@ from repro.service.workers import (
     ingest_batches_single_process,
 )
 
+#: Seconds the gateway waits for one request before answering 408 and
+#: closing the connection.
+REQUEST_TIMEOUT_S = 30.0
+
+#: Seconds between the supervisor's checks for dead shard workers.
+SUPERVISE_INTERVAL_S = 0.25
+
 
 class AggregationService:
     """One protocol configuration served over HTTP with sharded ingest.
@@ -117,9 +122,11 @@ class AggregationService:
     from an epoch store), a protocol object, or a spec dict.  The service
     owns the engine's epoch lifecycle: reports accumulate in the worker
     shards of the *current* epoch, ``POST /close`` folds them into the
-    engine, and queries see every closed epoch.  ``wal_dir`` needs an
-    epoch store (``store_dir``, or an engine already backed by one) and
-    raises ``ValueError`` without it.
+    engine, and queries see every closed epoch.  It needs an epoch store
+    -- ``store_dir``, or an engine already backed by one -- and a
+    ``wal_dir``, and raises ``ValueError``, before creating any
+    directory, when either is missing or ``store_dir`` names another
+    directory than the engine's own store.
     """
 
     def __init__(
@@ -132,36 +139,32 @@ class AggregationService:
         store_dir: Optional[str] = None,
         wal_dir: Optional[str] = None,
         wal_sync: bool = False,
-        max_inflight: int = 64,
-        request_timeout: Optional[float] = 30.0,
-        supervise_interval: Optional[float] = 0.25,
     ) -> None:
         if not isinstance(engine, Engine):
             engine = Engine.open(engine)
-        if store_dir is not None and engine.store is None:
-            engine.attach_store(store_dir)
-        if wal_dir and engine.store is None:
+        if (store_dir is None and engine.store is None) or not wal_dir:
             raise ValueError(
-                "wal_dir needs store_dir (serve: --wal-dir needs --store-dir): "
-                "the WAL holds only the open epoch, and every closed epoch "
-                "is sealed into the epoch store"
+                "the service needs an epoch store (store_dir, or an engine "
+                "backed by one) and a wal_dir (serve: --store-dir and "
+                "--wal-dir): every accepted batch is logged before its ack, "
+                "and every closed epoch is sealed into the store"
+            )
+        if engine.store is None:
+            engine.attach_store(store_dir)
+        elif store_dir is not None and (
+            os.path.realpath(store_dir) != os.path.realpath(engine.store.directory)
+        ):
+            raise ValueError(
+                f"store_dir {store_dir} is not the engine's own epoch store "
+                f"{engine.store.directory}"
             )
         self._engine = engine
-        self._store_backed = engine.store is not None
         self._spec = engine.spec()
         self._host = host
         self._requested_port = int(port)
-        self._pool = WorkerPool(
-            self._spec, num_workers=num_workers, max_inflight=max_inflight
-        )
-        self._wal = IngestWAL(wal_dir, sync=wal_sync) if wal_dir else None
+        self._pool = WorkerPool(self._spec, num_workers=num_workers)
+        self._wal = IngestWAL(wal_dir, sync=wal_sync)
         self._wal_lock = asyncio.Lock()
-        self._request_timeout = (
-            float(request_timeout) if request_timeout else None
-        )
-        self._supervise_interval = (
-            float(supervise_interval) if supervise_interval else None
-        )
         self._supervisor: Optional[asyncio.Task] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._port: Optional[int] = None
@@ -205,9 +208,10 @@ class AggregationService:
 
         The manifest is read eagerly but every sealed epoch stays on
         disk, mapped lazily on first query -- restart cost and RSS are
-        independent of how many epochs the store holds.  Ingestion
-        continues on the next fresh epoch key, so a crash-restart never
-        rewrites history.
+        independent of how many epochs the store holds.  ``options``
+        must name the ``wal_dir``; ingestion continues on the open epoch
+        it replays, or else on the next fresh epoch key, so a
+        crash-restart never rewrites a closed epoch.
         """
         return cls(Engine.open(None, store_dir=store_dir), **options)
 
@@ -237,8 +241,8 @@ class AggregationService:
         return self._current_epoch
 
     @property
-    def wal(self) -> Optional[IngestWAL]:
-        """The durable ingest log (``None`` when started without one)."""
+    def wal(self) -> IngestWAL:
+        """The durable ingest log."""
         return self._wal
 
     @property
@@ -258,13 +262,10 @@ class AggregationService:
         worker spawns.
         """
         recovery_started = time.perf_counter()
-        segments = self._wal.scan() if self._wal is not None else None
+        segments = self._wal.scan()
         self._pool.start()
-        if segments is not None:
-            await self._recover_from_wal(segments)
-            self._wal_recovery_ms = (
-                time.perf_counter() - recovery_started
-            ) * 1e3
+        await self._recover_from_wal(segments)
+        self._wal_recovery_ms = (time.perf_counter() - recovery_started) * 1e3
         self._server = await asyncio.start_server(
             self._handle_connection,
             host=self._host,
@@ -273,8 +274,7 @@ class AggregationService:
         )
         self._port = self._server.sockets[0].getsockname()[1]
         self._started_at = time.monotonic()
-        if self._supervise_interval:
-            self._supervisor = asyncio.create_task(self._supervise())
+        self._supervisor = asyncio.create_task(self._supervise())
         return self
 
     async def serve_forever(self) -> None:
@@ -289,8 +289,7 @@ class AggregationService:
         close the in-progress epoch (so no accepted report is lost),
         sweep the store, and let the workers exit cleanly.
         ``flush=False`` simulates a crash: the current epoch's unclosed
-        shards are dropped on the floor (recoverable from the WAL, when
-        one is configured).
+        shards are dropped, and the next start replays them from the WAL.
         """
         self._stopping = True
         if self._supervisor is not None:
@@ -306,13 +305,11 @@ class AggregationService:
             self._server = None
         if flush:
             await self._close_epoch()
-            if self._store_backed:
-                await self._sweep_store()
+            await self._sweep_store()
             await self._pool.shutdown(graceful=True)
         else:
             await self._pool.shutdown(graceful=False)
-        if self._wal is not None:
-            self._wal.close()
+        self._wal.close()
 
     # ------------------------------------------------------------------ #
     # fault tolerance: WAL recovery + worker supervision
@@ -429,10 +426,9 @@ class AggregationService:
 
         Called after respawning dead workers: the replacements start
         empty, and every batch the dead shard ever accepted this epoch
-        is in the log.  Without a WAL this is a no-op (the shard's
-        reports are lost, availability is all supervision can save).
+        is in the log.
         """
-        if self._wal is None or not indices:
+        if not indices:
             return 0
         loop = asyncio.get_running_loop()
         records = await loop.run_in_executor(None, self._wal.read_epoch, epoch)
@@ -443,12 +439,12 @@ class AggregationService:
     async def _supervise(self) -> None:
         """Detect dead workers, respawn them, replay their batches.
 
-        Runs forever on ``supervise_interval``; holds the close lock so
+        Runs every :data:`SUPERVISE_INTERVAL_S`; holds the close lock so
         a replay never interleaves with an epoch drain (which would
         mis-attribute the replayed reports to the next epoch).
         """
         while not self._stopping:
-            await asyncio.sleep(self._supervise_interval)
+            await asyncio.sleep(SUPERVISE_INTERVAL_S)
             try:
                 if self._pool.alive_count == len(self._pool):
                     continue
@@ -473,15 +469,12 @@ class AggregationService:
         Sealing writes the segment, builds the aggregate blocks the epoch
         completes and commits the manifest; only then is the WAL copy
         redundant.  If the seal fails the segment stays, and a restart
-        rebuilds the epoch from it.  Without a store there is no WAL and
-        the epoch lives in RAM only.
+        rebuilds the epoch from it.
         """
-        if self._store_backed:
-            # The segment and manifest writes fsync: keep them off the loop.
-            loop = asyncio.get_running_loop()
-            await loop.run_in_executor(None, self._engine.seal_epoch, epoch)
-            if self._wal is not None:
-                self._wal.discard(epoch)
+        # The segment and manifest writes fsync: keep them off the loop.
+        loop = asyncio.get_running_loop()
+        await loop.run_in_executor(None, self._engine.seal_epoch, epoch)
+        self._wal.discard(epoch)
 
     async def _sweep_store(self) -> None:
         """Rewrite dirty epochs and rebuild missing aggregate segments.
@@ -513,11 +506,6 @@ class AggregationService:
             states.update(drained)
             pending -= set(drained)
             if not pending:
-                return states
-            if self._wal is None:
-                # No log to replay from: the dead shards' reports are
-                # gone; deliver what survived rather than spin forever.
-                await self._pool.ensure_alive(force=True)
                 return states
         raise HttpError(
             503,
@@ -585,8 +573,7 @@ class AggregationService:
             while True:
                 try:
                     request = await asyncio.wait_for(
-                        read_request(reader),
-                        timeout=self._request_timeout,
+                        read_request(reader), timeout=REQUEST_TIMEOUT_S
                     )
                 except asyncio.TimeoutError:
                     # A stuck or idle-beyond-budget client: free the
@@ -596,7 +583,7 @@ class AggregationService:
                         error_response(
                             408,
                             f"request not received within "
-                            f"{self._request_timeout:g}s",
+                            f"{REQUEST_TIMEOUT_S:g}s",
                         )
                     )
                     await writer.drain()
@@ -663,13 +650,11 @@ class AggregationService:
             status, code = "stopping", 503
         elif alive == configured:
             status, code = "ok", 200
-        elif alive > 0 or self._wal is not None:
-            # Some shards are respawning, but ingest still lands (alive
-            # workers take it; with a WAL even an all-dead window is
-            # only a deferral) -- degraded, not down.
-            status, code = "degraded", 200
         else:
-            status, code = "down", 503
+            # Some shards are respawning, but ingest still lands: alive
+            # workers take it, and with every worker dead it is logged
+            # and delivered by the respawn replay.
+            status, code = "degraded", 200
         payload = {
             "status": status,
             "workers": {
@@ -677,7 +662,6 @@ class AggregationService:
                 "configured": configured,
                 "restarts": self._pool.restart_count,
             },
-            "wal": self._wal is not None,
         }
         return json_response(code, payload, keep_alive=request.keep_alive)
 
@@ -710,24 +694,16 @@ class AggregationService:
             "restart_count": self._pool.restart_count,
             "replayed_batches": self._replayed_batches,
             "timed_out_connections": self._timed_out_connections,
-            "wal": (
-                {**self._wal.stats(), "recovery_ms": self._wal_recovery_ms}
-                if self._wal is not None
-                else None
-            ),
+            "wal": {**self._wal.stats(), "recovery_ms": self._wal_recovery_ms},
             "checkpoint": {"written": self._checkpoints_written},
-            "store": (
-                {
-                    "dir": engine.store.directory,
-                    "sealed_epochs": list(engine.sealed_epochs),
-                    "live_epochs": list(engine.live_epochs),
-                    "on_disk_bytes": engine.store.total_bytes(),
-                    # Windowed-query fast path: the materialized aggregate hierarchy.
-                    "aggregates": engine.store.aggregate_stats(),
-                }
-                if engine.store is not None
-                else None
-            ),
+            "store": {
+                "dir": engine.store.directory,
+                "sealed_epochs": list(engine.sealed_epochs),
+                "live_epochs": list(engine.live_epochs),
+                "on_disk_bytes": engine.store.total_bytes(),
+                # Windowed-query fast path: the materialized aggregate hierarchy.
+                "aggregates": engine.store.aggregate_stats(),
+            },
         }
         return json_response(200, payload, keep_alive=request.keep_alive)
 
@@ -796,18 +772,12 @@ class AggregationService:
                     self._rejected_busy += 1
                     raise HttpError(
                         429,
-                        f"ingest queue saturated ({self._pool.max_inflight} "
-                        "in-flight batches per worker); retry shortly",
+                        f"ingest queue saturated ({exc}); retry shortly",
                         headers={"Retry-After": "0.1"},
                     ) from exc
-                except NoAliveWorkersError as exc:
-                    if self._wal is None:
-                        del self._seen_keys[key]
-                        raise HttpError(
-                            503, f"shard workers unavailable: {exc}"
-                        ) from exc
-                    # With a WAL the batch is durable the moment it is
-                    # logged; the supervisor's respawn replay delivers it.
+                except NoAliveWorkersError:
+                    # The batch is durable the moment it is logged; the
+                    # supervisor's respawn replay delivers it.
                     worker = self._batches_accepted % len(self._pool)
                     deferred = True
                 try:
@@ -818,19 +788,10 @@ class AggregationService:
             if not deferred:
                 try:
                     await self._pool.ingest_on(worker, blob)
-                except WorkerCrashError as exc:
-                    if self._wal is not None:
-                        # Logged before the crash: the respawn replay
-                        # re-ingests it, so the ack stands.
-                        deferred = True
-                    else:
-                        delivered = await self._reroute(blob)
-                        if delivered is None:
-                            del self._seen_keys[key]
-                            raise HttpError(
-                                503, f"shard worker crashed mid-ingest: {exc}"
-                            ) from exc
-                        worker = delivered
+                except WorkerCrashError:
+                    # Logged before the crash: the respawn replay
+                    # re-ingests it, so the ack stands.
+                    deferred = True
             if deferred:
                 self._deferred_batches += 1
             self._batches_accepted += 1
@@ -854,8 +815,6 @@ class AggregationService:
     async def _append_wal(
         self, epoch: int, blob: bytes, key: str, worker: int, n_users: int
     ) -> None:
-        if self._wal is None:
-            return
         if self._wal.sync:
             # fsync can block for milliseconds: keep it off the loop,
             # serialized so records never interleave mid-write.
@@ -872,24 +831,11 @@ class AggregationService:
             # inline keeps record order identical to ack order.
             self._wal.append(epoch, blob, key=key, worker=worker, n_users=n_users)
 
-    async def _reroute(self, blob: bytes) -> Optional[int]:
-        """Best-effort re-send after a mid-ingest crash (no WAL only)."""
-        for _ in range(len(self._pool)):
-            try:
-                index = self._pool.pick_worker()
-                await self._pool.ingest_on(index, blob)
-                return index
-            except (NoAliveWorkersError, PoolSaturatedError, WorkerCrashError):
-                continue
-        return None
-
     async def _handle_close(self, request: HttpRequest) -> bytes:
         result = await self._close_epoch()
         return json_response(200, result, keep_alive=request.keep_alive)
 
     async def _handle_checkpoint(self, request: HttpRequest) -> bytes:
-        if not self._store_backed:
-            raise HttpError(409, "service was started without an epoch store")
         await self._sweep_store()
         return json_response(
             200,
@@ -951,7 +897,8 @@ class ServiceThread:
 
     Use as a context manager::
 
-        with ServiceThread(AggregationService(spec)) as handle:
+        service = AggregationService(spec, store_dir="store", wal_dir="wal")
+        with ServiceThread(service) as handle:
             requests.post(handle.url + "/ingest", data=batch)  # any client
     """
 
@@ -1029,13 +976,13 @@ class ServiceThread:
 #: HTTP statuses that signal "try again shortly", not "you are wrong".
 RETRYABLE_STATUSES = (429, 503)
 
+#: First retry delay of :func:`retry_delay_s`, and the cap its doubling
+#: stops at, in seconds (before jitter).
+RETRY_BASE_S = 0.05
+RETRY_CAP_S = 2.0
 
-def retry_delay_s(
-    attempt: int,
-    base_s: float = 0.05,
-    cap_s: float = 2.0,
-    retry_after: Optional[str] = None,
-) -> float:
+
+def retry_delay_s(attempt: int, retry_after: Optional[str] = None) -> float:
     """Jittered exponential backoff, honoring a server ``Retry-After``.
 
     :func:`request_json` backs off this way: the server's hint is a
@@ -1045,7 +992,7 @@ def retry_delay_s(
     """
     import random
 
-    delay = min(cap_s, base_s * (2 ** max(0, attempt)))
+    delay = min(RETRY_CAP_S, RETRY_BASE_S * (2 ** max(0, attempt)))
     if retry_after:
         try:
             delay = max(delay, float(retry_after))

@@ -23,14 +23,14 @@ from __future__ import annotations
 import asyncio
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 from urllib.parse import parse_qsl, urlsplit
 
 #: Upper bound on the request line + header block, in bytes.
 MAX_HEADER_BYTES = 64 * 1024
 
-#: Default upper bound on a request body (one framed report batch).
-DEFAULT_MAX_BODY = 128 * 1024 * 1024
+#: Upper bound on a request body (one framed report batch), in bytes.
+MAX_BODY_BYTES = 128 * 1024 * 1024
 
 _REASONS = {
     200: "OK",
@@ -79,14 +79,13 @@ class HttpRequest:
     keep_alive: bool = True
 
 
-async def read_request(
-    reader: asyncio.StreamReader, max_body: int = DEFAULT_MAX_BODY
-) -> Optional[HttpRequest]:
+async def read_request(reader: asyncio.StreamReader) -> Optional[HttpRequest]:
     """Read and parse one request; ``None`` on a clean EOF between requests.
 
     The caller must create the stream with ``limit`` >=
     :data:`MAX_HEADER_BYTES` (an overrun surfaces as a 431
-    :class:`HttpError`); bodies are bounded by ``max_body`` (413).
+    :class:`HttpError`); bodies are bounded by :data:`MAX_BODY_BYTES`
+    (413).
     """
     try:
         head = await reader.readuntil(b"\r\n\r\n")
@@ -126,8 +125,10 @@ async def read_request(
         raise HttpError(400, f"malformed Content-Length {length_text!r}") from exc
     if length < 0:
         raise HttpError(400, f"negative Content-Length {length}")
-    if length > max_body:
-        raise HttpError(413, f"body of {length} bytes exceeds the {max_body} limit")
+    if length > MAX_BODY_BYTES:
+        raise HttpError(
+            413, f"body of {length} bytes exceeds the {MAX_BODY_BYTES} limit"
+        )
     body = b""
     if length:
         try:
@@ -212,18 +213,3 @@ def error_response(
         keep_alive=keep_alive,
         extra_headers=extra_headers,
     )
-
-
-def split_url(url: str) -> Tuple[str, int, str]:
-    """Split ``http://host:port/base`` into ``(host, port, base_path)``.
-
-    Only ``http`` URLs are meaningful for the gateway.
-    """
-    if "//" not in url:
-        url = "http://" + url
-    parts = urlsplit(url)
-    if parts.scheme not in ("http", ""):
-        raise ValueError(f"unsupported URL scheme {parts.scheme!r}; expected http")
-    if not parts.hostname:
-        raise ValueError(f"URL {url!r} has no host")
-    return parts.hostname, parts.port or 80, parts.path.rstrip("/")

@@ -1,20 +1,20 @@
 """Durable ingest write-ahead log for the aggregation gateway.
 
-The service's exactly-once story has a hole without this module: the
-gateway acknowledges ``POST /ingest`` as soon as a batch is queued on a
-shard worker's pipe, but pipes are memory -- a crashed worker or a
-killed gateway silently drops every batch acknowledged since the last
-epoch close, skewing estimates the estimators then treat as unbiased.
+Every service runs with one.  The gateway acknowledges ``POST /ingest``
+once a batch is logged and queued on a shard worker's pipe, and pipes
+are memory: without the log a crashed worker or a killed gateway would
+drop every batch acknowledged since the last epoch close, skewing
+estimates the estimators then treat as unbiased.
 
-:class:`IngestWAL` closes the hole with a per-epoch, segmented,
-append-only log that holds only the epoch in flight:
+:class:`IngestWAL` is a per-epoch, segmented, append-only log that holds
+only the epoch in flight:
 
 * the gateway appends each accepted batch (with its idempotency key and
   shard assignment) to the *open* segment of the current epoch **before**
   acknowledging the client;
 * ``POST /close`` merges the epoch's shard states into the engine, seals
-  the epoch into the epoch store -- the only place a closed epoch lives,
-  which is why a WAL needs a store -- and then discards the segment;
+  the epoch into the epoch store -- the only place a closed epoch lives
+  -- and then discards the segment;
 * on restart, :meth:`IngestWAL.scan` recovers the intact prefix of every
   surviving segment (CRC-protected records, torn tails dropped -- a torn
   record was never acknowledged) so the gateway can replay the open

@@ -39,7 +39,7 @@ import multiprocessing
 import os
 import time
 from multiprocessing.connection import Connection
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.exceptions import ProtocolUsageError
 from repro.core.serialization import SerializationError, unpack_report_batch
@@ -75,6 +75,10 @@ OP_QUIT = b"Q"
 #: doubles with each death in a row, up to ``RESTART_BACKOFF_MAX_S``.
 RESTART_BACKOFF_S = 0.1
 RESTART_BACKOFF_MAX_S = 5.0
+
+#: Batches one worker may have queued on its pipe before routing skips
+#: it; with every alive worker at the bound, ingest answers 429.
+MAX_INFLIGHT = 64
 
 
 def shard_worker_main(conn: Connection, spec: dict) -> None:
@@ -273,19 +277,11 @@ class WorkerPool:
     the dead shard held, because a replacement always starts empty.
     """
 
-    def __init__(
-        self,
-        spec: dict,
-        num_workers: int = 2,
-        max_inflight: int = 64,
-    ) -> None:
+    def __init__(self, spec: dict, num_workers: int = 2) -> None:
         if int(num_workers) < 1:
             raise ValueError(f"need at least 1 worker, got {num_workers}")
-        if int(max_inflight) < 1:
-            raise ValueError(f"max_inflight must be >= 1, got {max_inflight}")
         self._spec = dict(spec)
         self._num_workers = int(num_workers)
-        self._max_inflight = int(max_inflight)
         self._workers: List[ShardWorker] = []
         self._next = 0
         self._restart_count = 0
@@ -307,10 +303,6 @@ class WorkerPool:
     def restart_count(self) -> int:
         """Total worker respawns over the pool's lifetime."""
         return self._restart_count
-
-    @property
-    def max_inflight(self) -> int:
-        return self._max_inflight
 
     def _spawn(self, index: int) -> ShardWorker:
         context = multiprocessing.get_context("spawn")
@@ -343,7 +335,7 @@ class WorkerPool:
         """The next worker a batch should land on (round-robin).
 
         Skips dead workers (they are being respawned) and saturated
-        workers (their in-flight queue is at ``max_inflight``).  Raises
+        workers (their in-flight queue is at :data:`MAX_INFLIGHT`).  Raises
         :class:`NoAliveWorkersError` when every worker is dead and
         :class:`PoolSaturatedError` when every alive worker is full --
         the gateway maps the latter onto ``429 Retry-After``.
@@ -357,13 +349,13 @@ class WorkerPool:
             if not worker.alive:
                 continue
             saw_alive = True
-            if worker.pending >= self._max_inflight:
+            if worker.pending >= MAX_INFLIGHT:
                 continue
             self._next = (index + 1) % n
             return index
         if saw_alive:
             raise PoolSaturatedError(
-                f"all alive workers hold >= {self._max_inflight} in-flight batches"
+                f"all alive workers hold >= {MAX_INFLIGHT} in-flight batches"
             )
         raise NoAliveWorkersError("every shard worker is dead")
 
@@ -371,9 +363,8 @@ class WorkerPool:
         """Forward one framed batch to a specific worker.
 
         Raises :class:`WorkerCrashError` (and marks the worker failed)
-        when the pipe is dead -- with a WAL the gateway can still
-        acknowledge the batch, because the respawn replay will re-ingest
-        it from the log.
+        when the pipe is dead -- the gateway still acknowledges the
+        batch, because the respawn replay re-ingests it from the WAL.
         """
         self._require_started()
         worker = self._workers[int(index) % len(self._workers)]
@@ -435,8 +426,8 @@ class WorkerPool:
 
         A worker that dies mid-close lands in ``failures`` (marked
         failed); the caller respawns it, replays its batches, and
-        retries -- its accumulated state is unrecoverable, but with a WAL
-        its *inputs* are not.
+        retries -- its accumulated state is unrecoverable, but its
+        *inputs* are in the WAL.
         """
         self._require_started()
         indices = [int(index) % len(self._workers) for index in indices]
@@ -503,17 +494,13 @@ async def _dead_stats(worker: ShardWorker) -> dict:
     return {"error": "worker is dead", "epoch_reports": 0}
 
 
-def ingest_batches_single_process(
-    spec: dict, batch_blobs, postprocess: Optional[str] = None
-):
+def ingest_batches_single_process(spec: dict, batch_blobs):
     """Reference single-process ingestion of framed batches.
 
     Decodes and ingests every report of every batch into one fresh
     server and returns it -- the ground truth the sharded service must
     match bit-for-bit.  Used by tests and the service benchmark.
     """
-    if postprocess is not None:
-        spec = {**spec, "postprocess": postprocess}
     protocol = protocol_from_spec(spec)
     server = protocol.server()
     for blob in batch_blobs:

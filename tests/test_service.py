@@ -6,10 +6,11 @@ Three guarantees anchor the service layer:
   of workers, any round-robin interleaving -- answers queries exactly as
   a single process ingesting the same framed batches would.  Merge is
   exact, so scale-out is never an accuracy trade.
-* **Durability**: every epoch close seals the epoch into the epoch
-  store; a hard kill loses only the unclosed epoch in flight (nothing,
-  with a WAL), and a restart from the store resumes with every closed
-  epoch intact and ingestion continuing on a fresh key.
+* **Durability**: every service runs with an epoch store and a WAL.
+  Every epoch close seals the epoch into the store, a hard kill loses
+  nothing acknowledged (the WAL replays the epoch in flight), and a
+  restart resumes with every closed epoch intact and ingestion
+  continuing on the open epoch's key.
 * **Wire hygiene**: the framed batch codec round-trips reports exactly
   and fails loudly (with offsets) on malformed input, and the gateway
   maps every failure mode onto a meaningful HTTP status instead of
@@ -62,7 +63,6 @@ from repro.service.faults import (
     kill_worker,
     truncate_wal_tail,
 )
-from repro.service.http import split_url
 from repro.service.loadgen import percentile
 
 from test_streaming_session import array_layout_bytes
@@ -271,10 +271,17 @@ class TestWorkerPool:
         assert states[0] == ingest_batches_single_process(olh.spec(), olh_good).to_bytes()
 
 
+def durable(tmp_path):
+    """The ``store_dir`` and ``wal_dir`` options every service needs."""
+    return {"store_dir": str(tmp_path / "store"), "wal_dir": str(tmp_path / "wal")}
+
+
 @pytest.fixture(scope="class")
-def live_service():
+def live_service(tmp_path_factory):
     """One running gateway (2 workers) shared by the e2e tests."""
-    service = AggregationService(TREE_SPEC, num_workers=2)
+    service = AggregationService(
+        TREE_SPEC, num_workers=2, **durable(tmp_path_factory.mktemp("live"))
+    )
     with ServiceThread(service) as handle:
         yield handle
 
@@ -355,8 +362,8 @@ class TestGatewayEndToEnd:
         # epoch the first test of this class closed)
         with pytest.raises(RuntimeError, match="400"):
             request_json(url + "/query?ranges=0:99999999999999999999")
-        with pytest.raises(RuntimeError, match="409"):
-            request_json(url + "/checkpoint", method="POST")  # no store
+        swept = request_json(url + "/checkpoint", method="POST")
+        assert swept["epochs"] == [0] and swept["written"] == 1
         # a batch for a different configuration is refused up front
         other, reports = encode_reports(SPEC, 10, seed=9, chunks=1)
         mismatched = pack_report_batch(other.spec(), reports)
@@ -375,8 +382,7 @@ class TestGatewayEndToEnd:
         assert request_json(url + "/stats")["accepted"]["reports"] == accepted
 
     def test_truncated_body_gets_a_400_not_a_hang(self, live_service):
-        host, port, _ = split_url(live_service.url)
-        connection = http.client.HTTPConnection(host, port, timeout=30)
+        connection = http.client.HTTPConnection("127.0.0.1", live_service.port, timeout=30)
         try:
             connection.putrequest("POST", "/ingest")
             connection.putheader("Content-Length", "1000")
@@ -397,9 +403,7 @@ class TestGatewayEndToEnd:
         # it was sent before the first close returned; any other answer
         # must be 200.
         epochs = [make_blobs(TREE_SPEC, 240, seed=30 + e, chunks=6)[0] for e in range(3)]
-        service = AggregationService(
-            TREE_SPEC, num_workers=2, store_dir=str(tmp_path / "store")
-        )
+        service = AggregationService(TREE_SPEC, num_workers=2, **durable(tmp_path))
         answered, first, closed, stop = [], threading.Event(), threading.Event(), threading.Event()
 
         def read_queries(port):
@@ -442,14 +446,15 @@ class TestGatewayEndToEnd:
 
 
 class TestGridQueries:
-    def test_rectangles_are_answered_and_misfit_requests_refused(self):
+    def test_rectangles_are_answered_and_misfit_requests_refused(self, tmp_path):
         engine = Engine.open(make_protocol("grid2d", 16, 1.5, domain_size_y=8, branching=2))
         rng = np.random.default_rng(5)
         engine.session().absorb(
             np.stack([rng.integers(0, 16, 400), rng.integers(0, 8, 400)], axis=1), rng
         )
         estimator = engine.estimator()
-        with ServiceThread(AggregationService(engine, num_workers=1)) as handle:
+        service = AggregationService(engine, num_workers=1, **durable(tmp_path))
+        with ServiceThread(service) as handle:
             answer = request_json(handle.url + "/query?rectangles=0:15:0:7,2:5:3:6")
             for bad in (
                 "rectangles=0:99999999999999999999:0:1",  # outside int64
@@ -468,11 +473,11 @@ class TestGridQueries:
 
 class TestStoreRecovery:
     def test_kill_and_restore_loses_no_closed_epoch(self, tmp_path):
-        store_dir = str(tmp_path / "store")
+        options = durable(tmp_path)
         protocol, reports = encode_reports(SPEC, 300, seed=10, chunks=6)
         blobs = [pack_report_batch(protocol.spec(), [report]) for report in reports]
 
-        service = AggregationService(SPEC, num_workers=2, store_dir=store_dir)
+        service = AggregationService(SPEC, num_workers=2, **options)
         handle = ServiceThread(service).start()
         url = handle.url
         for blob in blobs[:3]:
@@ -482,11 +487,13 @@ class TestStoreRecovery:
             request_json(url + "/ingest", method="POST", body=blob)
         request_json(url + "/close", method="POST")
         before = request_json(url + "/query?ranges=0:31&window=all")
-        # epoch 2 is mid-flight when the process dies
+        # epoch 2 is mid-flight when the process dies: only the WAL holds it
         request_json(url + "/ingest", method="POST", body=blobs[5])
         handle.stop(flush=False)
 
-        restored = AggregationService.from_store(store_dir, num_workers=2)
+        restored = AggregationService.from_store(
+            options["store_dir"], num_workers=2, wal_dir=options["wal_dir"]
+        )
         assert restored.engine.epochs == (0, 1)
         assert restored.current_epoch == 2
         with ServiceThread(restored) as handle2:
@@ -494,17 +501,22 @@ class TestStoreRecovery:
             after = request_json(url2 + "/query?ranges=0:31&window=all")
             assert after["ranges"] == before["ranges"]
             assert after["n_users"] == before["n_users"]
-            # service keeps working: the lost batch is simply re-sent
-            request_json(url2 + "/ingest", method="POST", body=blobs[5])
+            # the acked batch is replayed from the WAL, never re-sent
+            assert request_json(url2 + "/stats")["replayed_batches"] == 1
             closed = request_json(url2 + "/close", method="POST")
-            assert closed["epoch"] == 2
+            assert closed["epoch"] == 2 and closed["reports"] == 50
             windows = request_json(url2 + "/query?ranges=0:31&window=last:1")
             assert windows["epochs"] == [2]
+            for epoch, batches in enumerate((blobs[:3], blobs[3:5], blobs[5:])):
+                answer = request_json(url2 + f"/query?frequencies=1&window={epoch}")
+                assert answer["frequencies"] == reference_frequencies(
+                    protocol.spec(), batches
+                )
 
     def test_graceful_stop_flushes_the_open_epoch(self, tmp_path):
-        store_dir = str(tmp_path / "store")
+        options = durable(tmp_path)
         protocol, reports = encode_reports(SPEC, 100, seed=11, chunks=2)
-        service = AggregationService(SPEC, num_workers=2, store_dir=store_dir)
+        service = AggregationService(SPEC, num_workers=2, **options)
         with ServiceThread(service) as handle:
             for report in reports:
                 request_json(
@@ -515,41 +527,27 @@ class TestStoreRecovery:
             # no explicit /close: the context exit flushes
         from repro.engine import Engine
 
-        engine = Engine.restore(store_dir)
+        engine = Engine.restore(options["store_dir"])
         assert engine.epochs == (0,)
         assert engine.n_reports() == 100
 
     def test_closed_and_recovered_epochs_are_sealed(self, tmp_path):
+        # Each close seals the epoch into the store and then drops its WAL
+        # segment: the log holds nothing closed, and a restart finds every
+        # epoch sealed, nothing live and nothing to replay.
         blobs, _ = make_blobs(SPEC, 180, seed=12, chunks=6)
-        service = AggregationService(
-            SPEC, num_workers=2, store_dir=str(tmp_path / "closed")
-        )
+        service = AggregationService(SPEC, num_workers=2, **durable(tmp_path))
         with ServiceThread(service) as handle:
-            post_batches(handle.url, blobs[:2], "closed")
-            request_json(handle.url + "/close", method="POST")
-            post_batches(handle.url, blobs[2:4], "closed", start=2)
-            request_json(handle.url + "/close", method="POST")
-            assert service.engine.sealed_epochs == (0, 1)
-            assert service.engine.live_epochs == ()
-            swept = request_json(handle.url + "/checkpoint", method="POST")
-            assert swept["epochs"] == [0, 1]
-
-        # With a WAL, each close seals the epoch into the store and then
-        # drops its segment: the log holds nothing closed, and a restart
-        # finds every epoch sealed, nothing live and nothing to replay.
-        store_dir, wal_dir = str(tmp_path / "store"), str(tmp_path / "wal")
-        durable = AggregationService(
-            SPEC, num_workers=2, store_dir=store_dir, wal_dir=wal_dir
-        )
-        with ServiceThread(durable) as handle:
             for epoch, pair in enumerate((blobs[:3], blobs[3:])):
                 post_batches(handle.url, pair, f"wal{epoch}")
                 request_json(handle.url + "/close", method="POST")
-            assert durable.wal.scan() == []
+            assert service.engine.sealed_epochs == (0, 1)
+            assert service.engine.live_epochs == ()
+            assert service.wal.scan() == []
+            swept = request_json(handle.url + "/checkpoint", method="POST")
+            assert swept["epochs"] == [0, 1]
 
-        restored = AggregationService(
-            SPEC, num_workers=2, store_dir=store_dir, wal_dir=wal_dir
-        )
+        restored = AggregationService(SPEC, num_workers=2, **durable(tmp_path))
         with ServiceThread(restored) as handle:
             assert restored.engine.sealed_epochs == (0, 1)
             assert restored.engine.live_epochs == ()
@@ -564,13 +562,37 @@ class TestStoreRecovery:
                     float(v) for v in reference.estimated_frequencies()
                 ]
 
-    def test_wal_without_a_store_is_refused(self, tmp_path):
-        wal_dir = str(tmp_path / "wal")
-        with pytest.raises(ValueError, match="--wal-dir needs --store-dir"):
-            AggregationService(SPEC, wal_dir=wal_dir)
-        with pytest.raises(SystemExit, match="--wal-dir needs --store-dir"):
-            cli.main(["serve", "--domain-size", "64", "--wal-dir", wal_dir])
-        assert not os.path.exists(wal_dir)  # refused before anything ran
+    @pytest.mark.parametrize(
+        "missing",
+        [("store_dir",), ("wal_dir",), ("store_dir", "wal_dir")],
+        ids=["no-store", "no-wal", "neither"],
+    )
+    def test_a_service_without_a_store_and_a_wal_is_refused(self, tmp_path, missing):
+        options = {
+            name: path for name, path in durable(tmp_path).items() if name not in missing
+        }
+        flags = [
+            part
+            for name, path in options.items()
+            for part in ("--" + name.replace("_", "-"), path)
+        ]
+        message = "needs an epoch store .* --store-dir and --wal-dir"
+        with pytest.raises(ValueError, match=message):
+            AggregationService(SPEC, **options)
+        with pytest.raises(SystemExit, match=message):
+            cli.main(["serve", "--domain-size", "64", *flags])
+        assert os.listdir(tmp_path) == []  # refused before anything ran
+
+    def test_a_store_dir_other_than_the_engines_own_store_is_refused(self, tmp_path):
+        engine = Engine.open(SPEC, store_dir=str(tmp_path / "store"))
+        other = str(tmp_path / "other")
+        with pytest.raises(ValueError, match="not the engine's own epoch store"):
+            AggregationService(engine, store_dir=other, wal_dir=str(tmp_path / "wal"))
+        assert sorted(os.listdir(tmp_path)) == ["store"]
+        same = AggregationService(
+            engine, store_dir=str(tmp_path / "store"), wal_dir=str(tmp_path / "wal")
+        )
+        assert same.engine.store is engine.store
 
     def test_open_segment_of_a_sealed_epoch_is_not_replayed(self, tmp_path):
         # A crash after /close sealed epoch 0 into the store but before it
@@ -673,9 +695,7 @@ class TestStoreRecovery:
         late = ingest_batches_single_process(
             TREE_SPEC, make_blobs(TREE_SPEC, 300, seed=15, chunks=2)[0]
         ).state
-        service = AggregationService(
-            TREE_SPEC, num_workers=2, store_dir=str(tmp_path / "store")
-        )
+        service = AggregationService(TREE_SPEC, num_workers=2, **durable(tmp_path))
         protocol = service.engine.protocol
         finalize = protocol.estimator_from_state
 
@@ -746,12 +766,10 @@ class TestFaultTolerance:
     """Chaos tests: inject a fault, recover, demand bit-identity."""
 
     @pytest.mark.chaos
-    def test_worker_kill_mid_ingest_is_exactly_once(self, tmp_path):
+    def test_worker_kill_mid_ingest_is_exactly_once(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("repro.service.gateway.SUPERVISE_INTERVAL_S", 0.05)
         blobs, reference = make_blobs(SPEC, 240, seed=20, chunks=8)
-        service = AggregationService(
-            SPEC, num_workers=2, store_dir=str(tmp_path / "store"),
-            wal_dir=str(tmp_path / "wal"), supervise_interval=0.05,
-        )
+        service = AggregationService(SPEC, num_workers=2, **durable(tmp_path))
         with ServiceThread(service) as handle:
             url = handle.url
             for index, blob in enumerate(blobs[:4]):
@@ -774,16 +792,14 @@ class TestFaultTolerance:
             assert stats["replayed_batches"] >= 1
 
     @pytest.mark.chaos
-    def test_ingest_during_a_respawn_replay_is_counted_once(self, tmp_path):
+    def test_ingest_during_a_respawn_replay_is_counted_once(self, tmp_path, monkeypatch):
         # The supervisor respawns a killed shard, then scans the WAL and
         # replays the shard's records into it.  A batch routed to the
         # revived shard and logged before that scan must reach it once:
         # not by the replay and again by its own send.
+        monkeypatch.setattr("repro.service.gateway.SUPERVISE_INTERVAL_S", 0.05)
         blobs, reference = make_blobs(SPEC, 240, seed=20, chunks=8)
-        service = AggregationService(
-            SPEC, num_workers=2, store_dir=str(tmp_path / "store"),
-            wal_dir=str(tmp_path / "wal"), supervise_interval=0.05,
-        )
+        service = AggregationService(SPEC, num_workers=2, **durable(tmp_path))
         with ServiceThread(service) as handle:
             post_batches(handle.url, blobs[:4], "rr")
             read_epoch, scanning = service.wal.read_epoch, threading.Event()
@@ -803,13 +819,11 @@ class TestFaultTolerance:
             assert request_json(handle.url + "/stats")["replayed_batches"] == 2
 
     @pytest.mark.chaos
-    def test_all_workers_dead_defers_to_wal_and_recovers(self, tmp_path):
+    def test_all_workers_dead_defers_to_wal_and_recovers(self, tmp_path, monkeypatch):
+        # No supervisor tick within the test: the close-time repair path.
+        monkeypatch.setattr("repro.service.gateway.SUPERVISE_INTERVAL_S", 3600.0)
         blobs, reference = make_blobs(SPEC, 120, seed=21, chunks=4)
-        service = AggregationService(
-            SPEC, num_workers=2, store_dir=str(tmp_path / "store"),
-            wal_dir=str(tmp_path / "wal"),
-            supervise_interval=None,  # force the close-time repair path
-        )
+        service = AggregationService(SPEC, num_workers=2, **durable(tmp_path))
         with ServiceThread(service) as handle:
             url = handle.url
             request_json(
@@ -818,8 +832,8 @@ class TestFaultTolerance:
             )
             kill_worker(handle, 0)
             kill_worker(handle, 1)
-            # every shard is dead: with a WAL the ingest is still
-            # acknowledged (deferred), not 503'd
+            # every shard is dead: the ingest is still acknowledged
+            # (deferred to the respawn replay), not 503'd
             for index, blob in enumerate(blobs[1:], start=1):
                 reply = request_json(
                     url + "/ingest", method="POST", body=blob,
@@ -914,10 +928,7 @@ class TestFaultTolerance:
         schedule = chaos_stream(blobs, seed=7, drop=0.3, duplicate=0.5)
         assert delivered_indices(schedule) == list(range(len(blobs)))
         assert len(schedule) > len(blobs)  # seed 7 produces duplicates
-        service = AggregationService(
-            SPEC, num_workers=2, store_dir=str(tmp_path / "store"),
-            wal_dir=str(tmp_path / "wal"),
-        )
+        service = AggregationService(SPEC, num_workers=2, **durable(tmp_path))
         with ServiceThread(service) as handle:
             url = handle.url
             for index, blob in schedule:
@@ -1105,22 +1116,20 @@ class TestFaultTolerance:
                     float(v) for v in reference.estimated_frequencies()
                 ]
 
-    def test_saturated_pool_rejects_with_429_and_retry_after(self):
+    def test_saturated_pool_rejects_with_429_and_retry_after(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("repro.service.workers.MAX_INFLIGHT", 4)
         blobs, _ = make_blobs(SPEC, 60, seed=25, chunks=2)
-        service = AggregationService(SPEC, num_workers=2, max_inflight=4)
+        service = AggregationService(SPEC, num_workers=2, **durable(tmp_path))
         with ServiceThread(service) as handle:
             for worker in handle.service.pool.workers:
-                worker.pending = 99  # every queue artificially at its bound
-            with pytest.raises(RuntimeError, match="429"):
+                worker.pending = 4  # every queue artificially at its bound
+            with pytest.raises(RuntimeError, match="429.*>= 4 in-flight"):
                 request_json(
                     handle.url + "/ingest", method="POST", body=blobs[0],
                     max_retries=0,
                 )
             # the rejection carries a Retry-After hint
-            import http.client
-
-            host, port, _ = split_url(handle.url)
-            conn = http.client.HTTPConnection(host, port, timeout=30)
+            conn = http.client.HTTPConnection("127.0.0.1", handle.port, timeout=30)
             try:
                 conn.request(
                     "POST", "/ingest", body=blobs[0],
@@ -1142,11 +1151,11 @@ class TestFaultTolerance:
             stats = request_json(handle.url + "/stats")
             assert stats["accepted"]["rejected_busy"] >= 2
 
-    def test_stuck_connection_gets_408_not_a_held_slot(self):
-        service = AggregationService(SPEC, num_workers=1, request_timeout=0.3)
+    def test_stuck_connection_gets_408_not_a_held_slot(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("repro.service.gateway.REQUEST_TIMEOUT_S", 0.3)
+        service = AggregationService(SPEC, num_workers=1, **durable(tmp_path))
         with ServiceThread(service) as handle:
-            host, port, _ = split_url(handle.url)
-            with socket.create_connection((host, port), timeout=30) as sock:
+            with socket.create_connection(("127.0.0.1", handle.port), timeout=30) as sock:
                 sock.sendall(b"POST /ingest HTTP/1.1\r\n")  # never finishes
                 data = sock.recv(65536)
             assert b"408" in data.split(b"\r\n", 1)[0]
